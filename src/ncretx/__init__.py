@@ -5,7 +5,7 @@ to M receivers over independent Bernoulli loss channels, together with the
 closed-form lower bound on how few repair transmissions any scheme needs.
 """
 
-from .channel import ChannelParams, deliver_retransmission, sample_loss_counts, sample_matrix
+from .channel import ChannelParams, sample_loss_counts, sample_matrix
 from .decoder import ReceiverState
 from .metrics import RunMetrics, TtdStats, retransmission_ratio, run_metrics, time_to_decode
 from .model import LOST, RECEIVED, CodedPacket, IntegrityError, TransmissionMatrix
@@ -36,11 +36,11 @@ __all__ = [
     "ChannelParams", "CodedPacket", "IntegrityError", "LOST", "RECEIVED",
     "ReceiverState", "RunMetrics", "RunResult", "Schedule", "SCHEDULER_NAMES",
     "BenefitAudit", "BenefitState", "TheoryParams", "TransmissionMatrix",
-    "TtdStats", "baseline_arq", "benefit", "deliver_retransmission",
-    "expected_baseline_retx", "expected_min_retx", "greedy_nc", "loss_cdf",
-    "q_distribution", "q_j", "retransmission_ratio", "rlnc", "run_metrics",
-    "run_scheduler", "sample_loss_counts", "sample_matrix", "sort_by_utility",
-    "theory_ratio", "time_to_decode",
+    "TtdStats", "baseline_arq", "benefit", "expected_baseline_retx",
+    "expected_min_retx", "greedy_nc", "loss_cdf", "q_distribution", "q_j",
+    "retransmission_ratio", "rlnc", "run_metrics", "run_scheduler",
+    "sample_loss_counts", "sample_matrix", "sort_by_utility", "theory_ratio",
+    "time_to_decode",
 ]
 
 __version__ = "0.1.0"

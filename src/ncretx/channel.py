@@ -79,12 +79,3 @@ def sample_loss_counts(params: ChannelParams, batch: int, replications: int,
             counts[done:done + step, i - 1] = draws.sum(axis=1)
             done += step
     return counts
-
-
-def deliver_retransmission(params: ChannelParams, transmissions: int = 1) -> np.ndarray:
-    """Loss outcomes for coded/retransmitted packets: everyone receives them.
-
-    Returns a (transmissions, M) array of zeros; kept as an explicit function
-    so the lossless-repair assumption lives in one documented place.
-    """
-    return np.zeros((transmissions, params.receivers), dtype=np.uint8)

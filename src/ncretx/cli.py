@@ -30,13 +30,22 @@ from .schedulers import SCHEDULER_NAMES
 from .theory import TheoryParams, expected_min_retx, q_distribution, theory_ratio
 
 
+def _check_range(part: str, lo, hi, step) -> None:
+    if step <= 0:
+        raise ValueError(f"range {part!r} needs a positive step")
+    if hi < lo:
+        raise ValueError(f"range {part!r} runs backwards")
+
+
 def parse_int_range(text: str) -> list[int]:
     values = []
     for part in text.split(","):
         if ".." in part:
             bounds, _, step = part.partition(":")
             lo, hi = bounds.split("..")
-            values.extend(range(int(lo), int(hi) + 1, int(step) if step else 1))
+            lo_i, hi_i, st = int(lo), int(hi), int(step) if step else 1
+            _check_range(part, lo_i, hi_i, st)
+            values.extend(range(lo_i, hi_i + 1, st))
         else:
             values.append(int(part))
     return values
@@ -51,6 +60,7 @@ def parse_float_range(text: str) -> list[float]:
             if not step:
                 raise ValueError(f"float range {part!r} needs an explicit :step")
             lo_f, hi_f, st = float(lo), float(hi), float(step)
+            _check_range(part, lo_f, hi_f, st)
             count = int(round((hi_f - lo_f) / st))
             values.extend(round(lo_f + i * st, 10) for i in range(count + 1)
                           if lo_f + i * st <= hi_f + 1e-9)

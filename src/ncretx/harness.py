@@ -30,7 +30,7 @@ import numpy as np
 from .channel import ChannelParams, sample_matrix
 from .gf import mat_vec, solve
 from .metrics import run_metrics
-from .model import CodedPacket, IntegrityError, TransmissionMatrix
+from .model import IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
 from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, theory_ratio
 
@@ -248,10 +248,12 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
          f"{int(matrix.cells.sum())} lost cells; algorithm: {algorithm}")
     events = _decode_events(matrix, result)
     for packet in result.schedule.transmissions:
-        if result.algorithm == "rlnc" and packet.slot > matrix.batch:
+        if packet.original:
+            head = str(packet)
+        elif result.algorithm == "rlnc":
             head = f"random linear repair over {len(packet.constituents)} packets"
         else:
-            head = f"{packet}{_slot_kind(packet, matrix.batch, result)}"
+            head = f"{packet} [repair]" if packet.is_uncoded else f"{packet} [coded repair]"
         line = f"slot {packet.slot}: {head}"
         what = events.get(packet.slot)
         if what:
@@ -266,48 +268,27 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
     return result
 
 
-def _slot_kind(packet: CodedPacket, batch: int, result: RunResult) -> str:
-    if packet.slot <= batch and result.algorithm != "benefit":
-        return ""
-    original = packet.is_uncoded and \
-        result.matrix.original_slot[next(iter(packet.constituents)) - 1] == packet.slot
-    if original:
-        return ""
-    return " [repair]" if packet.is_uncoded else " [coded repair]"
-
-
 def _decode_events(matrix: TransmissionMatrix, result: RunResult) -> dict[int, list[str]]:
     events: dict[int, list[str]] = {}
-    if result.algorithm == "rlnc":
-        for i, state in enumerate(result.receivers, start=1):
-            lost = [k for k in range(1, matrix.batch + 1) if matrix.is_lost(i, k)]
-            if lost:
-                slot = state.recovery_slot[lost[0]]
-                events.setdefault(slot, []).append(
-                    f"R{i} inverts and decodes {', '.join('c%d' % k for k in lost)}")
-        for k in range(1, matrix.batch + 1):
-            slot = int(result.matrix.original_slot[k - 1])
-            missed = [i for i in range(1, matrix.receivers + 1) if matrix.is_lost(i, k)]
-            if missed:
-                events.setdefault(slot, []).insert(
-                    0, "lost at " + ", ".join(f"R{i}" for i in missed))
-        return events
-    for i, state in enumerate(result.receivers, start=1):
+    verb = "inverts and decodes" if result.algorithm == "rlnc" else "decodes"
+    # rlnc narrates receivers in numeric order, the XOR schedulers in text
+    # order (R10 before R2)
+    receivers = range(1, matrix.receivers + 1)
+    if result.algorithm != "rlnc":
+        receivers = sorted(receivers, key=str)
+    for i in receivers:
+        recovered = result.receivers[i - 1].recovery_slot
         by_slot: dict[int, list[int]] = {}
-        for k in range(1, matrix.batch + 1):
-            if matrix.is_lost(i, k):
-                by_slot.setdefault(state.recovery_slot[k], []).append(k)
+        for k in (np.flatnonzero(matrix.cells[i - 1]) + 1).tolist():
+            by_slot.setdefault(recovered[k], []).append(k)
         for slot, ks in by_slot.items():
             events.setdefault(slot, []).append(
-                f"R{i} decodes " + ", ".join(f"c{k}" for k in sorted(ks)))
-    for k in range(1, matrix.batch + 1):
-        slot = int(result.matrix.original_slot[k - 1])
-        missed = [i for i in range(1, matrix.receivers + 1) if matrix.is_lost(i, k)]
+                f"R{i} {verb} " + ", ".join(f"c{k}" for k in ks))
+    for k0, column in enumerate(matrix.cells.T):
+        missed = np.flatnonzero(column).tolist()
         if missed:
-            events.setdefault(slot, []).insert(
-                0, "lost at " + ", ".join(f"R{i}" for i in missed))
-    for slot in events:
-        events[slot].sort(key=lambda s: (not s.startswith("lost"), s))
+            events.setdefault(int(result.matrix.original_slot[k0]), []).insert(
+                0, "lost at " + ", ".join(f"R{i0 + 1}" for i0 in missed))
     return events
 
 
@@ -323,8 +304,10 @@ class PayloadMismatch(IntegrityError):
 
 def payload_check(matrix: TransmissionMatrix, algorithm: str,
                   payload_len: int = 64, seed: int = 0) -> None:
-    """End-to-end byte check: schedule the run, then push real random payloads
-    through it and verify every receiver reconstructs every packet exactly.
+    """End-to-end byte check: schedule the run, attach random payloads and
+    verify every receiver reconstructs every packet exactly, by GF(2^8)
+    inversion for rlnc and by rebuilding each recorded XOR recovery for the
+    other schedulers.
 
     Raises PayloadMismatch naming the first (receiver, packet) that differs.
     """
@@ -334,61 +317,48 @@ def payload_check(matrix: TransmissionMatrix, algorithm: str,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB0, 1)))
     payloads = rng.integers(0, 256, size=(matrix.batch, payload_len), dtype=np.uint8)
     if algorithm == "rlnc":
-        recovered = _rlnc_payload_replay(matrix, result, payloads)
+        for i, got in enumerate(_rlnc_payload_replay(matrix, result, payloads), start=1):
+            for k in range(1, matrix.batch + 1):
+                if not np.array_equal(got[k], payloads[k - 1]):
+                    raise PayloadMismatch(i, k)
     else:
-        recovered = _xor_payload_replay(matrix, result, payloads)
-    for i, got in enumerate(recovered, start=1):
-        for k in range(1, matrix.batch + 1):
-            if k not in got or not np.array_equal(got[k], payloads[k - 1]):
+        _check_xor_recoveries(result, payloads)
+
+
+def _check_xor_recoveries(result: RunResult, payloads: np.ndarray) -> None:
+    """Rebuild every recovery the XOR decoder made, in the order it made them.
+
+    A packet received as an original is its own wire bytes and must not have
+    been lost at that receiver.  A repaired packet is the wire XOR of its
+    source packet, sent no later than the recovery, with every other
+    constituent's already rebuilt bytes XOR-ed out.
+    """
+    wires: dict[int, np.ndarray] = {}
+    for i, state in enumerate(result.receivers, start=1):
+        rebuilt: dict[int, np.ndarray] = {}
+        for k, slot in state.recovery_slot.items():
+            packet = state.source.get(k)
+            if packet is None:
+                if result.losses[i - 1, k - 1]:
+                    raise PayloadMismatch(i, k)
+                data = payloads[k - 1]
+            else:
+                if packet.slot > slot:
+                    raise PayloadMismatch(i, k)
+                if packet.slot not in wires:
+                    wires[packet.slot] = np.bitwise_xor.reduce(
+                        payloads[[c - 1 for c in packet.constituents]])
+                data = wires[packet.slot]
+                for other in packet.constituents - {k}:
+                    if other not in rebuilt:
+                        raise PayloadMismatch(i, k)
+                    data = data ^ rebuilt[other]
+            if not np.array_equal(data, payloads[k - 1]):
                 raise PayloadMismatch(i, k)
-
-
-def _xor_payload_replay(matrix: TransmissionMatrix, result: RunResult,
-                        payloads: np.ndarray) -> list[dict[int, np.ndarray]]:
-    # independent byte-level decoder: known payloads plus reduced pending ones
-    known: list[dict[int, np.ndarray]] = [{} for _ in range(matrix.receivers)]
-    pending: list[list[tuple[set[int], np.ndarray]]] = [[] for _ in range(matrix.receivers)]
-
-    def learn(i0: int, k: int, data: np.ndarray) -> None:
-        if k in known[i0]:
-            return
-        known[i0][k] = data
-        queue = [k]
-        while queue:
-            kk = queue.pop()
-            keep = []
-            for unknowns, residue in pending[i0]:
-                if kk in unknowns:
-                    unknowns.discard(kk)
-                    residue = residue ^ known[i0][kk]
-                if len(unknowns) == 1:
-                    last = unknowns.pop()
-                    if last not in known[i0]:
-                        known[i0][last] = residue
-                        queue.append(last)
-                elif len(unknowns) >= 2:
-                    keep.append((unknowns, residue))
-            pending[i0] = keep
-
-    for packet in result.schedule.transmissions:
-        is_original = packet.is_uncoded and int(
-            result.matrix.original_slot[next(iter(packet.constituents)) - 1]) == packet.slot
-        wire = np.zeros(payloads.shape[1], dtype=np.uint8)
-        for k in packet.constituents:
-            wire = wire ^ payloads[k - 1]
-        for i0 in range(matrix.receivers):
-            if is_original and matrix.cells[i0, next(iter(packet.constituents)) - 1]:
-                continue  # the original was lost at this receiver
-            unknowns = {k for k in packet.constituents if k not in known[i0]}
-            residue = wire.copy()
-            for k in packet.constituents:
-                if k in known[i0]:
-                    residue ^= known[i0][k]
-            if len(unknowns) == 1:
-                learn(i0, unknowns.pop(), residue)
-            elif len(unknowns) >= 2:
-                pending[i0].append((unknowns, residue))
-    return known
+            rebuilt[k] = data
+        for k in range(1, len(payloads) + 1):
+            if k not in rebuilt:
+                raise PayloadMismatch(i, k)
 
 
 def _rlnc_payload_replay(matrix: TransmissionMatrix, result: RunResult,

@@ -26,10 +26,13 @@ class CodedPacket:
 
     A single-element constituent set denotes an uncoded (re)transmission.
     ``slot`` is the 1-based index of the time slot the packet went out in.
+    ``original`` marks a packet's first transmission over the lossy channel;
+    every other transmission is a lossless repair.
     """
 
     constituents: frozenset[int]
     slot: int
+    original: bool = False
 
     def __post_init__(self) -> None:
         if not self.constituents:

@@ -28,24 +28,27 @@ import numpy as np
 
 from .decoder import ReceiverState
 from .gf import Gf256Basis
-from .model import CodedPacket, IntegrityError, TransmissionMatrix
+from .model import RECEIVED, CodedPacket, IntegrityError, TransmissionMatrix
 
 SCHEDULER_NAMES = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
 
 @dataclass
 class Schedule:
-    """All transmissions of a run; repairs are everything after the N originals."""
+    """All transmissions of a run: the N originals and the repairs."""
 
     transmissions: list[CodedPacket]
-    retransmission_count: int
+
+    @property
+    def retransmission_count(self) -> int:
+        return sum(not packet.original for packet in self.transmissions)
 
 
 @dataclass
 class RunResult:
     algorithm: str
     schedule: Schedule
-    receivers: list
+    receivers: list[ReceiverState]
     matrix: TransmissionMatrix  # final state: fully received, slots as realized
     losses: np.ndarray          # the loss cells the run started from
     coefficients: list[np.ndarray] | None = None  # rlnc coding vectors, one per repair
@@ -60,16 +63,16 @@ class RunResult:
 
 
 def _original_packets(matrix: TransmissionMatrix) -> list[CodedPacket]:
-    return [CodedPacket(frozenset((k,)), int(matrix.original_slot[k - 1]))
+    return [CodedPacket(frozenset((k,)), int(matrix.original_slot[k - 1]), original=True)
             for k in range(1, matrix.batch + 1)]
 
 
 def _init_states(matrix: TransmissionMatrix) -> list[ReceiverState]:
     states = [ReceiverState() for _ in range(matrix.receivers)]
-    for i, state in enumerate(states, start=1):
-        for k in range(1, matrix.batch + 1):
-            if not matrix.is_lost(i, k):
-                state.receive_original(k, int(matrix.original_slot[k - 1]))
+    slots = matrix.original_slot.tolist()
+    for state, row in zip(states, matrix.cells):
+        for k0 in np.flatnonzero(row == RECEIVED).tolist():
+            state.receive_original(k0 + 1, slots[k0])
     return states
 
 
@@ -89,8 +92,7 @@ def _check_recovered(matrix: TransmissionMatrix, algorithm: str) -> None:
 def _result(algorithm: str, started_from: np.ndarray, tx: list[CodedPacket],
             states: list, work: TransmissionMatrix, **extra) -> RunResult:
     _check_recovered(work, algorithm)
-    schedule = Schedule(tx, len(tx) - work.batch)
-    return RunResult(algorithm, schedule, states, work, started_from, **extra)
+    return RunResult(algorithm, Schedule(tx), states, work, started_from, **extra)
 
 
 def _grow_coded_set(cells: np.ndarray, ordered: list[int]) -> list[int]:
@@ -165,12 +167,15 @@ def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
     states = _init_states(work)
     tx = _original_packets(work)
     slot = work.batch
-    order = sorted(work.lost_columns(), key=lambda k: (-work.column_utility(k), k))
-    for idx, k in enumerate(order):
-        if work.column_utility(k) == 0:
+    cu = work.cells.sum(axis=0, dtype=np.int64)
+    # 0-based columns by descending utility, ties lower id first
+    order = np.argsort(-cu, kind="stable")[:np.count_nonzero(cu)]
+    for idx, col in enumerate(order):
+        missing = work.cells.any(axis=0)
+        if not missing[col]:
             continue
-        rest = [k2 for k2 in order[idx + 1:] if work.column_utility(k2) > 0]
-        chosen = _grow_coded_set(work.cells, [k] + rest)
+        pending = order[idx:]
+        chosen = _grow_coded_set(work.cells, (pending[missing[pending]] + 1).tolist())
         slot += 1
         packet = CodedPacket(frozenset(chosen), slot)
         tx.append(packet)
@@ -178,41 +183,26 @@ def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
     return _result("sort-utility", losses, tx, states, work)
 
 
-class RlncReceiverState:
-    """Recovery bookkeeping for a random-linear receiver.
+def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
+    """Random linear coding: repair with uniform GF(2^8) combinations of the
+    whole batch until every receiver has N innovative packets.
 
     Packets received as originals are known at their own slot; everything
     else becomes known in the slot where the receiver's coefficient matrix
     first reaches full rank and inversion is possible.
     """
-
-    def __init__(self) -> None:
-        self.have: set[int] = set()
-        self.recovery_slot: dict[int, int] = {}
-
-
-def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
-    """Random linear coding: repair with uniform GF(2^8) combinations of the
-    whole batch until every receiver has N innovative packets."""
     losses = matrix.cells.copy()
     work = matrix.copy()
-    m, n = work.receivers, work.batch
-    states = [RlncReceiverState() for _ in range(m)]
-    bases = [Gf256Basis(n) for _ in range(m)]
-    done_slot: list[int | None] = [None] * m
+    n = work.batch
+    states = _init_states(work)
+    bases = [Gf256Basis(n) for _ in states]
+    for basis, row in zip(bases, work.cells):
+        for k0 in np.flatnonzero(row == RECEIVED):
+            unit = np.zeros(n, dtype=np.uint8)
+            unit[k0] = 1
+            basis.insert(unit)
 
     tx = _original_packets(work)
-    for i in range(1, m + 1):
-        for k in range(1, n + 1):
-            if not work.is_lost(i, k):
-                unit = np.zeros(n, dtype=np.uint8)
-                unit[k - 1] = 1
-                bases[i - 1].insert(unit)
-                states[i - 1].have.add(k)
-                states[i - 1].recovery_slot[k] = int(work.original_slot[k - 1])
-        if bases[i - 1].rank == n:
-            done_slot[i - 1] = int(work.original_slot[-1])
-
     rng = np.random.default_rng(seed)
     slot = n
     coefficients: list[np.ndarray] = []
@@ -223,16 +213,12 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
             vec = rng.integers(0, 256, size=n, dtype=np.uint8)
         coefficients.append(vec)
         tx.append(CodedPacket(frozenset(int(k) + 1 for k in np.flatnonzero(vec)), slot))
-        for i in range(m):
-            if bases[i].rank < n and bases[i].insert(vec) and bases[i].rank == n:
-                done_slot[i] = slot
-
-    for i in range(1, m + 1):
-        for k in range(1, n + 1):
-            if work.is_lost(i, k):
-                states[i - 1].have.add(k)
-                states[i - 1].recovery_slot[k] = done_slot[i - 1]  # type: ignore[assignment]
-                work.mark_received(i, k)
+        for i, (state, basis) in enumerate(zip(states, bases), start=1):
+            if basis.rank < n and basis.insert(vec) and basis.rank == n:
+                for k0 in np.flatnonzero(work.cells[i - 1]).tolist():
+                    state.have.add(k0 + 1)
+                    state.recovery_slot[k0 + 1] = slot
+                    work.mark_received(i, k0 + 1)
     return _result("rlnc", losses, tx, states, work, coefficients=coefficients)
 
 
@@ -326,7 +312,6 @@ class _BenefitRun:
         # until the next repair changes the matrix (growing the set can only
         # lose decoders, never regain them); one turned away by the
         # decode-benefit gate gets another look whenever the set changes.
-        self.deferred: set[int] = set()          # only until the set changes
         self.deferred_hard: set[int] = set()     # until the next repair
         # flat flags mirroring served/deferred/prospective for fast scans
         self._blocked = np.zeros(self.n, dtype=bool)
@@ -404,7 +389,7 @@ class _BenefitRun:
         self.slot += 1
         self.sent = k
         self.work.original_slot[k - 1] = self.slot
-        self.tx.append(CodedPacket(frozenset((k,)), self.slot))
+        self.tx.append(CodedPacket(frozenset((k,)), self.slot, original=True))
         self.lost_cells += int(self.cu[k - 1])
         for i in range(1, self.m + 1):
             if not self.realized.is_lost(i, k):
@@ -450,7 +435,6 @@ class _BenefitRun:
         if gates.decode_benefit < gates.minimum_benefit:
             # coding would not beat retransmitting the weakest constituent
             # uncoded; the newcomer waits for a different constellation
-            self.deferred.add(newcomer)
             self._blocked[newcomer - 1] = True
             return
         # keep the candidate either way: a set short of the desired benefit
@@ -501,7 +485,6 @@ class _BenefitRun:
         self._reset_deferred()
 
     def _reset_deferred(self) -> None:
-        self.deferred = set()
         self._blocked[:] = False
         for k in self.state.served_as_anchor:
             self._blocked[k - 1] = True

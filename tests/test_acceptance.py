@@ -214,13 +214,9 @@ def test_acceptance_8_invariants():
 
 def _replay(mat, result):
     states = [ReceiverState() for _ in range(mat.receivers)]
-    seen = set()
     for packet in result.schedule.transmissions:
         k = next(iter(packet.constituents))
-        original = (packet.is_uncoded and k not in seen
-                    and int(result.matrix.original_slot[k - 1]) == packet.slot)
-        if original:
-            seen.add(k)
+        if packet.original:
             for i in range(1, mat.receivers + 1):
                 if not mat.is_lost(i, k):
                     states[i - 1].receive_original(k, packet.slot)
@@ -240,15 +236,12 @@ def _assert_strict_rule(mat, result):
 
 def _assert_peeling_sound(mat, result):
     heard: list[list[int]] = [[] for _ in range(mat.receivers)]
-    seen = set()
     states = [ReceiverState() for _ in range(mat.receivers)]
     for packet in result.schedule.transmissions:
         k = next(iter(packet.constituents))
-        original = (packet.is_uncoded and k not in seen
-                    and int(result.matrix.original_slot[k - 1]) == packet.slot)
         for i in range(1, mat.receivers + 1):
             state = states[i - 1]
-            if original:
+            if packet.original:
                 if not mat.is_lost(i, k):
                     state.receive_original(k, packet.slot)
                     heard[i - 1].append(constituents_to_bits({k}, mat.batch))
@@ -257,8 +250,6 @@ def _assert_peeling_sound(mat, result):
                 heard[i - 1].append(
                     constituents_to_bits(packet.constituents, mat.batch))
             assert state.have <= gf2_decodable(heard[i - 1], mat.batch)
-        if original:
-            seen.add(k)
 
 
 @report(9, "byte-identical CSV from two identical simulate invocations")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncretx import ChannelParams, deliver_retransmission, sample_loss_counts, sample_matrix
+from ncretx import ChannelParams, sample_loss_counts, sample_matrix
 
 
 def test_no_loss_channel_all_received():
@@ -77,10 +77,3 @@ def test_invalid_probability_rejected(bad):
 def test_single_receiver_rejected():
     with pytest.raises(ValueError):
         ChannelParams((0.5,), seed=0)
-
-
-def test_retransmissions_always_delivered():
-    params = ChannelParams.homogeneous(6, 0.95, seed=3)
-    outcomes = deliver_retransmission(params, transmissions=10)
-    assert outcomes.shape == (10, 6)
-    assert not outcomes.any()

@@ -17,15 +17,18 @@ def holding(*packets: int) -> ReceiverState:
 def test_undecodable_packet_is_buffered():
     # worked example, slot 3: the receiver holding only c3, c4 cannot use c1^c2
     state = holding(3, 4)
-    assert state.receive(CodedPacket(frozenset({1, 2}), 3)) == []
-    assert state.buffer == [{1, 2}]
+    packet = CodedPacket(frozenset({1, 2}), 3)
+    assert state.receive(packet) == []
+    assert state.buffer == [({1, 2}, packet)]
 
 
 def test_one_unknown_decodes_immediately():
     # the receiver holding c2, c3 recovers c1 from c1^c2
     state = holding(2, 3)
-    assert state.receive(CodedPacket(frozenset({1, 2}), 3)) == [1]
+    packet = CodedPacket(frozenset({1, 2}), 3)
+    assert state.receive(packet) == [1]
     assert state.recovery_slot[1] == 3
+    assert state.source == {1: packet}  # c2, c3 arrived as originals
     assert state.buffer == []
 
 
@@ -38,11 +41,16 @@ def test_fully_known_packet_discarded():
 def test_search_unlocks_buffered_packet_at_trigger_slot():
     # buffered c1^c2 resolves the moment c2 arrives inside c2^c3^c4
     state = holding(3, 4)
-    state.receive(CodedPacket(frozenset({1, 2}), 3))
-    got = state.receive(CodedPacket(frozenset({2, 3, 4}), 6))
+    first = CodedPacket(frozenset({1, 2}), 3)
+    second = CodedPacket(frozenset({2, 3, 4}), 6)
+    state.receive(first)
+    got = state.receive(second)
     assert sorted(got) == [1, 2]
     assert state.recovery_slot[1] == 6
     assert state.recovery_slot[2] == 6
+    # c2 came straight out of the new packet, c1 out of the buffered one
+    assert state.source == {2: second, 1: first}
+    assert list(state.recovery_slot) == [3, 4, 2, 1]
 
 
 def test_search_on_empty_buffer():
@@ -79,8 +87,9 @@ def test_buffer_invariants_random_streams():
             size = int(rng.integers(1, n + 1))
             ids = frozenset(int(x) + 1 for x in rng.choice(n, size=size, replace=False))
             state.receive(CodedPacket(ids, slot))
-            assert all(len(unknowns) >= 2 for unknowns in state.buffer)
-            assert all(not (unknowns & state.have) for unknowns in state.buffer)
+            assert all(len(unknowns) >= 2 for unknowns, _ in state.buffer)
+            assert all(not (unknowns & state.have) for unknowns, _ in state.buffer)
+            assert all(unknowns <= packet.constituents for unknowns, packet in state.buffer)
 
 
 def test_peeling_never_exceeds_elimination_closure():

@@ -1,0 +1,27 @@
+"""Smoke test: the quick demos run to completion against the current API.
+
+Demos 01 and 05 take about 0.3 s each and read the schedule and payload
+API directly.  Demo 03 sweeps benefit and sort-utility over many receiver
+counts at N=200 and takes about 43 s, so it is left out; 02 and 04 only go
+through the theory module and the harness sweep entry point, which the rest
+of the suite covers.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_worked_example.py", "05_payload_roundtrip.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from ncretx import TransmissionMatrix
+from ncretx import SCHEDULER_NAMES, CodedPacket, TransmissionMatrix
 from ncretx.cli import main as cli_main, parse_float_range, parse_int_range
 from ncretx.harness import (
     CSV_COLUMNS,
@@ -147,23 +147,28 @@ def test_payload_round_trip_all_algorithms(worked_example):
 
 def test_payload_round_trip_random_matrices():
     rng = np.random.default_rng(8)
-    for t in range(25):
-        mat = random_matrix(rng)
-        for name in ("benefit", "rlnc"):
+    edges = [TransmissionMatrix.from_rows([[1], [0]]),
+             TransmissionMatrix.from_rows([[0], [0]]),
+             TransmissionMatrix(np.ones((3, 6), dtype=np.uint8)),
+             TransmissionMatrix(np.zeros((3, 6), dtype=np.uint8))]
+    matrices = edges + [random_matrix(rng) for _ in range(25)]
+    for t, mat in enumerate(matrices):
+        for name in SCHEDULER_NAMES:
             payload_check(mat, name, payload_len=16, seed=t)
 
 
 def test_payload_mismatch_names_receiver_and_packet(worked_example, monkeypatch):
     import ncretx.harness as H
 
-    real = H._xor_payload_replay
+    real = H.run_scheduler
 
-    def corrupted(matrix, result, payloads):
-        out = real(matrix, result, payloads)
-        out[2][4] = out[2][4] ^ 1  # flip a byte at receiver 3, packet 4
-        return out
+    def corrupted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        # receiver 3 claims it got c4 (slot 5) out of c4^c5 before knowing c5
+        result.receivers[2].source[4] = CodedPacket(frozenset({4, 5}), 5)
+        return result
 
-    monkeypatch.setattr(H, "_xor_payload_replay", corrupted)
+    monkeypatch.setattr(H, "run_scheduler", corrupted)
     with pytest.raises(PayloadMismatch) as err:
         payload_check(worked_example, "benefit", payload_len=8, seed=1)
     assert (err.value.receiver, err.value.packet) == (3, 4)
@@ -216,6 +221,18 @@ def test_cli_figure_small(tmp_path):
     assert cli_main(["figure", "fig5", "--out", str(tmp_path), "--reps", "2",
                      "--loss", "0.3", "--workers", "1"]) == 0
     assert (tmp_path / "fig5.csv").exists()
+
+
+@pytest.mark.parametrize("receivers,loss", [("3", "0.1..0.5:0"), ("5..2", "0.5"),
+                                            ("3", "0.5..0.1:0.1"), ("2..6:-1", "0.5")])
+def test_cli_rejects_zero_step_and_empty_ranges(tmp_path, capsys, receivers, loss):
+    rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", receivers,
+                   "--loss", loss, "--batch", "5", "--reps", "1", "--workers", "1",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_rejects_unknown_algorithm(tmp_path):

@@ -24,7 +24,8 @@ from conftest import random_matrix
 
 
 def _sched(count: int) -> Schedule:
-    return Schedule([], count)
+    return Schedule([CodedPacket(frozenset({1}), 1, original=True)]
+                    + [CodedPacket(frozenset({1}), slot) for slot in range(2, count + 2)])
 
 
 def test_ratio_worked_example_values(worked_example):
@@ -59,18 +60,15 @@ def test_ttd_replay_of_worked_example_schedule(worked_example):
     # drive the published schedule through fresh receivers by hand and check
     # the sample multiset falls out of the decoder alone
     transmissions = [
-        CodedPacket(frozenset({1}), 1), CodedPacket(frozenset({2}), 2),
-        CodedPacket(frozenset({1, 2}), 3), CodedPacket(frozenset({3}), 4),
-        CodedPacket(frozenset({4}), 5), CodedPacket(frozenset({2, 3, 4}), 6),
-        CodedPacket(frozenset({5}), 7), CodedPacket(frozenset({5}), 8),
+        CodedPacket(frozenset({1}), 1, True), CodedPacket(frozenset({2}), 2, True),
+        CodedPacket(frozenset({1, 2}), 3), CodedPacket(frozenset({3}), 4, True),
+        CodedPacket(frozenset({4}), 5, True), CodedPacket(frozenset({2, 3, 4}), 6),
+        CodedPacket(frozenset({5}), 7, True), CodedPacket(frozenset({5}), 8),
     ]
-    original_slot = {1: 1, 2: 2, 3: 4, 4: 5, 5: 7}
     states = [ReceiverState() for _ in range(4)]
-    seen = set()
     for cp in transmissions:
         k = next(iter(cp.constituents))
-        if cp.is_uncoded and k not in seen and original_slot[k] == cp.slot:
-            seen.add(k)
+        if cp.original:
             for i0 in range(4):
                 if not worked_example.is_lost(i0 + 1, k):
                     states[i0].receive_original(k, cp.slot)

@@ -35,13 +35,9 @@ def replay_repairs(matrix, result):
     shadow = matrix.copy()
     shadow.original_slot = result.matrix.original_slot.copy()
     states = [ReceiverState() for _ in range(matrix.receivers)]
-    originals_seen = set()
     for packet in result.schedule.transmissions:
         k = next(iter(packet.constituents))
-        is_original = (packet.is_uncoded and k not in originals_seen
-                       and int(result.matrix.original_slot[k - 1]) == packet.slot)
-        if is_original:
-            originals_seen.add(k)
+        if packet.original:
             for i in range(1, matrix.receivers + 1):
                 if not matrix.is_lost(i, k):
                     for kk in states[i - 1].receive_original(k, packet.slot):
@@ -252,13 +248,16 @@ def test_full_recovery_and_repair_floor_everywhere():
             result = run_scheduler(name, mat.copy(), seed=t)
             assert result.matrix.lost_cell_count() == 0
             assert result.schedule.retransmission_count >= floor
-            # schedule structure: dense slots, each original exactly once
+            # schedule structure: dense slots, each original exactly once,
+            # marked as such and sent in the slot the matrix records for it
             slots = [cp.slot for cp in result.schedule.transmissions]
             assert slots == list(range(1, len(slots) + 1))
-            singles = [next(iter(cp.constituents))
-                       for cp in result.schedule.transmissions
-                       if cp.is_uncoded]
-            assert set(singles) >= set(range(1, mat.batch + 1))
+            originals = {next(iter(cp.constituents)): cp.slot
+                         for cp in result.schedule.transmissions if cp.original}
+            assert sum(cp.original for cp in result.schedule.transmissions) == mat.batch
+            assert originals == {k: int(result.matrix.original_slot[k - 1])
+                                 for k in range(1, mat.batch + 1)}
+            assert all(cp.is_uncoded for cp in result.schedule.transmissions if cp.original)
 
 
 def test_coded_schedulers_never_exceed_arq():
