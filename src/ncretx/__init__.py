@@ -12,7 +12,6 @@ from .model import LOST, RECEIVED, CodedPacket, IntegrityError, TransmissionMatr
 from .schedulers import (
     SCHEDULER_NAMES,
     BenefitAudit,
-    BenefitState,
     RunResult,
     Schedule,
     baseline_arq,
@@ -35,7 +34,7 @@ from .theory import (
 __all__ = [
     "ChannelParams", "CodedPacket", "IntegrityError", "LOST", "RECEIVED",
     "ReceiverState", "RunMetrics", "RunResult", "Schedule", "SCHEDULER_NAMES",
-    "BenefitAudit", "BenefitState", "TheoryParams", "TransmissionMatrix",
+    "BenefitAudit", "TheoryParams", "TransmissionMatrix",
     "TtdStats", "baseline_arq", "benefit", "expected_baseline_retx",
     "expected_min_retx", "greedy_nc", "loss_cdf", "q_distribution", "q_j",
     "retransmission_ratio", "rlnc", "run_metrics", "run_scheduler",

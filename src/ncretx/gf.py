@@ -78,7 +78,7 @@ def mat_vec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def rank(rows) -> int:
     """Rank of a set of GF(2^8) coefficient vectors, by Gaussian elimination."""
-    basis = Gf256Basis(width=None)
+    basis = Gf256Basis()
     for row in rows:
         basis.insert(np.asarray(row, dtype=np.uint8))
     return basis.rank
@@ -91,8 +91,7 @@ class Gf256Basis:
     anything survives, so rank grows by exactly 1 per innovative vector.
     """
 
-    def __init__(self, width: int | None):
-        self.width = width
+    def __init__(self) -> None:
         self.pivot_rows: dict[int, np.ndarray] = {}
 
     @property
@@ -108,8 +107,6 @@ class Gf256Basis:
 
     def insert(self, vec: np.ndarray) -> bool:
         """Add a vector; returns True iff it was innovative (rank increased)."""
-        if self.width is None:
-            self.width = len(vec)
         v = self.reduce(vec)
         nz = np.flatnonzero(v)
         if nz.size == 0:

@@ -30,7 +30,7 @@ import numpy as np
 from .channel import ChannelParams, sample_matrix
 from .gf import mat_vec, solve
 from .metrics import run_metrics
-from .model import IntegrityError, TransmissionMatrix
+from .model import RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
 from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, theory_ratio
 
@@ -368,7 +368,7 @@ def _rlnc_payload_replay(matrix: TransmissionMatrix, result: RunResult,
     n = matrix.batch
     out: list[dict[int, np.ndarray]] = []
     for i in range(1, matrix.receivers + 1):
-        basis = Gf256Basis(n)
+        basis = Gf256Basis()
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
 
@@ -377,11 +377,10 @@ def _rlnc_payload_replay(matrix: TransmissionMatrix, result: RunResult,
                 rows.append(row)
                 rhs.append(data)
 
-        for k in range(1, n + 1):
-            if not matrix.is_lost(i, k):
-                unit = np.zeros(n, dtype=np.uint8)
-                unit[k - 1] = 1
-                feed(unit, payloads[k - 1])
+        for k0 in np.flatnonzero(matrix.cells[i - 1] == RECEIVED).tolist():
+            unit = np.zeros(n, dtype=np.uint8)
+            unit[k0] = 1
+            feed(unit, payloads[k0])
         for vec in result.coefficients or []:
             if len(rows) == n:
                 break

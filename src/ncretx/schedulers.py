@@ -22,7 +22,7 @@ the sampled matrix.  Identical inputs always produce identical schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
     work = matrix.copy()
     n = work.batch
     states = _init_states(work)
-    bases = [Gf256Basis(n) for _ in states]
+    bases = [Gf256Basis() for _ in states]
     for basis, row in zip(bases, work.cells):
         for k0 in np.flatnonzero(row == RECEIVED):
             unit = np.zeros(n, dtype=np.uint8)
@@ -223,23 +223,6 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
 
 
 # ---------------------------------------------------------------- benefit
-
-
-@dataclass
-class BenefitState:
-    """Sender-side state of the benefit scheduler.
-
-    ``prospective`` is the ordered list of packets waiting to be coded
-    together (its head is the anchor), ``desired_benefit`` the current
-    requirement on how many receivers a coded repair must help now or
-    later, relaxed by one per scan cycle.  Cycle 1 interleaves originals
-    with repairs; cycles 2..M only rescan outstanding packets.
-    """
-
-    prospective: list[int] = field(default_factory=list)
-    desired_benefit: int = 0
-    cycle: int = 1
-    served_as_anchor: set[int] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -280,11 +263,28 @@ def benefit(matrix: TransmissionMatrix,
     one, down to 1; anything still missing after that goes out uncoded.
     Lowering the initial desired benefit trades bandwidth for latency.
     """
-    run = _BenefitRun(matrix, initial_desired_benefit)
-    return run.execute()
+    return _BenefitRun(matrix, initial_desired_benefit).execute()
+
+
+# Why a packet is not scanned right now.  Each reason lasts until its own
+# event; a packet holds at most one, since only free packets are considered.
+_FREE = 0
+_SOFT = 1         # lost the decode-benefit gate: until the prospective set changes
+_HARD = 2         # a constituent would reach no receiver: until a set is sent
+_PROSPECTIVE = 3  # in the prospective set: until the set is sent or dropped
+_ANCHOR = 4       # anchored a prospective set: until the next scan cycle
 
 
 class _BenefitRun:
+    """Sender-side state of one benefit run.
+
+    ``prospective`` is the ordered list of packets waiting to be coded
+    together (its head is the anchor), ``desired_benefit`` the current
+    requirement on how many receivers a coded repair must help now or
+    later, relaxed by one per scan cycle.  Cycle 1 interleaves originals
+    with repairs; cycles 2..M only rescan outstanding packets.
+    """
+
     def __init__(self, matrix: TransmissionMatrix,
                  initial_desired_benefit: int | None):
         self.m = matrix.receivers
@@ -292,7 +292,6 @@ class _BenefitRun:
         start = self.m if initial_desired_benefit is None else initial_desired_benefit
         if not 1 <= start <= self.m:
             raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
-        self.realized = matrix
         self.losses = matrix.cells.copy()
         # loss outcomes are consumed column by column as originals go out;
         # gates only ever look at already-transmitted packets
@@ -300,21 +299,15 @@ class _BenefitRun:
                                        np.zeros(self.n, dtype=np.int64))
         self.cells = self.work.cells
         self.cu = self.cells.sum(axis=0).astype(np.int64)  # kept in step with cells
-        self.lost_cells = 0  # counts transmitted columns only
         self.states = [ReceiverState() for _ in range(self.m)]
         self.tx: list[CodedPacket] = []
         self.audit: list[BenefitAudit] = []
         self.slot = 0
         self.sent = 0
-        self.state = BenefitState(desired_benefit=start)
-        # Rejected packets wait before being reconsidered.  A packet turned
-        # away because some constituent would reach no receiver stays out
-        # until the next repair changes the matrix (growing the set can only
-        # lose decoders, never regain them); one turned away by the
-        # decode-benefit gate gets another look whenever the set changes.
-        self.deferred_hard: set[int] = set()     # until the next repair
-        # flat flags mirroring served/deferred/prospective for fast scans
-        self._blocked = np.zeros(self.n, dtype=bool)
+        self.cycle = 1
+        self.desired_benefit = start
+        self.prospective: list[int] = []
+        self._wait = np.full(self.n, _FREE, dtype=np.int8)
         # per-receiver missing-packet bitmasks (bit k-1 = packet k missing)
         self._row_miss = [
             int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
@@ -325,59 +318,55 @@ class _BenefitRun:
         self._pros_min_cu = 0
 
     def execute(self) -> RunResult:
-        nxt = 1
+        self._scan()
+        # every original is out now, so cu counts all outstanding cells
+        while self.cu.any() and self.desired_benefit > 1:
+            self.cycle += 1
+            self.desired_benefit -= 1
+            self._clear_prospective()
+            self._wait[:] = _FREE
+            self._scan()
+        if self.cu.any():
+            self._final_sweep()
+        return _result("benefit", self.losses, self.tx, self.states, self.work,
+                       audit=self.audit)
+
+    def _scan(self) -> None:
+        """One scan cycle: consider outstanding packets, flush passing sets
+        and, while the batch lasts, send the next original."""
         while True:
             k = self._next_scan_target()
             if k is not None:
-                self._consider(self.state.prospective + [k])
+                self._consider(k)
             elif self._flush_passing():
                 continue
-            elif nxt <= self.n:
-                self._transmit_original(nxt)
-                if int(self.cu[nxt - 1]) >= self.state.desired_benefit:
+            elif self.sent < self.n:
+                k = self._transmit_original()
+                cu = int(self.cu[k - 1])
+                if cu >= self.desired_benefit:
                     # missed by enough receivers on its own: repair it uncoded
                     # right away, no coding partner search.  A fresh original
                     # sits in no buffer and no prospective set, so this leaves
                     # the coding state untouched.
-                    gates = self._read_gates(1 << (nxt - 1), int(self.cu[nxt - 1]))
-                    self._transmit_repair([nxt], gates)
+                    self._transmit_repair([k], self._read_gates(1 << (k - 1)), cu)
                 else:
-                    self._consider(self.state.prospective + [nxt])
-                nxt += 1
+                    self._consider(k)
             else:
-                break
-        while self.lost_cells and self.state.desired_benefit > 1:
-            self.state.cycle += 1
-            self.state.desired_benefit -= 1
-            self.state.served_as_anchor = set()
-            self._clear_prospective()
-            while True:
-                k = self._next_scan_target()
-                if k is not None:
-                    self._consider(self.state.prospective + [k])
-                elif not self._flush_passing():
-                    break
-        if self.lost_cells:
-            self._final_sweep()
-        return _result("benefit", self.losses, self.tx, self.states, self.work,
-                       audit=self.audit)
+                return
 
     # -- scan order --
 
     def _next_scan_target(self) -> int | None:
         """Outstanding packet to consider next: highest utility, lowest id.
 
-        Cycle 1 scans only packets that are partially missing (1 <= cu < M)
-        and have not anchored the prospective list this cycle; later cycles
-        scan anything still missing.  Rejected packets wait until the
-        prospective list changes again.
+        Cycle 1 scans only packets that are partially missing (1 <= cu < M);
+        later cycles scan anything still missing.  Either way the packet
+        must have no reason to wait (``_wait``).
         """
         cu = self.cu[:self.sent]
-        if self.state.cycle == 1:
-            mask = (cu >= 1) & (cu < self.m)
-        else:
-            mask = cu >= 1
-        mask &= ~self._blocked[:self.sent]
+        mask = (cu >= 1) & (self._wait[:self.sent] == _FREE)
+        if self.cycle == 1:
+            mask &= cu < self.m
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             return None
@@ -385,83 +374,79 @@ class _BenefitRun:
 
     # -- transmission plumbing --
 
-    def _transmit_original(self, k: int) -> None:
+    def _transmit_original(self) -> int:
+        self.sent += 1
         self.slot += 1
-        self.sent = k
+        k = self.sent
         self.work.original_slot[k - 1] = self.slot
         self.tx.append(CodedPacket(frozenset((k,)), self.slot, original=True))
-        self.lost_cells += int(self.cu[k - 1])
-        for i in range(1, self.m + 1):
-            if not self.realized.is_lost(i, k):
-                for kk in self.states[i - 1].receive_original(k, self.slot):
-                    self._mark(i, kk)
+        # a fresh original sits in no buffer, so it unlocks nothing more
+        for i0 in np.flatnonzero(self.losses[:, k - 1] == RECEIVED).tolist():
+            self.states[i0].receive_original(k, self.slot)
+        return k
 
-    def _transmit_repair(self, ids: list[int], gates: "_Gates",
-                         forced: bool = False) -> None:
+    def _transmit_repair(self, ids: list[int], gates: tuple[int, int],
+                         min_cu: int, forced: bool = False) -> None:
         self.slot += 1
         packet = CodedPacket(frozenset(ids), self.slot)
         self.tx.append(packet)
-        for i, state in enumerate(self.states, start=1):
+        for i0, state in enumerate(self.states):
             for kk in state.receive(packet):
-                self._mark(i, kk)
+                self._mark(i0, kk)
+        decode_benefit, combination_benefit = gates
         self.audit.append(BenefitAudit(
-            self.slot, tuple(ids), self.state.cycle, self.state.desired_benefit,
-            gates.decode_benefit, gates.minimum_benefit,
-            gates.combination_benefit, forced))
+            self.slot, tuple(ids), self.cycle, self.desired_benefit,
+            decode_benefit, min_cu, combination_benefit, forced))
 
-    def _mark(self, i: int, k: int) -> None:
-        if self.cells[i - 1, k - 1]:
-            self.cells[i - 1, k - 1] = 0
+    def _mark(self, i0: int, k: int) -> None:
+        if self.cells[i0, k - 1]:
+            self.cells[i0, k - 1] = 0
             self.cu[k - 1] -= 1
-            self.lost_cells -= 1
-            self._row_miss[i - 1] &= ~(1 << (k - 1))
+            self._row_miss[i0] &= ~(1 << (k - 1))
 
     # -- gate machinery --
 
-    def _consider(self, candidate: list[int]) -> None:
+    def _consider(self, newcomer: int) -> None:
         # bitmask bookkeeping makes each consideration a handful of popcounts
-        newcomer = candidate[-1]
         cand_mask = self._pros_mask | (1 << (newcomer - 1))
         min_cu = int(self.cu[newcomer - 1])
-        if len(candidate) > 1:
+        if self.prospective:
             min_cu = min(min_cu, self._pros_min_cu)
-        gates = self._read_gates(cand_mask, min_cu)
+        gates = self._read_gates(cand_mask)
         if gates is None:
             # some constituent would reach no receiver immediately; growing
-            # the set only loses decoders, so wait for the next repair
-            self.deferred_hard.add(newcomer)
-            self._blocked[newcomer - 1] = True
+            # the set only loses decoders, so wait until a set is sent
+            self._wait[newcomer - 1] = _HARD
             return
-        if gates.decode_benefit < gates.minimum_benefit:
+        if gates[0] < min_cu:
             # coding would not beat retransmitting the weakest constituent
             # uncoded; the newcomer waits for a different constellation
-            self._blocked[newcomer - 1] = True
+            self._wait[newcomer - 1] = _SOFT
             return
         # keep the candidate either way: a set short of the desired benefit
         # waits for reinforcements, a passing one is still grown until no
         # further packet fits and is then flushed
-        self.state.prospective = candidate
-        self.state.served_as_anchor.add(candidate[0])
+        self._wait[self._wait == _SOFT] = _FREE
+        self._wait[newcomer - 1] = _PROSPECTIVE if self.prospective else _ANCHOR
+        self.prospective.append(newcomer)
         self._pros_mask = cand_mask
         self._pros_min_cu = min_cu
-        self._reset_deferred()
 
     def _flush_passing(self) -> bool:
         """Transmit the prospective set if it clears all gates; True if sent."""
-        pros = self.state.prospective
-        if not pros:
+        if not self.prospective:
             return False
-        gates = self._read_gates(self._pros_mask, self._pros_min_cu)
-        if gates is None or gates.decode_benefit < gates.minimum_benefit \
-                or gates.combination_benefit < self.state.desired_benefit:
+        gates = self._read_gates(self._pros_mask)
+        if gates is None or gates[0] < self._pros_min_cu \
+                or gates[1] < self.desired_benefit:
             return False
-        self._transmit_repair(pros, gates)
+        self._transmit_repair(self.prospective, gates, self._pros_min_cu)
         self._clear_prospective()
         return True
 
-    def _read_gates(self, cand_mask: int, min_cu: int) -> "_Gates | None":
-        """Gate readings for a candidate, or None if some constituent is not
-        immediately decodable by any receiver."""
+    def _read_gates(self, cand_mask: int) -> tuple[int, int] | None:
+        """(decode benefit, combination benefit) of a candidate set, or None
+        if some constituent is not immediately decodable by any receiver."""
         dec = 0
         comb = 0
         gain_union = 0
@@ -474,40 +459,22 @@ class _BenefitRun:
                     gain_union |= overlap
         if gain_union != cand_mask:
             return None
-        return _Gates(decode_benefit=dec, minimum_benefit=min_cu,
-                      combination_benefit=comb)
+        return dec, comb
 
     def _clear_prospective(self) -> None:
-        self.state.prospective = []
+        self.prospective = []
         self._pros_mask = 0
         self._pros_min_cu = 0
-        self.deferred_hard = set()
-        self._reset_deferred()
-
-    def _reset_deferred(self) -> None:
-        self._blocked[:] = False
-        for k in self.state.served_as_anchor:
-            self._blocked[k - 1] = True
-        for k in self.state.prospective:
-            self._blocked[k - 1] = True
-        for k in self.deferred_hard:
-            self._blocked[k - 1] = True
+        self._wait[self._wait != _ANCHOR] = _FREE
 
     def _final_sweep(self) -> None:
         # desired benefit exhausted: clear the stragglers uncoded
         for k in range(1, self.n + 1):
-            if not self.cu[k - 1]:
-                continue
-            gates = self._read_gates(1 << (k - 1), int(self.cu[k - 1]))
-            assert gates is not None  # an outstanding packet always reaches someone
-            self._transmit_repair([k], gates, forced=True)
-
-
-@dataclass(frozen=True)
-class _Gates:
-    decode_benefit: int
-    minimum_benefit: int
-    combination_benefit: int
+            cu = int(self.cu[k - 1])
+            if cu:
+                gates = self._read_gates(1 << (k - 1))
+                assert gates is not None  # an outstanding packet always reaches someone
+                self._transmit_repair([k], gates, cu, forced=True)
 
 
 # ---------------------------------------------------------------- dispatch

@@ -1,10 +1,10 @@
-"""Smoke test: the quick demos run to completion against the current API.
+"""Smoke test: the demos run to completion against the current API.
 
 Demos 01 and 05 take about 0.3 s each and read the schedule and payload
-API directly.  Demo 03 sweeps benefit and sort-utility over many receiver
-counts at N=200 and takes about 43 s, so it is left out; 02 and 04 only go
-through the theory module and the harness sweep entry point, which the rest
-of the suite covers.
+API directly.  Demo 02 (about 1.7 s) exercises the theory module and the
+loss-count sampler; demo 04 (about 5 s) drives benefit and sort-utility
+through ``run_replication``.  Demo 03 sweeps benefit and sort-utility over
+many receiver counts at N=200 and takes about 43 s, so it is left out.
 """
 
 import os
@@ -17,7 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_worked_example.py", "05_payload_roundtrip.py"])
+@pytest.mark.parametrize("demo", ["01_worked_example.py", "02_repair_floor.py",
+                                  "04_decode_delay.py", "05_payload_roundtrip.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -134,7 +134,7 @@ def test_rank_invariant_under_swap_and_scale():
 
 
 def test_basis_innovation_flags():
-    basis = Gf256Basis(3)
+    basis = Gf256Basis()
     assert basis.insert(np.array([1, 0, 0], dtype=np.uint8))
     assert not basis.insert(np.array([7, 0, 0], dtype=np.uint8))  # scaled copy
     assert basis.insert(np.array([1, 1, 0], dtype=np.uint8))

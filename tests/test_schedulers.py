@@ -1,7 +1,11 @@
 """The five schedulers: worked-example traces, rule compliance, invariants."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncretx import (
     ChannelParams,
@@ -16,6 +20,7 @@ from ncretx import (
     sample_matrix,
     sort_by_utility,
 )
+from ncretx.schedulers import _ANCHOR, _PROSPECTIVE, _BenefitRun
 
 from conftest import random_matrix
 
@@ -198,8 +203,10 @@ def test_benefit_interleaves_repairs(worked_example):
 def test_benefit_audit_matches_independent_replay(worked_example):
     rng = np.random.default_rng(4)
     matrices = [worked_example] + [random_matrix(rng) for _ in range(120)]
-    for mat in matrices:
-        result = benefit(mat.copy())
+    runs = [(mat, start) for mat in matrices
+            for start in (None, 1, math.ceil(mat.receivers / 2))]
+    for mat, start in runs:
+        result = benefit(mat.copy(), start)
         audit = {a.slot: a for a in result.audit}
         for packet, shadow in replay_repairs(mat, result):
             entry = audit[packet.slot]
@@ -219,6 +226,65 @@ def test_benefit_audit_matches_independent_replay(worked_example):
                 one = np.flatnonzero(ru == 1) + 1
                 for k in entry.constituents:
                     assert any(shadow.is_lost(i, k) for i in one)
+
+
+@st.composite
+def benefit_runs(draw):
+    """A loss matrix (heterogeneous p, or all lost, or none lost) and an
+    initial desired benefit from the whole range, None meaning M."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "all-lost", "none-lost"]))
+    if kind == "random":
+        p = np.array(draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cells = rng.random((m, n)) < p[:, None]
+    else:
+        cells = np.full((m, n), kind == "all-lost")
+    start = draw(st.one_of(st.none(), st.integers(1, m)))
+    return TransmissionMatrix(cells.astype(np.uint8)), start
+
+
+def assert_benefit_state_consistent(run):
+    """The incremental benefit state equals what ``cells`` and
+    ``prospective`` say it should be."""
+    cells = run.cells
+    assert np.array_equal(run.cu, cells.sum(axis=0))
+    assert run._row_miss == [sum(1 << int(k0) for k0 in np.flatnonzero(row))
+                             for row in cells]
+    pros = run.prospective
+    assert run._pros_mask == sum(1 << (k - 1) for k in pros)
+    assert run._pros_min_cu == min((int(run.cu[k - 1]) for k in pros), default=0)
+    if pros:
+        assert run._wait[pros[0] - 1] == _ANCHOR
+    assert (np.flatnonzero(run._wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
+
+
+@given(benefit_runs())
+@example((TransmissionMatrix(np.ones((2, 1), dtype=np.uint8)), None))
+@example((TransmissionMatrix(np.ones((12, 40), dtype=np.uint8)), 6))
+@example((TransmissionMatrix(np.zeros((12, 40), dtype=np.uint8)), 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_benefit_incremental_state_matches_recomputation(run_input):
+    # every transmission is followed by a scan or, for an original repaired
+    # at once, by that repair, so checking on entry to both checks the state
+    # after each transmission (and after each consideration)
+    mat, start = run_input
+    checked_slots = set()
+
+    def checking(method):
+        def wrapper(self, *args, **kwargs):
+            assert_benefit_state_consistent(self)
+            checked_slots.add(self.slot)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_next_scan_target", "_transmit_repair"):
+            mp.setattr(_BenefitRun, name, checking(getattr(_BenefitRun, name)))
+        result = benefit(mat, start)
+    assert checked_slots >= set(range(1, len(result.schedule.transmissions) + 1))
+    assert not any(a.forced for a in result.audit)
 
 
 def test_benefit_desired_benefit_bounds(worked_example):
