@@ -271,12 +271,7 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
 def _decode_events(matrix: TransmissionMatrix, result: RunResult) -> dict[int, list[str]]:
     events: dict[int, list[str]] = {}
     verb = "inverts and decodes" if result.algorithm == "rlnc" else "decodes"
-    # rlnc narrates receivers in numeric order, the XOR schedulers in text
-    # order (R10 before R2)
-    receivers = range(1, matrix.receivers + 1)
-    if result.algorithm != "rlnc":
-        receivers = sorted(receivers, key=str)
-    for i in receivers:
+    for i in range(1, matrix.receivers + 1):
         recovered = result.receivers[i - 1].recovery_slot
         by_slot: dict[int, list[int]] = {}
         for k in (np.flatnonzero(matrix.cells[i - 1]) + 1).tolist():

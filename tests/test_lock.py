@@ -2,8 +2,8 @@
 
 Refactors must leave every hash here unchanged.  A change that alters the
 output on purpose updates the hashes and says why in CHANGES.md.  The
-12-receiver trace pins the order of event lines such as "R10"/"R2", which
-sort as strings.
+12-receiver trace pins the order of same-slot event lines, which list
+receivers in numeric order ("R2" before "R10") for every scheduler.
 """
 
 import hashlib
@@ -38,13 +38,13 @@ TRACE_SHA = {
     ("worked", "rlnc"):
         "e1f897662a370f8ee8fd05a2fbaabdf94e5fbd9a975a9ed25e3f9b7d5d82f96f",
     ("m12", "arq"):
-        "a87dd346f766d46e59f230ec48d5f49bb4847b7091607b0e0c281dd451b6d6ec",
+        "c0f05a9e6c2247add49ade0ca9024d71102562d6f76c9c8e3a7b906da0b53908",
     ("m12", "greedy"):
-        "969f559cd942c2da598bb41be73f122137e10d2a1a870aac644a37ca567c047a",
+        "ffcead160a1e9d9b06fef2dd89e33b71ae7cf5b2fa3457a9b098b36eb96a64e2",
     ("m12", "sort-utility"):
-        "38f2cdfddd79f98a3e3f807e2510d96ae0c6f830b950f0e01f184a3c7bb60cdd",
+        "7a7938875eea2ee3b4154c76264eef52535a01ee65138669152c54ce62c6fee5",
     ("m12", "benefit"):
-        "a46a69edbb9788a1514ea531b664b9696d54ac7d17a0906af0605720c51fff34",
+        "6bb2c900df2b33f7f13afd86b9c8674141189051aadfa4957a2cc6f13607378d",
     ("m12", "rlnc"):
         "1065db92509de8607434ce6cf9a4bf5d41e931c288cfc1cce98c03b367582878",
 }
