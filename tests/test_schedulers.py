@@ -246,9 +246,12 @@ def benefit_runs(draw):
 
 
 def assert_benefit_state_consistent(run):
-    """The incremental benefit state equals what ``cells`` and
-    ``prospective`` say it should be."""
+    """The incremental benefit state equals what ``cells``, the receivers
+    and ``prospective`` say it should be."""
     cells = run.cells
+    for row, state in zip(cells, run.states):
+        missing = set(range(1, run.sent + 1)) - state.have
+        assert (np.flatnonzero(row[:run.sent]) + 1).tolist() == sorted(missing)
     assert np.array_equal(run.cu, cells.sum(axis=0))
     assert run._row_miss == [sum(1 << int(k0) for k0 in np.flatnonzero(row))
                              for row in cells]
