@@ -148,8 +148,8 @@ def _cmd_figure(args) -> int:
     config = figure_config(
         args.name, out_dir, replications=args.reps, base_seed=args.seed,
         receiver_counts=parse_int_range(args.receivers) if args.receivers else None,
-        loss_rates=parse_float_range(args.loss) if args.loss else None)
-    config.workers = args.workers
+        loss_rates=parse_float_range(args.loss) if args.loss else None,
+        workers=args.workers)
     run_experiment(config)
     print(f"wrote {config.output_path}")
     return 0

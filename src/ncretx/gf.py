@@ -51,6 +51,8 @@ MUL_TABLE[1:, 1:] = EXP_TABLE[LOG_TABLE[_nz][:, None] + LOG_TABLE[_nz][None, :]]
 INV_TABLE = np.zeros(256, dtype=np.uint8)
 INV_TABLE[1:] = EXP_TABLE[255 - LOG_TABLE[_nz]]
 
+_PRODUCTS = MUL_TABLE.ravel()  # _PRODUCTS[a << 8 | b] == MUL_TABLE[a, b]
+
 
 def gf256_mul(a: int, b: int) -> int:
     return int(MUL_TABLE[a, b])
@@ -67,13 +69,18 @@ def vec_scale(vec: np.ndarray, scalar: int) -> np.ndarray:
     return MUL_TABLE[vec, scalar]
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise GF(2^8) product of broadcastable uint8 arrays.
+
+    One gather through a single index array: about twice as fast as
+    MUL_TABLE[a, b], which broadcasts two index arrays.
+    """
+    return _PRODUCTS[(a.astype(np.uint16) << 8) | b]
+
+
 def mat_vec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """GF(2^8) matrix-vector product (rows of `matrix` dotted with `vec`)."""
-    acc = np.zeros(matrix.shape[0], dtype=np.uint8)
-    for j in range(matrix.shape[1]):
-        if vec[j]:
-            acc ^= MUL_TABLE[matrix[:, j], vec[j]]
-    return acc
+    return np.bitwise_xor.reduce(_mul(np.asarray(vec, dtype=np.uint8), matrix), axis=1)
 
 
 def rank(rows) -> int:
@@ -85,35 +92,37 @@ def rank(rows) -> int:
 
 
 class Gf256Basis:
-    """Incremental row-echelon basis over GF(2^8).
+    """Incremental reduced row-echelon basis over GF(2^8).
 
-    insert() reduces a vector against the current pivots and keeps it if
-    anything survives, so rank grows by exactly 1 per innovative vector.
+    The first `rank` rows of one array hold the basis: each row has a 1 in
+    its pivot column, and every pivot column is 0 in all other rows.  So
+    insert() reduces a vector against all pivots at once and keeps it if
+    anything survives; rank grows by exactly 1 per innovative vector.
     """
 
     def __init__(self) -> None:
-        self.pivot_rows: dict[int, np.ndarray] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = np.array(vec, dtype=np.uint8)
-        for piv, row in self.pivot_rows.items():
-            if v[piv]:
-                v ^= MUL_TABLE[row, v[piv]]
-        return v
+        self.rank = 0
+        self._rows = np.zeros((0, 0), dtype=np.uint8)  # sized at the first insert
+        self._pivots = np.zeros(0, dtype=np.intp)
 
     def insert(self, vec: np.ndarray) -> bool:
         """Add a vector; returns True iff it was innovative (rank increased)."""
-        v = self.reduce(vec)
+        v = np.asarray(vec, dtype=np.uint8)
+        if not self._rows.size:  # rank can never exceed the width
+            self._rows = np.zeros((v.size, v.size), dtype=np.uint8)
+            self._pivots = np.zeros(v.size, dtype=np.intp)
+        rows = self._rows[:self.rank]
+        # subtract each pivot entry times its row: 0 at every pivot after
+        v = v ^ np.bitwise_xor.reduce(_mul(v[self._pivots[:self.rank], None], rows), axis=0)
         nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
         piv = int(nz[0])
         v = MUL_TABLE[v, INV_TABLE[v[piv]]]  # normalize pivot to 1
-        self.pivot_rows[piv] = v
+        rows ^= _mul(rows[:, piv, None], v)  # clear the new pivot column
+        self._rows[self.rank] = v
+        self._pivots[self.rank] = piv
+        self.rank += 1
         return True
 
 
@@ -122,30 +131,28 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     B may be a vector or a matrix of stacked right-hand sides (one system
     per column); used by the random-linear decoder to invert the received
-    coefficient matrix and recover payload bytes.
+    coefficient matrix and recover payload bytes.  Gauss-Jordan on [A | B]:
+    each step clears one whole column from every other row at once.
     """
-    a = np.array(a, dtype=np.uint8)
-    b = np.array(b, dtype=np.uint8)
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("coefficient matrix must be square")
-    rhs = b.reshape(n, -1)
+    aug = np.concatenate([a, b.reshape(n, -1)], axis=1)
     for col in range(n):
-        piv = col + int(np.flatnonzero(a[col:, col])[0]) if a[col:, col].any() else -1
-        if piv < 0:
+        nz = np.flatnonzero(aug[col:, col])
+        if nz.size == 0:
             raise ValueError("singular coefficient matrix")
+        piv = col + int(nz[0])
         if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            rhs[[col, piv]] = rhs[[piv, col]]
-        inv = INV_TABLE[a[col, col]]
-        a[col] = MUL_TABLE[a[col], inv]
-        rhs[col] = MUL_TABLE[rhs[col], inv]
-        for r in range(n):
-            f = a[r, col]
-            if r != col and f:
-                a[r] ^= MUL_TABLE[a[col], f]
-                rhs[r] ^= MUL_TABLE[rhs[col], f]
-    return rhs.reshape(b.shape)
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col, col:] = _mul(INV_TABLE[aug[col, col]], aug[col, col:])
+        factors = aug[:, col, None].copy()
+        factors[col] = 0
+        # columns left of col are already cleared in row col
+        aug[:, col:] ^= _mul(factors, aug[col, col:])
+    return aug[:, n:].reshape(b.shape)
 
 
 # -- GF(2) helpers: coded-packet constituent sets as bitmask vectors --

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, sample_matrix
-from .gf import mat_vec, solve
+from .gf import Gf256Basis, mat_vec, solve
 from .metrics import run_metrics
 from .model import RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
@@ -55,11 +55,15 @@ class ExperimentConfig:
     workers: int | None = None  # None: one per CPU; 1: in-process
 
     def __post_init__(self) -> None:
+        if not self.algorithms:
+            raise ValueError("need at least one algorithm")
         for name in self.algorithms:
             if name != "theory" and name not in SCHEDULER_NAMES:
                 raise ValueError(f"unknown algorithm {name!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     @property
     def scheduler_names(self) -> list[str]:
@@ -301,10 +305,11 @@ def payload_check(matrix: TransmissionMatrix, algorithm: str,
                   payload_len: int = 64, seed: int = 0) -> None:
     """End-to-end byte check: schedule the run, attach random payloads and
     verify every receiver reconstructs every packet exactly, by GF(2^8)
-    inversion for rlnc and by rebuilding each recorded XOR recovery for the
-    other schedulers.
+    inversion on each receiver's lost columns for rlnc and by rebuilding each
+    recorded XOR recovery for the other schedulers.
 
-    Raises PayloadMismatch naming the first (receiver, packet) that differs.
+    Raises PayloadMismatch naming the first (receiver, packet) whose bytes
+    differ or whose recorded recovery slot the replay contradicts.
     """
     if payload_len < 1:
         raise ValueError("payload length must be >= 1")
@@ -312,10 +317,7 @@ def payload_check(matrix: TransmissionMatrix, algorithm: str,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB0, 1)))
     payloads = rng.integers(0, 256, size=(matrix.batch, payload_len), dtype=np.uint8)
     if algorithm == "rlnc":
-        for i, got in enumerate(_rlnc_payload_replay(matrix, result, payloads), start=1):
-            for k in range(1, matrix.batch + 1):
-                if not np.array_equal(got[k], payloads[k - 1]):
-                    raise PayloadMismatch(i, k)
+        _check_rlnc_recoveries(result, payloads)
     else:
         _check_xor_recoveries(result, payloads)
 
@@ -356,33 +358,44 @@ def _check_xor_recoveries(result: RunResult, payloads: np.ndarray) -> None:
                 raise PayloadMismatch(i, k)
 
 
-def _rlnc_payload_replay(matrix: TransmissionMatrix, result: RunResult,
-                         payloads: np.ndarray) -> list[dict[int, np.ndarray]]:
-    # each receiver keeps the first N innovative rows it hears, then inverts
-    from .gf import Gf256Basis
-    n = matrix.batch
-    out: list[dict[int, np.ndarray]] = []
-    for i in range(1, matrix.receivers + 1):
+def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
+    """Decode every receiver's lost packets from the repairs' wire bytes.
+
+    A receiver keeps the first repairs that are innovative on its L_i lost
+    columns, XORs the originals it received out of their wire bytes and
+    solves the L_i x L_i system.  Each received original must be credited at
+    its own slot, and each lost packet at the slot of the repair that
+    completed the system.
+    """
+    repairs = [packet for packet in result.schedule.transmissions if not packet.original]
+    coefficients = result.coefficients or []
+    wires = [mat_vec(payloads.T, vec) for vec in coefficients]
+    original_slot = result.matrix.original_slot.tolist()
+    for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
+        known = np.flatnonzero(row == RECEIVED)
+        for k0 in known.tolist():
+            if state.recovery_slot.get(k0 + 1) != original_slot[k0]:
+                raise PayloadMismatch(i, k0 + 1)
+        lost = np.flatnonzero(row)
+        if not lost.size:
+            continue
+        known_payloads = payloads[known].T
         basis = Gf256Basis()
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
-
-        def feed(row: np.ndarray, data: np.ndarray) -> None:
-            if len(rows) < n and basis.insert(row):
-                rows.append(row)
-                rhs.append(data)
-
-        for k0 in np.flatnonzero(matrix.cells[i - 1] == RECEIVED).tolist():
-            unit = np.zeros(n, dtype=np.uint8)
-            unit[k0] = 1
-            feed(unit, payloads[k0])
-        for vec in result.coefficients or []:
-            if len(rows) == n:
-                break
-            feed(vec, mat_vec(payloads.T, vec))
-        if len(rows) < n:
+        for vec, wire, packet in zip(coefficients, wires, repairs):
+            on_lost = vec[lost]
+            if basis.insert(on_lost):
+                rows.append(on_lost)
+                rhs.append(wire ^ mat_vec(known_payloads, vec[known]))
+                if basis.rank == lost.size:
+                    full_rank_slot = packet.slot
+                    break
+        else:
             raise IntegrityError(
-                f"receiver {i} never collected {n} innovative packets")
-        decoded = solve(np.array(rows, dtype=np.uint8), np.array(rhs, dtype=np.uint8))
-        out.append({k: decoded[k - 1] for k in range(1, n + 1)})
-    return out
+                f"receiver {i} never collected {lost.size} innovative packets")
+        decoded = solve(np.array(rows), np.array(rhs))
+        for k0, data in zip(lost.tolist(), decoded):
+            if (state.recovery_slot.get(k0 + 1) != full_rank_slot
+                    or not np.array_equal(data, payloads[k0])):
+                raise PayloadMismatch(i, k0 + 1)

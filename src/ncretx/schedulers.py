@@ -189,33 +189,33 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
 
     Packets received as originals are known at their own slot; everything
     else becomes known in the slot where the receiver's coefficient matrix
-    first reaches full rank and inversion is possible.
+    first reaches full rank and inversion is possible.  A received original
+    is a unit vector, so a repair is innovative to a receiver iff its
+    coefficients on that receiver's lost columns are, and each receiver's
+    basis spans only those columns.
     """
     losses = matrix.cells.copy()
     work = matrix.copy()
     n = work.batch
     states = _init_states(work)
+    lost = [np.flatnonzero(row) for row in work.cells]
     bases = [Gf256Basis() for _ in states]
-    for basis, row in zip(bases, work.cells):
-        for k0 in np.flatnonzero(row == RECEIVED):
-            unit = np.zeros(n, dtype=np.uint8)
-            unit[k0] = 1
-            basis.insert(unit)
 
     tx = _original_packets(work)
     rng = np.random.default_rng(seed)
     slot = n
     coefficients: list[np.ndarray] = []
-    while any(b.rank < n for b in bases):
+    while any(b.rank < cols.size for b, cols in zip(bases, lost)):
         slot += 1
         vec = rng.integers(0, 256, size=n, dtype=np.uint8)
         while not vec.any():  # an all-zero draw carries nothing; redraw
             vec = rng.integers(0, 256, size=n, dtype=np.uint8)
         coefficients.append(vec)
         tx.append(CodedPacket(frozenset(int(k) + 1 for k in np.flatnonzero(vec)), slot))
-        for i, (state, basis) in enumerate(zip(states, bases), start=1):
-            if basis.rank < n and basis.insert(vec) and basis.rank == n:
-                for k0 in np.flatnonzero(work.cells[i - 1]).tolist():
+        for i, (state, basis, cols) in enumerate(zip(states, bases, lost), start=1):
+            if (basis.rank < cols.size and basis.insert(vec[cols])
+                    and basis.rank == cols.size):
+                for k0 in cols.tolist():
                     state.have.add(k0 + 1)
                     state.recovery_slot[k0 + 1] = slot
                     work.mark_received(i, k0 + 1)

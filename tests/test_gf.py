@@ -141,17 +141,81 @@ def test_basis_innovation_flags():
     assert basis.rank == 2
 
 
+def product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A X over GF(2^8) through MUL_TABLE, for any stack of columns X."""
+    return np.bitwise_xor.reduce(MUL_TABLE[a[:, :, None], x[None, :, :]], axis=1)
+
+
+def combination(rows, rng) -> np.ndarray:
+    coeffs = rng.integers(0, 256, (1, len(rows)), dtype=np.uint8)
+    return product(coeffs, np.array(rows, dtype=np.uint8))[0]
+
+
+def elimination_rank(rows) -> int:
+    """Rank by textbook Gauss-Jordan with row swaps, one row at a time."""
+    m = np.array(rows, dtype=np.uint8)
+    r = 0
+    for col in range(m.shape[1] if m.ndim == 2 else 0):
+        below = [i for i in range(r, len(m)) if m[i, col]]
+        if not below:
+            continue
+        m[[r, below[0]]] = m[[below[0], r]]
+        m[r] = MUL_TABLE[m[r], gf256_inv(int(m[r, col]))]
+        for i in range(len(m)):
+            if i != r and m[i, col]:
+                m[i] ^= MUL_TABLE[m[r], m[i, col]]
+        r += 1
+    return r
+
+
+def test_basis_rows_stay_in_reduced_row_echelon_form():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        width = int(rng.integers(1, 25))
+        basis = Gf256Basis()
+        inserted = []
+        for _ in range(int(rng.integers(1, width + 5))):
+            vec = rng.integers(0, 256, width, dtype=np.uint8)
+            vec[rng.random(width) < rng.random()] = 0  # sparse ones too
+            if inserted and rng.random() < 0.3:
+                vec = combination(inserted, rng)
+            before = basis.rank
+            grew = basis.insert(vec)
+            inserted.append(vec)
+            assert basis.rank == elimination_rank(inserted)
+            assert grew == (basis.rank == before + 1)
+            rows = basis._rows[:basis.rank]
+            pivots = basis._pivots[:basis.rank]
+            assert len(set(pivots.tolist())) == basis.rank
+            assert np.array_equal(rows[:, pivots], np.eye(basis.rank, dtype=np.uint8))
+            # the rows span exactly what was inserted
+            assert elimination_rank(list(rows) + inserted) == basis.rank
+
+
+def test_insert_rejects_combinations_of_earlier_rows():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        width = int(rng.integers(1, 30))
+        rows = list(rng.integers(0, 256, (int(rng.integers(1, width + 1)), width),
+                                 dtype=np.uint8))
+        basis = Gf256Basis()
+        for row in rows:
+            basis.insert(row)
+        before = basis.rank
+        assert not basis.insert(combination(rows, rng))
+        assert basis.rank == before
+
+
 def test_solve_round_trip():
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
+    for n in [1, 2, 3, 5, 8, 16, 33, 64]:
         while True:
             a = rng.integers(0, 256, (n, n), dtype=np.uint8)
-            if rank(list(a)) == n:
+            if elimination_rank(a) == n:
                 break
         x = rng.integers(0, 256, (n, 4), dtype=np.uint8)
-        b = np.array([mat_vec(a, x[:, j]) for j in range(4)], dtype=np.uint8).T
-        assert np.array_equal(solve(a, b), x)
+        assert np.array_equal(solve(a, product(a, x)), x)
+        assert np.array_equal(solve(a, product(a, x[:, :1])[:, 0]), x[:, 0])
 
 
 def test_solve_rejects_singular():
@@ -159,6 +223,29 @@ def test_solve_rejects_singular():
     a[1] = vec_scale(a[0], 2)
     with pytest.raises(ValueError):
         solve(a, np.zeros((2, 1), dtype=np.uint8))
+    rng = np.random.default_rng(29)
+    for n in (16, 40, 64):
+        a = rng.integers(0, 256, (n, n), dtype=np.uint8)
+        dependent = int(rng.integers(0, n))
+        others = [row for r, row in enumerate(a) if r != dependent]
+        a[dependent] = combination(others, rng)
+        with pytest.raises(ValueError, match="singular"):
+            solve(a, rng.integers(0, 256, (n, 3), dtype=np.uint8))
+
+
+def test_mat_vec_matches_scalar_products():
+    rng = np.random.default_rng(31)
+    for shape in [(1, 1), (5, 7), (64, 200), (3, 0), (0, 4)]:
+        matrix = rng.integers(0, 256, shape, dtype=np.uint8)
+        vec = rng.integers(0, 256, shape[1], dtype=np.uint8)
+        expected = []
+        for row in matrix.tolist():
+            acc = 0
+            for a, b in zip(row, vec.tolist()):
+                acc ^= gf256_mul(a, b)
+            expected.append(acc)
+        got = mat_vec(matrix, vec)
+        assert got.dtype == np.uint8 and got.tolist() == expected
 
 
 # -- GF(2) helpers --

@@ -174,6 +174,34 @@ def test_payload_mismatch_names_receiver_and_packet(worked_example, monkeypatch)
     assert (err.value.receiver, err.value.packet) == (3, 4)
 
 
+@pytest.mark.parametrize("dated,first", [("lost", (1, 1)), ("received", (1, 3))])
+def test_rlnc_payload_check_rejects_early_recovery_slots(worked_example, monkeypatch,
+                                                        dated, first):
+    # a mutated rlnc that dates every decode (or every original) one slot
+    # early still delivers the right bytes, so only the slot check sees it
+    import ncretx.harness as H
+
+    real = H.run_scheduler
+
+    def one_slot_early(*args, **kwargs):
+        result = real(*args, **kwargs)
+        for row, state in zip(result.losses, result.receivers):
+            for k0 in np.flatnonzero(row if dated == "lost" else row == 0).tolist():
+                state.recovery_slot[k0 + 1] -= 1
+        return result
+
+    monkeypatch.setattr(H, "run_scheduler", one_slot_early)
+    with pytest.raises(PayloadMismatch) as err:
+        payload_check(worked_example, "rlnc", payload_len=8, seed=1)
+    assert (err.value.receiver, err.value.packet) == first
+    rng = np.random.default_rng(21)
+    for t in range(20):
+        mat = random_matrix(rng)
+        if (mat.cells.any() if dated == "lost" else not mat.cells.all()):
+            with pytest.raises(PayloadMismatch):
+                payload_check(mat, "rlnc", payload_len=4, seed=t)
+
+
 # ---------------------------------------------------------------- cli
 
 
@@ -233,6 +261,23 @@ def test_cli_rejects_zero_step_and_empty_ranges(tmp_path, capsys, receivers, los
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    (["simulate", "--algorithms", ","], "need at least one algorithm"),
+    (["simulate", "--algorithms", "arq", "--workers", "0"], "workers must be >= 1"),
+    (["simulate", "--algorithms", "arq", "--workers", "-2"], "workers must be >= 1"),
+    (["figure", "fig5", "--reps", "1", "--workers", "0"], "workers must be >= 1"),
+])
+def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, message):
+    out = tmp_path / ("x.csv" if command[0] == "simulate" else "fig")
+    extra = ["--receivers", "3", "--loss", "0.5", "--batch", "5", "--reps", "1"] \
+        if command[0] == "simulate" else []
+    rc = cli_main(command + extra + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "fig" / "fig5.csv").exists()
 
 
 def test_cli_rejects_unknown_algorithm(tmp_path):

@@ -158,6 +158,100 @@ def test_rlnc_recovery_slots_at_full_rank(worked_example):
     assert result.receivers[0].recovery_slot[1] == done
 
 
+def _schoolbook_products() -> np.ndarray:
+    # carry-less multiply mod x^8 + x^4 + x^3 + x + 1, for every byte pair
+    table = np.zeros((256, 256), dtype=np.uint8)
+    for a0 in range(256):
+        for b0 in range(256):
+            a, b, r = a0, b0, 0
+            while b:
+                if b & 1:
+                    r ^= a
+                a <<= 1
+                if a & 0x100:
+                    a ^= 0x11B
+                b >>= 1
+            table[a0, b0] = r
+    return table
+
+
+PRODUCTS = _schoolbook_products()
+INVERSES = np.array([0] + [int(np.flatnonzero(PRODUCTS[a] == 1)[0]) for a in range(1, 256)],
+                    dtype=np.uint8)
+
+
+def rlnc_oracle(mat, seed):
+    """Reference rlnc on full-width systems: every receiver starts from the
+    unit rows of the packets it received and eliminates each repair against
+    its pivots one at a time, in the order they were found.
+
+    Returns the coefficient vectors and each receiver's recovery slots.
+    """
+    m, n = mat.cells.shape
+    pivots = [{} for _ in range(m)]  # pivot column -> row with a 1 there
+    recovery = [{} for _ in range(m)]
+    for i in range(m):
+        for k0 in np.flatnonzero(mat.cells[i] == 0).tolist():
+            unit = np.zeros(n, dtype=np.uint8)
+            unit[k0] = 1
+            pivots[i][k0] = unit
+            recovery[i][k0 + 1] = int(mat.original_slot[k0])
+    rng = np.random.default_rng(seed)
+    slot = n
+    coefficients = []
+    while any(len(p) < n for p in pivots):
+        slot += 1
+        vec = rng.integers(0, 256, size=n, dtype=np.uint8)
+        while not vec.any():
+            vec = rng.integers(0, 256, size=n, dtype=np.uint8)
+        coefficients.append(vec)
+        for i in range(m):
+            if len(pivots[i]) == n:
+                continue
+            v = vec.copy()
+            for col, row in pivots[i].items():
+                if v[col]:
+                    v ^= PRODUCTS[row, v[col]]
+            if not v.any():
+                continue
+            col = int(np.flatnonzero(v)[0])
+            pivots[i][col] = PRODUCTS[v, INVERSES[v[col]]]
+            if len(pivots[i]) == n:
+                for k0 in np.flatnonzero(mat.cells[i]).tolist():
+                    recovery[i][k0 + 1] = slot
+    return coefficients, recovery
+
+
+@st.composite
+def loss_matrices(draw, max_receivers=10, max_batch=40):
+    """A loss matrix with per-receiver p in [0, 1], or all lost, or none."""
+    m = draw(st.integers(2, max_receivers))
+    n = draw(st.integers(1, max_batch))
+    kind = draw(st.sampled_from(["random", "all-lost", "none-lost"]))
+    if kind == "random":
+        p = np.array(draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cells = rng.random((m, n)) < p[:, None]
+    else:
+        cells = np.full((m, n), kind == "all-lost")
+    return TransmissionMatrix(cells.astype(np.uint8))
+
+
+@given(loss_matrices(), st.integers(0, 2**32 - 1))
+@example(TransmissionMatrix(np.ones((2, 1), dtype=np.uint8)), 0)
+@example(TransmissionMatrix(np.ones((10, 40), dtype=np.uint8)), 1)
+@example(TransmissionMatrix(np.zeros((10, 40), dtype=np.uint8)), 2)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rlnc_matches_full_width_oracle(mat, seed):
+    coefficients, recovery = rlnc_oracle(mat, seed)
+    result = rlnc(mat, seed=seed)
+    assert len(result.coefficients) == len(coefficients)
+    assert all(np.array_equal(a, b) for a, b in zip(result.coefficients, coefficients))
+    assert result.schedule.retransmission_count == len(coefficients)
+    assert len(result.schedule.transmissions) == mat.batch + len(coefficients)
+    assert [state.recovery_slot for state in result.receivers] == recovery
+
+
 # ---------------------------------------------------------------- benefit
 
 
@@ -230,19 +324,11 @@ def test_benefit_audit_matches_independent_replay(worked_example):
 
 @st.composite
 def benefit_runs(draw):
-    """A loss matrix (heterogeneous p, or all lost, or none lost) and an
-    initial desired benefit from the whole range, None meaning M."""
-    m = draw(st.integers(2, 12))
-    n = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["random", "all-lost", "none-lost"]))
-    if kind == "random":
-        p = np.array(draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        cells = rng.random((m, n)) < p[:, None]
-    else:
-        cells = np.full((m, n), kind == "all-lost")
-    start = draw(st.one_of(st.none(), st.integers(1, m)))
-    return TransmissionMatrix(cells.astype(np.uint8)), start
+    """A loss matrix and an initial desired benefit from the whole range,
+    None meaning M."""
+    mat = draw(loss_matrices(max_receivers=12))
+    start = draw(st.one_of(st.none(), st.integers(1, mat.receivers)))
+    return mat, start
 
 
 def assert_benefit_state_consistent(run):
