@@ -49,7 +49,7 @@ def _row_rng(seed: int, i: int) -> np.random.Generator:
 
 
 def sample_matrix(params: ChannelParams, batch: int) -> TransmissionMatrix:
-    """Draw one M x N loss realization; originals occupy slots 1..N."""
+    """Draw one M x N loss realization."""
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     m = params.receivers

@@ -122,22 +122,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    receivers = parse_int_range(args.receivers)
-    losses = parse_float_range(args.loss)
     batch = args.batch
+    # every point is validated before the output file is created
+    grid = [(m, p, TheoryParams.homogeneous(m, batch, p))
+            for m in parse_int_range(args.receivers)
+            for p in parse_float_range(args.loss)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "N", "p", "j", "Q_j"])
-        for m in receivers:
-            for p in losses:
-                params = TheoryParams.homogeneous(m, batch, p)
-                q = q_distribution(params)
-                for j, qj in enumerate(q):
-                    writer.writerow([m, batch, f"{p:.10g}", j, f"{qj:.12g}"])
-                writer.writerow([m, batch, f"{p:.10g}", "expected_min_retx",
-                                 f"{expected_min_retx(params):.12g}"])
-                writer.writerow([m, batch, f"{p:.10g}", "theory_ratio",
-                                 f"{theory_ratio(params):.12g}"])
+        for m, p, params in grid:
+            q = q_distribution(params)
+            for j, qj in enumerate(q):
+                writer.writerow([m, batch, f"{p:.10g}", j, f"{qj:.12g}"])
+            writer.writerow([m, batch, f"{p:.10g}", "expected_min_retx",
+                             f"{expected_min_retx(params):.12g}"])
+            writer.writerow([m, batch, f"{p:.10g}", "theory_ratio",
+                             f"{theory_ratio(params):.12g}"])
     print(f"wrote {args.out}")
     return 0
 

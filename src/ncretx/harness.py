@@ -60,6 +60,8 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name != "theory" and name not in SCHEDULER_NAMES:
                 raise ValueError(f"unknown algorithm {name!r}")
+        if any(m < 2 for m in self.receiver_counts):
+            raise ValueError("need at least 2 receivers")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.workers is not None and self.workers < 1:
@@ -83,7 +85,8 @@ def replication_seed(base_seed: int, receivers: int, loss: float, batch: int,
 
 def _check_run(result: RunResult, baseline: RunResult, seed: int) -> None:
     retx = result.schedule.retransmission_count
-    if result.matrix.lost_cell_count():
+    batch = result.losses.shape[1]
+    if any(len(state.have) < batch for state in result.receivers):
         raise InvariantViolation(f"{result.algorithm}: unrecovered cells (seed {seed})")
     if retx < result.max_receiver_losses:
         raise InvariantViolation(
@@ -124,9 +127,11 @@ def _replication_task(args) -> list[dict]:
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Execute the sweep; returns the CSV rows and writes them if asked to."""
     grid = [(m, p) for m in config.receiver_counts for p in config.loss_rates]
-    tasks = [(config.scheduler_names, m, p, config.batch,
-              replication_seed(config.base_seed, m, p, config.batch, r))
-             for (m, p) in grid for r in range(config.replications)]
+    tasks = []
+    if config.scheduler_names:  # theory rows read no replication
+        tasks = [(config.scheduler_names, m, p, config.batch,
+                  replication_seed(config.base_seed, m, p, config.batch, r))
+                 for (m, p) in grid for r in range(config.replications)]
 
     workers = config.workers
     if workers is None:
@@ -250,7 +255,7 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
     result = run_scheduler(algorithm, matrix, seed=seed)
     emit(f"matrix: {matrix.receivers} receivers x {matrix.batch} packets, "
          f"{int(matrix.cells.sum())} lost cells; algorithm: {algorithm}")
-    events = _decode_events(matrix, result)
+    events = _decode_events(result)
     for packet in result.schedule.transmissions:
         if packet.original:
             head = str(packet)
@@ -272,21 +277,21 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
     return result
 
 
-def _decode_events(matrix: TransmissionMatrix, result: RunResult) -> dict[int, list[str]]:
+def _decode_events(result: RunResult) -> dict[int, list[str]]:
     events: dict[int, list[str]] = {}
     verb = "inverts and decodes" if result.algorithm == "rlnc" else "decodes"
-    for i in range(1, matrix.receivers + 1):
-        recovered = result.receivers[i - 1].recovery_slot
+    for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
+        recovered = state.recovery_slot
         by_slot: dict[int, list[int]] = {}
-        for k in (np.flatnonzero(matrix.cells[i - 1]) + 1).tolist():
+        for k in (np.flatnonzero(row) + 1).tolist():
             by_slot.setdefault(recovered[k], []).append(k)
         for slot, ks in by_slot.items():
             events.setdefault(slot, []).append(
                 f"R{i} {verb} " + ", ".join(f"c{k}" for k in ks))
-    for k0, column in enumerate(matrix.cells.T):
+    for k0, column in enumerate(result.losses.T):
         missed = np.flatnonzero(column).tolist()
         if missed:
-            events.setdefault(int(result.matrix.original_slot[k0]), []).insert(
+            events.setdefault(int(result.original_slot[k0]), []).insert(
                 0, "lost at " + ", ".join(f"R{i0 + 1}" for i0 in missed))
     return events
 
@@ -370,7 +375,7 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     repairs = [packet for packet in result.schedule.transmissions if not packet.original]
     coefficients = result.coefficients or []
     wires = [mat_vec(payloads.T, vec) for vec in coefficients]
-    original_slot = result.matrix.original_slot.tolist()
+    original_slot = result.original_slot.tolist()
     for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
         known = np.flatnonzero(row == RECEIVED)
         for k0 in known.tolist():

@@ -69,8 +69,7 @@ def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
 
 def run_metrics(result: RunResult, baseline: RunResult) -> RunMetrics:
     """Bundle the two evaluation quantities for one completed run."""
-    ttd = time_to_decode(result.losses, result.matrix.original_slot,
-                         result.receivers)
+    ttd = time_to_decode(result.losses, result.original_slot, result.receivers)
     return RunMetrics(
         retransmissions=result.schedule.retransmission_count,
         baseline_retransmissions=baseline.schedule.retransmission_count,

@@ -8,7 +8,7 @@ throughout the public API, matching the usual c_1..c_N / R_1..R_M naming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class CodedPacket:
 
 @dataclass
 class TransmissionMatrix:
-    """M x N grid of loss outcomes plus the slot each original went out in.
+    """M x N grid of loss outcomes.
 
     ``cells[i-1, k-1]`` is 1 if receiver i lost packet k's original
     transmission and has not recovered it yet, else 0.  Utilities are always
@@ -56,7 +56,6 @@ class TransmissionMatrix:
     """
 
     cells: np.ndarray
-    original_slot: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.cells = np.asarray(self.cells, dtype=np.uint8)
@@ -69,12 +68,6 @@ class TransmissionMatrix:
             raise ValueError(f"need at least 1 packet, got {n}")
         if not np.all((self.cells == LOST) | (self.cells == RECEIVED)):
             raise ValueError("cells must contain only 0 (received) or 1 (lost)")
-        if self.original_slot is None:
-            self.original_slot = np.arange(1, n + 1, dtype=np.int64)
-        else:
-            self.original_slot = np.asarray(self.original_slot, dtype=np.int64)
-            if self.original_slot.shape != (n,):
-                raise ValueError("original_slot must have one entry per packet")
 
     @property
     def receivers(self) -> int:
@@ -124,13 +117,13 @@ class TransmissionMatrix:
         return self.cells.sum(axis=1).astype(np.int64)
 
     def copy(self) -> "TransmissionMatrix":
-        return TransmissionMatrix(self.cells.copy(), self.original_slot.copy())
+        return TransmissionMatrix(self.cells.copy())
 
     # -- text format: first line "M N", then M rows of N space-separated 0/1 --
 
     @classmethod
-    def from_rows(cls, rows, original_slot=None) -> "TransmissionMatrix":
-        return cls(np.array(rows, dtype=np.uint8), original_slot)
+    def from_rows(cls, rows) -> "TransmissionMatrix":
+        return cls(np.array(rows, dtype=np.uint8))
 
     @classmethod
     def parse(cls, text: str) -> "TransmissionMatrix":

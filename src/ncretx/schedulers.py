@@ -49,7 +49,7 @@ class RunResult:
     algorithm: str
     schedule: Schedule
     receivers: list[ReceiverState]
-    matrix: TransmissionMatrix  # final state: fully received, slots as realized
+    original_slot: np.ndarray   # the slot each packet's original went out in
     losses: np.ndarray          # the loss cells the run started from
     coefficients: list[np.ndarray] | None = None  # rlnc coding vectors, one per repair
     audit: list["BenefitAudit"] | None = None     # benefit gate log, one per repair
@@ -59,40 +59,72 @@ class RunResult:
         return int(self.losses.sum(axis=1).max())
 
 
-# ---------------------------------------------------------------- helpers
+# ---------------------------------------------------------------- run record
 
 
-def _original_packets(matrix: TransmissionMatrix) -> list[CodedPacket]:
-    return [CodedPacket(frozenset((k,)), int(matrix.original_slot[k - 1]), original=True)
-            for k in range(1, matrix.batch + 1)]
-
-
-def _init_states(matrix: TransmissionMatrix) -> list[ReceiverState]:
-    states = [ReceiverState() for _ in range(matrix.receivers)]
-    slots = matrix.original_slot.tolist()
-    for state, row in zip(states, matrix.cells):
+def _init_states(states: list[ReceiverState], losses: np.ndarray) -> None:
+    """Hand each receiver the originals it did not lose, packet k in slot k."""
+    for state, row in zip(states, losses):
         for k0 in np.flatnonzero(row == RECEIVED).tolist():
-            state.receive_original(k0 + 1, slots[k0])
-    return states
+            state.receive_original(k0 + 1, k0 + 1)
 
 
-def _deliver(packet: CodedPacket, states: list[ReceiverState],
-             matrix: TransmissionMatrix) -> None:
-    # repairs reach every receiver; the matrix tracks what each recovery unlocks
-    for i, state in enumerate(states, start=1):
-        for k in state.receive(packet):
-            matrix.mark_received(i, k)
+class _Run:
+    """The record of one run: what was sent, when, and who recovered what.
 
+    ``losses`` is a read-only copy of the sampled matrix's cells.  ``cells``
+    starts as another copy and has each receiver's recoveries cleared as
+    they happen, so it always shows what is still missing.  A
+    transmission's slot is its position in ``tx``.
+    """
 
-def _check_recovered(matrix: TransmissionMatrix, algorithm: str) -> None:
-    if matrix.lost_cell_count():
-        raise IntegrityError(f"{algorithm} finished with unrecovered cells")
+    def __init__(self, matrix: TransmissionMatrix):
+        self.losses = matrix.cells.copy()
+        self.losses.flags.writeable = False
+        self.cells = matrix.cells.copy()
+        self.states = [ReceiverState() for _ in range(matrix.receivers)]
+        self.tx: list[CodedPacket] = []
+        self.original_slot = np.zeros(matrix.batch, dtype=np.int64)
 
+    def send_batch(self) -> None:
+        """Send the originals of packets 1..N in slots 1..N."""
+        n = self.losses.shape[1]
+        self.tx.extend(CodedPacket(frozenset((k,)), k, original=True)
+                       for k in range(1, n + 1))
+        self.original_slot[:] = np.arange(1, n + 1)
+        _init_states(self.states, self.losses)
 
-def _result(algorithm: str, started_from: np.ndarray, tx: list[CodedPacket],
-            states: list, work: TransmissionMatrix, **extra) -> RunResult:
-    _check_recovered(work, algorithm)
-    return RunResult(algorithm, Schedule(tx), states, work, started_from, **extra)
+    def send_original(self, k: int) -> None:
+        """Send packet k's original in the next slot to every receiver that
+        did not lose it.  A fresh original sits in no buffer, so it unlocks
+        nothing more."""
+        packet = self.append((k,), original=True)
+        self.original_slot[k - 1] = packet.slot
+        for i0 in np.flatnonzero(self.losses[:, k - 1] == RECEIVED).tolist():
+            self.states[i0].receive_original(k, packet.slot)
+
+    def send(self, constituents) -> list[tuple[int, int]]:
+        """Send the XOR of ``constituents`` as a repair, which every receiver
+        gets; returns the (receiver row, packet) pairs it recovered."""
+        packet = self.append(constituents)
+        recovered = []
+        for i0, state in enumerate(self.states):
+            for k in state.receive(packet):
+                self.cells[i0, k - 1] = RECEIVED
+                recovered.append((i0, k))
+        return recovered
+
+    def append(self, constituents, original: bool = False) -> CodedPacket:
+        """Record a transmission in the next slot."""
+        packet = CodedPacket(frozenset(constituents), len(self.tx) + 1, original)
+        self.tx.append(packet)
+        return packet
+
+    def result(self, algorithm: str, **extra) -> RunResult:
+        if self.cells.any():
+            raise IntegrityError(f"{algorithm} finished with unrecovered cells")
+        return RunResult(algorithm, Schedule(self.tx), self.states,
+                         self.original_slot, self.losses, **extra)
 
 
 def _grow_coded_set(cells: np.ndarray, ordered: list[int]) -> list[int]:
@@ -123,36 +155,23 @@ def _grow_coded_set(cells: np.ndarray, ordered: list[int]) -> list[int]:
 
 def baseline_arq(matrix: TransmissionMatrix) -> RunResult:
     """Plain ARQ reference: each packet lost anywhere is multicast once more."""
-    losses = matrix.cells.copy()
-    work = matrix.copy()
-    states = _init_states(work)
-    tx = _original_packets(work)
-    slot = work.batch
-    for k in work.lost_columns():
-        slot += 1
-        packet = CodedPacket(frozenset((k,)), slot)
-        tx.append(packet)
-        _deliver(packet, states, work)
-    return _result("arq", losses, tx, states, work)
+    run = _Run(matrix)
+    run.send_batch()
+    for k0 in np.flatnonzero(run.losses.any(axis=0)).tolist():
+        run.send((k0 + 1,))
+    return run.result("arq")
 
 
 def greedy_nc(matrix: TransmissionMatrix) -> RunResult:
     """Grow XOR sets over lost packets in arrival order, strict rule enforced."""
-    losses = matrix.cells.copy()
-    work = matrix.copy()
-    states = _init_states(work)
-    tx = _original_packets(work)
-    slot = work.batch
+    run = _Run(matrix)
+    run.send_batch()
     while True:
-        lost = work.lost_columns()
+        lost = (np.flatnonzero(run.cells.any(axis=0)) + 1).tolist()
         if not lost:
             break
-        chosen = _grow_coded_set(work.cells, lost)
-        slot += 1
-        packet = CodedPacket(frozenset(chosen), slot)
-        tx.append(packet)
-        _deliver(packet, states, work)
-    return _result("greedy", losses, tx, states, work)
+        run.send(_grow_coded_set(run.cells, lost))
+    return run.result("greedy")
 
 
 def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
@@ -162,25 +181,18 @@ def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
     utility hits zero through earlier coded repairs are skipped when their
     turn comes.
     """
-    losses = matrix.cells.copy()
-    work = matrix.copy()
-    states = _init_states(work)
-    tx = _original_packets(work)
-    slot = work.batch
-    cu = work.cells.sum(axis=0, dtype=np.int64)
+    run = _Run(matrix)
+    run.send_batch()
+    cu = run.cells.sum(axis=0, dtype=np.int64)
     # 0-based columns by descending utility, ties lower id first
     order = np.argsort(-cu, kind="stable")[:np.count_nonzero(cu)]
     for idx, col in enumerate(order):
-        missing = work.cells.any(axis=0)
+        missing = run.cells.any(axis=0)
         if not missing[col]:
             continue
         pending = order[idx:]
-        chosen = _grow_coded_set(work.cells, (pending[missing[pending]] + 1).tolist())
-        slot += 1
-        packet = CodedPacket(frozenset(chosen), slot)
-        tx.append(packet)
-        _deliver(packet, states, work)
-    return _result("sort-utility", losses, tx, states, work)
+        run.send(_grow_coded_set(run.cells, (pending[missing[pending]] + 1).tolist()))
+    return run.result("sort-utility")
 
 
 def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
@@ -194,32 +206,27 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
     coefficients on that receiver's lost columns are, and each receiver's
     basis spans only those columns.
     """
-    losses = matrix.cells.copy()
-    work = matrix.copy()
-    n = work.batch
-    states = _init_states(work)
-    lost = [np.flatnonzero(row) for row in work.cells]
-    bases = [Gf256Basis() for _ in states]
-
-    tx = _original_packets(work)
+    run = _Run(matrix)
+    run.send_batch()
+    n = matrix.batch
+    lost = [np.flatnonzero(row) for row in run.losses]
+    bases = [Gf256Basis() for _ in run.states]
     rng = np.random.default_rng(seed)
-    slot = n
     coefficients: list[np.ndarray] = []
     while any(b.rank < cols.size for b, cols in zip(bases, lost)):
-        slot += 1
         vec = rng.integers(0, 256, size=n, dtype=np.uint8)
         while not vec.any():  # an all-zero draw carries nothing; redraw
             vec = rng.integers(0, 256, size=n, dtype=np.uint8)
         coefficients.append(vec)
-        tx.append(CodedPacket(frozenset(int(k) + 1 for k in np.flatnonzero(vec)), slot))
-        for i, (state, basis, cols) in enumerate(zip(states, bases, lost), start=1):
+        slot = run.append((np.flatnonzero(vec) + 1).tolist()).slot
+        for i0, (state, basis, cols) in enumerate(zip(run.states, bases, lost)):
             if (basis.rank < cols.size and basis.insert(vec[cols])
                     and basis.rank == cols.size):
                 for k0 in cols.tolist():
                     state.have.add(k0 + 1)
                     state.recovery_slot[k0 + 1] = slot
-                    work.mark_received(i, k0 + 1)
-    return _result("rlnc", losses, tx, states, work, coefficients=coefficients)
+                run.cells[i0, cols] = RECEIVED
+    return run.result("rlnc", coefficients=coefficients)
 
 
 # ---------------------------------------------------------------- benefit
@@ -275,14 +282,15 @@ _PROSPECTIVE = 3  # in the prospective set: until the set is sent or dropped
 _ANCHOR = 4       # anchored a prospective set: until the next scan cycle
 
 
-class _BenefitRun:
+class _BenefitRun(_Run):
     """Sender-side state of one benefit run.
 
     ``prospective`` is the ordered list of packets waiting to be coded
     together (its head is the anchor), ``desired_benefit`` the current
     requirement on how many receivers a coded repair must help now or
     later, relaxed by one per scan cycle.  Cycle 1 interleaves originals
-    with repairs; cycles 2..M only rescan outstanding packets.
+    with repairs; cycles 2..M only rescan outstanding packets.  Gates only
+    ever look at the ``cells`` of packets already sent.
     """
 
     def __init__(self, matrix: TransmissionMatrix,
@@ -292,17 +300,9 @@ class _BenefitRun:
         start = self.m if initial_desired_benefit is None else initial_desired_benefit
         if not 1 <= start <= self.m:
             raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
-        self.losses = matrix.cells.copy()
-        # loss outcomes are consumed column by column as originals go out;
-        # gates only ever look at already-transmitted packets
-        self.work = TransmissionMatrix(matrix.cells.copy(),
-                                       np.zeros(self.n, dtype=np.int64))
-        self.cells = self.work.cells
+        super().__init__(matrix)
         self.cu = self.cells.sum(axis=0).astype(np.int64)  # kept in step with cells
-        self.states = [ReceiverState() for _ in range(self.m)]
-        self.tx: list[CodedPacket] = []
         self.audit: list[BenefitAudit] = []
-        self.slot = 0
         self.sent = 0
         self.cycle = 1
         self.desired_benefit = start
@@ -328,8 +328,7 @@ class _BenefitRun:
             self._scan()
         if self.cu.any():
             self._final_sweep()
-        return _result("benefit", self.losses, self.tx, self.states, self.work,
-                       audit=self.audit)
+        return self.result("benefit", audit=self.audit)
 
     def _scan(self) -> None:
         """One scan cycle: consider outstanding packets, flush passing sets
@@ -341,7 +340,9 @@ class _BenefitRun:
             elif self._flush_passing():
                 continue
             elif self.sent < self.n:
-                k = self._transmit_original()
+                self.sent += 1
+                k = self.sent
+                self.send_original(k)
                 cu = int(self.cu[k - 1])
                 if cu >= self.desired_benefit:
                     # missed by enough receivers on its own: repair it uncoded
@@ -374,35 +375,15 @@ class _BenefitRun:
 
     # -- transmission plumbing --
 
-    def _transmit_original(self) -> int:
-        self.sent += 1
-        self.slot += 1
-        k = self.sent
-        self.work.original_slot[k - 1] = self.slot
-        self.tx.append(CodedPacket(frozenset((k,)), self.slot, original=True))
-        # a fresh original sits in no buffer, so it unlocks nothing more
-        for i0 in np.flatnonzero(self.losses[:, k - 1] == RECEIVED).tolist():
-            self.states[i0].receive_original(k, self.slot)
-        return k
-
     def _transmit_repair(self, ids: list[int], gates: tuple[int, int],
                          min_cu: int, forced: bool = False) -> None:
-        self.slot += 1
-        packet = CodedPacket(frozenset(ids), self.slot)
-        self.tx.append(packet)
-        for i0, state in enumerate(self.states):
-            for kk in state.receive(packet):
-                self._mark(i0, kk)
-        decode_benefit, combination_benefit = gates
-        self.audit.append(BenefitAudit(
-            self.slot, tuple(ids), self.cycle, self.desired_benefit,
-            decode_benefit, min_cu, combination_benefit, forced))
-
-    def _mark(self, i0: int, k: int) -> None:
-        if self.cells[i0, k - 1]:
-            self.cells[i0, k - 1] = 0
+        for i0, k in self.send(ids):
             self.cu[k - 1] -= 1
             self._row_miss[i0] &= ~(1 << (k - 1))
+        decode_benefit, combination_benefit = gates
+        self.audit.append(BenefitAudit(
+            len(self.tx), tuple(ids), self.cycle, self.desired_benefit,
+            decode_benefit, min_cu, combination_benefit, forced))
 
     # -- gate machinery --
 

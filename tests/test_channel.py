@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncretx import ChannelParams, sample_loss_counts, sample_matrix
+from ncretx import ChannelParams, run_scheduler, sample_loss_counts, sample_matrix
 
 
 def test_no_loss_channel_all_received():
@@ -43,8 +43,14 @@ def test_heterogeneous_rates():
 
 
 def test_original_slots_are_batch_positions():
-    mat = sample_matrix(ChannelParams.homogeneous(2, 0.5, seed=0), 6)
-    assert list(mat.original_slot) == [1, 2, 3, 4, 5, 6]
+    mat = sample_matrix(ChannelParams.homogeneous(4, 0.5, seed=0), 6)
+    for name in ("arq", "greedy", "sort-utility", "rlnc"):
+        result = run_scheduler(name, mat, seed=1)
+        assert result.original_slot.tolist() == [1, 2, 3, 4, 5, 6]
+    # benefit interleaves repairs with the batch; it records where each original went
+    result = run_scheduler("benefit", mat)
+    originals = [cp.slot for cp in result.schedule.transmissions if cp.original]
+    assert result.original_slot.tolist() == originals
 
 
 def test_empirical_loss_rate_converges():

@@ -88,6 +88,35 @@ def test_theory_row_matches_module(tmp_path):
         theory_ratio(TheoryParams.homogeneous(3, 15, 0.4)))
 
 
+def test_theory_only_sweep_runs_no_replication(tmp_path, monkeypatch):
+    import ncretx.harness as H
+
+    grid = dict(receiver_counts=[3, 5], loss_rates=[0.2, 0.6])
+    mixed = run_experiment(small_config(None, algorithms=["arq", "theory"],
+                                        replications=2, **grid))
+
+    def never(*args):
+        raise AssertionError("no theory row reads a replication")
+
+    monkeypatch.setattr(H, "run_replication", never)
+    alone = run_experiment(small_config(tmp_path / "t.csv", algorithms=["theory"],
+                                        replications=50, **grid))
+    assert alone == [r for r in mixed if r["algorithm"] == "theory"]
+    assert len(alone) == 4
+
+
+def test_check_run_requires_every_receiver_to_hold_the_batch(worked_example):
+    from ncretx import run_scheduler
+    from ncretx.harness import InvariantViolation, _check_run
+
+    base = run_scheduler("arq", worked_example)
+    result = run_scheduler("benefit", worked_example)
+    _check_run(result, base, seed=7)
+    result.receivers[3].have.discard(5)
+    with pytest.raises(InvariantViolation, match=r"benefit: unrecovered cells \(seed 7\)"):
+        _check_run(result, base, seed=7)
+
+
 def test_figure_presets_match_reported_parameters():
     assert FIGURE_PRESETS["fig2"]["loss_rates"] == [0.5]
     assert FIGURE_PRESETS["fig2"]["batch"] == 200
@@ -238,6 +267,16 @@ def test_cli_theory_csv(tmp_path):
     assert lines[7].split(",")[3] == "theory_ratio"
 
 
+@pytest.mark.parametrize("batch,loss", [("0", "0.5"), ("4", "0.5,1.5")])
+def test_cli_theory_validates_before_writing(tmp_path, capsys, batch, loss):
+    out = tmp_path / "t.csv"
+    rc = cli_main(["theory", "--receivers", "2,3", "--batch", batch,
+                   "--loss", loss, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_trace_exit_codes(worked_example_path, tmp_path):
     assert cli_main(["trace", "--matrix", str(worked_example_path),
                      "--algorithm", "benefit"]) == 0
@@ -278,6 +317,16 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "fig" / "fig5.csv").exists()
+
+
+@pytest.mark.parametrize("algorithms", ["arq", "theory"])
+def test_cli_rejects_single_receiver(tmp_path, capsys, algorithms):
+    rc = cli_main(["simulate", "--algorithms", algorithms, "--receivers", "1",
+                   "--loss", "0.5", "--batch", "5", "--reps", "1",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least 2 receivers\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_rejects_unknown_algorithm(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncretx import TransmissionMatrix
+from ncretx import TransmissionMatrix, run_scheduler
 
 from conftest import WORKED_EXAMPLE_ROWS
 
@@ -101,7 +101,14 @@ def test_parse_reports_line_numbers():
 
 
 def test_default_original_slots_are_batch_order(worked_example):
-    assert list(worked_example.original_slot) == [1, 2, 3, 4, 5]
+    # every scheduler but benefit sends the whole batch first, packet k in slot k
+    for name in ("arq", "greedy", "sort-utility", "rlnc"):
+        result = run_scheduler(name, worked_example)
+        assert result.original_slot.tolist() == [1, 2, 3, 4, 5]
+    result = run_scheduler("benefit", worked_example)
+    originals = {next(iter(cp.constituents)): cp.slot
+                 for cp in result.schedule.transmissions if cp.original}
+    assert result.original_slot.tolist() == [originals[k] for k in range(1, 6)]
 
 
 def test_copy_is_independent(worked_example):

@@ -44,7 +44,7 @@ def test_ratio_plain_division():
 
 def test_ttd_worked_example_benefit(worked_example):
     result = benefit(worked_example)
-    stats = time_to_decode(result.losses, result.matrix.original_slot, result.receivers)
+    stats = time_to_decode(result.losses, result.original_slot, result.receivers)
     assert sorted(stats.samples) == [1, 1, 1, 1, 1, 1, 2, 2, 4, 5]
     assert stats.mean == pytest.approx(1.9, abs=1e-12)
     assert stats.std == pytest.approx(math.sqrt(1.89), abs=1e-12)  # population form
@@ -52,7 +52,7 @@ def test_ttd_worked_example_benefit(worked_example):
 
 def test_ttd_worked_example_sort(worked_example):
     result = sort_by_utility(worked_example)
-    stats = time_to_decode(result.losses, result.matrix.original_slot, result.receivers)
+    stats = time_to_decode(result.losses, result.original_slot, result.receivers)
     assert stats.mean == pytest.approx(4.4, abs=1e-12)
 
 
@@ -81,14 +81,14 @@ def test_ttd_replay_of_worked_example_schedule(worked_example):
 
 def test_ttd_only_lost_cells_sampled(worked_example):
     result = benefit(worked_example)
-    stats = time_to_decode(result.losses, result.matrix.original_slot, result.receivers)
+    stats = time_to_decode(result.losses, result.original_slot, result.receivers)
     assert len(stats.samples) == 10  # exactly the lost cells of the matrix
 
 
 def test_ttd_empty_when_nothing_lost():
     mat = TransmissionMatrix.from_rows([[0, 0], [0, 0]])
     result = benefit(mat)
-    stats = time_to_decode(result.losses, result.matrix.original_slot, result.receivers)
+    stats = time_to_decode(result.losses, result.original_slot, result.receivers)
     assert stats.samples == []
     assert math.isnan(stats.mean)
 
@@ -99,7 +99,7 @@ def test_ttd_samples_always_positive():
         mat = random_matrix(rng)
         for name in ("arq", "greedy", "sort-utility", "benefit", "rlnc"):
             result = run_scheduler(name, mat.copy(), seed=t)
-            stats = time_to_decode(result.losses, result.matrix.original_slot,
+            stats = time_to_decode(result.losses, result.original_slot,
                                    result.receivers)
             assert all(s >= 1 for s in stats.samples)
 
@@ -107,7 +107,7 @@ def test_ttd_samples_always_positive():
 def test_unrecovered_cell_raises():
     mat = TransmissionMatrix.from_rows([[1, 0], [0, 0]])
     with pytest.raises(IntegrityError, match="receiver 1 never recovered packet 1"):
-        time_to_decode(mat.cells, mat.original_slot, [ReceiverState(), ReceiverState()])
+        time_to_decode(mat.cells, np.array([1, 2]), [ReceiverState(), ReceiverState()])
 
 
 def test_run_metrics_bundle(worked_example):

@@ -38,7 +38,6 @@ def replay_repairs(matrix, result):
     each repair afterwards, so callers can assert per-transmission rules.
     """
     shadow = matrix.copy()
-    shadow.original_slot = result.matrix.original_slot.copy()
     states = [ReceiverState() for _ in range(matrix.receivers)]
     for packet in result.schedule.transmissions:
         k = next(iter(packet.constituents))
@@ -195,7 +194,7 @@ def rlnc_oracle(mat, seed):
             unit = np.zeros(n, dtype=np.uint8)
             unit[k0] = 1
             pivots[i][k0] = unit
-            recovery[i][k0 + 1] = int(mat.original_slot[k0])
+            recovery[i][k0 + 1] = k0 + 1
     rng = np.random.default_rng(seed)
     slot = n
     coefficients = []
@@ -291,7 +290,7 @@ def test_benefit_lossless_run_is_just_the_batch():
 def test_benefit_interleaves_repairs(worked_example):
     slots = {str(cp): cp.slot for cp in benefit(worked_example).schedule.transmissions[:6]}
     assert slots["c1^c2"] == 3  # repair before the batch has finished
-    assert benefit(worked_example).matrix.original_slot.tolist() == [1, 2, 4, 5, 7]
+    assert benefit(worked_example).original_slot.tolist() == [1, 2, 4, 5, 7]
 
 
 def test_benefit_audit_matches_independent_replay(worked_example):
@@ -364,7 +363,7 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
     def checking(method):
         def wrapper(self, *args, **kwargs):
             assert_benefit_state_consistent(self)
-            checked_slots.add(self.slot)
+            checked_slots.add(len(self.tx))
             return method(self, *args, **kwargs)
         return wrapper
 
@@ -401,16 +400,17 @@ def test_full_recovery_and_repair_floor_everywhere():
         floor = int(mat.cells.sum(axis=1).max())
         for name in ALL:
             result = run_scheduler(name, mat.copy(), seed=t)
-            assert result.matrix.lost_cell_count() == 0
+            assert all(state.have == set(range(1, mat.batch + 1))
+                       for state in result.receivers)
             assert result.schedule.retransmission_count >= floor
             # schedule structure: dense slots, each original exactly once,
-            # marked as such and sent in the slot the matrix records for it
+            # marked as such and sent in the slot the run records for it
             slots = [cp.slot for cp in result.schedule.transmissions]
             assert slots == list(range(1, len(slots) + 1))
             originals = {next(iter(cp.constituents)): cp.slot
                          for cp in result.schedule.transmissions if cp.original}
             assert sum(cp.original for cp in result.schedule.transmissions) == mat.batch
-            assert originals == {k: int(result.matrix.original_slot[k - 1])
+            assert originals == {k: int(result.original_slot[k - 1])
                                  for k in range(1, mat.batch + 1)}
             assert all(cp.is_uncoded for cp in result.schedule.transmissions if cp.original)
 
@@ -436,9 +436,11 @@ def test_identical_inputs_identical_schedules(worked_example):
 def test_input_matrix_never_mutated(worked_example):
     snapshot = worked_example.cells.copy()
     for name in ALL:
-        run_scheduler(name, worked_example, seed=1)
+        result = run_scheduler(name, worked_example, seed=1)
         assert np.array_equal(worked_example.cells, snapshot)
-        assert list(worked_example.original_slot) == [1, 2, 3, 4, 5]
+        # the run's own copy of the losses is read-only as well
+        assert np.array_equal(result.losses, snapshot)
+        assert not result.losses.flags.writeable
 
 
 def test_unknown_scheduler_name(worked_example):
