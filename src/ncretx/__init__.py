@@ -7,7 +7,7 @@ closed-form lower bound on how few repair transmissions any scheme needs.
 
 from .channel import ChannelParams, sample_loss_counts, sample_matrix
 from .decoder import ReceiverState
-from .metrics import RunMetrics, TtdStats, retransmission_ratio, run_metrics, time_to_decode
+from .metrics import RunMetrics, retransmission_ratio, run_metrics, time_to_decode
 from .model import LOST, RECEIVED, CodedPacket, IntegrityError, TransmissionMatrix
 from .schedulers import (
     SCHEDULER_NAMES,
@@ -35,7 +35,7 @@ __all__ = [
     "ChannelParams", "CodedPacket", "IntegrityError", "LOST", "RECEIVED",
     "ReceiverState", "RunMetrics", "RunResult", "Schedule", "SCHEDULER_NAMES",
     "BenefitAudit", "TheoryParams", "TransmissionMatrix",
-    "TtdStats", "baseline_arq", "benefit", "expected_baseline_retx",
+    "baseline_arq", "benefit", "expected_baseline_retx",
     "expected_min_retx", "greedy_nc", "loss_cdf", "q_distribution", "q_j",
     "retransmission_ratio", "rlnc", "run_metrics", "run_scheduler",
     "sample_loss_counts", "sample_matrix", "sort_by_utility", "theory_ratio",

@@ -54,21 +54,6 @@ INV_TABLE[1:] = EXP_TABLE[255 - LOG_TABLE[_nz]]
 _PRODUCTS = MUL_TABLE.ravel()  # _PRODUCTS[a << 8 | b] == MUL_TABLE[a, b]
 
 
-def gf256_mul(a: int, b: int) -> int:
-    return int(MUL_TABLE[a, b])
-
-
-def gf256_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    return int(INV_TABLE[a])
-
-
-def vec_scale(vec: np.ndarray, scalar: int) -> np.ndarray:
-    """Multiply every element of a uint8 vector by a GF(2^8) scalar."""
-    return MUL_TABLE[vec, scalar]
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise GF(2^8) product of broadcastable uint8 arrays.
 
@@ -81,14 +66,6 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mat_vec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """GF(2^8) matrix-vector product (rows of `matrix` dotted with `vec`)."""
     return np.bitwise_xor.reduce(_mul(np.asarray(vec, dtype=np.uint8), matrix), axis=1)
-
-
-def rank(rows) -> int:
-    """Rank of a set of GF(2^8) coefficient vectors, by Gaussian elimination."""
-    basis = Gf256Basis()
-    for row in rows:
-        basis.insert(np.asarray(row, dtype=np.uint8))
-    return basis.rank
 
 
 class Gf256Basis:
@@ -154,38 +131,3 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         aug[:, col:] ^= _mul(factors, aug[col, col:])
     return aug[:, n:].reshape(b.shape)
 
-
-# -- GF(2) helpers: coded-packet constituent sets as bitmask vectors --
-
-
-def constituents_to_bits(constituents, batch: int) -> int:
-    """Encode a constituent id set as a GF(2) vector packed into an int."""
-    bits = 0
-    for k in constituents:
-        if not 1 <= k <= batch:
-            raise IndexError(f"packet id {k} out of range 1..{batch}")
-        bits |= 1 << (k - 1)
-    return bits
-
-
-def gf2_decodable(vectors, batch: int) -> set[int]:
-    """All packet ids whose unit vector lies in the GF(2) span of `vectors`.
-
-    Reduced-row-echelon elimination over bitmask-packed vectors; this is the
-    reference answer for what any XOR decoder could possibly recover.
-    """
-    basis: dict[int, int] = {}  # leading-bit position -> row
-    for v in vectors:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                break
-            v ^= basis[lead]
-    # clear each pivot bit from every other row (reduced echelon form)
-    for lead in sorted(basis, reverse=True):
-        for other in basis:
-            if other != lead and (basis[other] >> lead) & 1:
-                basis[other] ^= basis[lead]
-    return {row.bit_length() for row in basis.values()
-            if row.bit_count() == 1 and row.bit_length() <= batch}

@@ -1,4 +1,4 @@
-"""Core data model: the transmission matrix, packet utilities and coded packets.
+"""Core data model: the transmission matrix and coded packets.
 
 A transmission matrix records, for M receivers and a batch of N packets,
 which original transmissions were lost (cell value 1) and which were
@@ -51,8 +51,8 @@ class TransmissionMatrix:
     """M x N grid of loss outcomes.
 
     ``cells[i-1, k-1]`` is 1 if receiver i lost packet k's original
-    transmission and has not recovered it yet, else 0.  Utilities are always
-    recomputed from the grid; there are no cached counters to go stale.
+    transmission and has not recovered it yet, else 0.  Counts such as a
+    packet's utility (receivers still missing it) are read off ``cells``.
     """
 
     cells: np.ndarray
@@ -94,30 +94,9 @@ class TransmissionMatrix:
         """Number of receivers still missing packet k (cu_k)."""
         return int(self.cells[:, self._col(k)].sum())
 
-    def receiver_utility(self, i: int, packets) -> int:
-        """Number of packets from ``packets`` still missing at receiver i (ru_i)."""
-        cols = [self._col(k) for k in packets]
-        if not cols:
-            raise ValueError("packet set must be nonempty")
-        return int(self.cells[self._row(i), cols].sum())
-
     def mark_received(self, i: int, k: int) -> None:
         """Flip cell (i, k) to received.  Idempotent."""
         self.cells[self._row(i), self._col(k)] = RECEIVED
-
-    def lost_cell_count(self) -> int:
-        return int(self.cells.sum())
-
-    def lost_columns(self) -> list[int]:
-        """Packet ids still missing at one or more receivers, ascending."""
-        return [k + 1 for k in np.flatnonzero(self.cells.any(axis=0))]
-
-    def receiver_loss_counts(self) -> np.ndarray:
-        """Per-receiver count of currently lost packets (L_i as an array)."""
-        return self.cells.sum(axis=1).astype(np.int64)
-
-    def copy(self) -> "TransmissionMatrix":
-        return TransmissionMatrix(self.cells.copy())
 
     # -- text format: first line "M N", then M rows of N space-separated 0/1 --
 

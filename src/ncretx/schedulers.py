@@ -243,7 +243,7 @@ class BenefitAudit:
     decode_benefit: int
     minimum_benefit: int
     combination_benefit: int
-    forced: bool = False
+    forced: bool = False  # always False; kept because perfbench reads it
 
 
 def benefit(matrix: TransmissionMatrix,
@@ -267,7 +267,7 @@ def benefit(matrix: TransmissionMatrix,
 
     Only the last gate failing stores the candidate as the new prospective
     list.  Each scan cycle after the batch relaxes the desired benefit by
-    one, down to 1; anything still missing after that goes out uncoded.
+    one, down to 1; a cycle at 1 leaves nothing missing.
     Lowering the initial desired benefit trades bandwidth for latency.
     """
     return _BenefitRun(matrix, initial_desired_benefit).execute()
@@ -326,8 +326,15 @@ class _BenefitRun(_Run):
             self._clear_prospective()
             self._wait[:] = _FREE
             self._scan()
-        if self.cu.any():
-            self._final_sweep()
+        # No straggler sweep is needed: a cycle at desired benefit 1 drains
+        # every outstanding packet.  In it a lone free packet passes all
+        # three gates, so every free packet can anchor a set, and a
+        # prospective set always flushes; the cycle ends with every
+        # non-anchor packet at cu == 0.  Each anchor's set was sent before
+        # any later anchor's set, so going backwards through the cycle's
+        # anchors, every buffered XOR that holds an anchor peels to it.
+        # (Started at 1, cycle 1 repairs each lost original uncoded at once.)
+        # result() raises IntegrityError should a cell still be lost.
         return self.result("benefit", audit=self.audit)
 
     def _scan(self) -> None:
@@ -376,14 +383,14 @@ class _BenefitRun(_Run):
     # -- transmission plumbing --
 
     def _transmit_repair(self, ids: list[int], gates: tuple[int, int],
-                         min_cu: int, forced: bool = False) -> None:
+                         min_cu: int) -> None:
         for i0, k in self.send(ids):
             self.cu[k - 1] -= 1
             self._row_miss[i0] &= ~(1 << (k - 1))
         decode_benefit, combination_benefit = gates
         self.audit.append(BenefitAudit(
             len(self.tx), tuple(ids), self.cycle, self.desired_benefit,
-            decode_benefit, min_cu, combination_benefit, forced))
+            decode_benefit, min_cu, combination_benefit))
 
     # -- gate machinery --
 
@@ -447,15 +454,6 @@ class _BenefitRun(_Run):
         self._pros_mask = 0
         self._pros_min_cu = 0
         self._wait[self._wait != _ANCHOR] = _FREE
-
-    def _final_sweep(self) -> None:
-        # desired benefit exhausted: clear the stragglers uncoded
-        for k in range(1, self.n + 1):
-            cu = int(self.cu[k - 1])
-            if cu:
-                gates = self._read_gates(1 << (k - 1))
-                assert gates is not None  # an outstanding packet always reaches someone
-                self._transmit_repair([k], gates, cu, forced=True)
 
 
 # ---------------------------------------------------------------- dispatch

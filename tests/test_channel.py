@@ -8,12 +8,12 @@ from ncretx import ChannelParams, run_scheduler, sample_loss_counts, sample_matr
 
 def test_no_loss_channel_all_received():
     mat = sample_matrix(ChannelParams.homogeneous(4, 0.0, seed=1), 10)
-    assert mat.lost_cell_count() == 0
+    assert mat.cells.sum() == 0
 
 
 def test_total_loss_channel_all_lost():
     mat = sample_matrix(ChannelParams.homogeneous(3, 1.0, seed=1), 7)
-    assert mat.lost_cell_count() == 21
+    assert mat.cells.sum() == 21
 
 
 def test_same_seed_same_matrix():
@@ -59,7 +59,7 @@ def test_empirical_loss_rate_converges():
     cells = 0
     for rep in range(1000):
         mat = sample_matrix(ChannelParams.homogeneous(10, 0.5, seed=rep), 200)
-        fraction += mat.lost_cell_count()
+        fraction += int(mat.cells.sum())
         cells += 10 * 200
     assert abs(fraction / cells - 0.5) < 0.01
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ncretx import CodedPacket, ReceiverState
-from ncretx.gf import constituents_to_bits, gf2_decodable
+
+from gf2_oracle import constituents_to_bits, gf2_decodable
 
 
 def holding(*packets: int) -> ReceiverState:

@@ -98,7 +98,7 @@ def test_ttd_samples_always_positive():
     for t in range(80):
         mat = random_matrix(rng)
         for name in ("arq", "greedy", "sort-utility", "benefit", "rlnc"):
-            result = run_scheduler(name, mat.copy(), seed=t)
+            result = run_scheduler(name, mat, seed=t)
             stats = time_to_decode(result.losses, result.original_slot,
                                    result.receivers)
             assert all(s >= 1 for s in stats.samples)
