@@ -21,6 +21,7 @@ from .harness import (
     ExperimentConfig,
     FIGURE_PRESETS,
     InvariantViolation,
+    check_unique,
     figure_config,
     load_matrix,
     run_experiment,
@@ -123,10 +124,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     batch = args.batch
+    receiver_counts = parse_int_range(args.receivers)
+    loss_rates = parse_float_range(args.loss)
+    check_unique("receiver count", receiver_counts)
+    check_unique("loss rate", loss_rates)
     # every point is validated before the output file is created
     grid = [(m, p, TheoryParams.homogeneous(m, batch, p))
-            for m in parse_int_range(args.receivers)
-            for p in parse_float_range(args.loss)]
+            for m in receiver_counts for p in loss_rates]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "N", "p", "j", "Q_j"])

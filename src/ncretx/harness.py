@@ -43,6 +43,15 @@ class InvariantViolation(RuntimeError):
     """A run broke a guarantee the harness checks; the seed is in the message."""
 
 
+def check_unique(what: str, values) -> None:
+    """Reject a sweep axis that lists a value twice: its rows would repeat."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{what} {value!r} given more than once")
+        seen.add(value)
+
+
 @dataclass
 class ExperimentConfig:
     algorithms: list[str]
@@ -57,6 +66,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        check_unique("algorithm", self.algorithms)
+        check_unique("receiver count", self.receiver_counts)
+        check_unique("loss rate", self.loss_rates)
         for name in self.algorithms:
             if name != "theory" and name not in SCHEDULER_NAMES:
                 raise ValueError(f"unknown algorithm {name!r}")

@@ -329,6 +329,28 @@ def test_cli_rejects_single_receiver(tmp_path, capsys, algorithms):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (["simulate", "--algorithms", "arq,arq", "--receivers", "3", "--loss", "0.5"],
+     "algorithm 'arq' given more than once"),
+    (["simulate", "--algorithms", "arq,theory", "--receivers", "2..4,3", "--loss", "0.5"],
+     "receiver count 3 given more than once"),
+    (["simulate", "--algorithms", "theory", "--receivers", "3",
+      "--loss", "0.1..0.3:0.1,0.20"], "loss rate 0.2 given more than once"),
+    (["theory", "--receivers", "3,3", "--loss", "0.5"],
+     "receiver count 3 given more than once"),
+    (["theory", "--receivers", "3", "--loss", "0.5,0.50"],
+     "loss rate 0.5 given more than once"),
+])
+def test_cli_rejects_repeated_values(tmp_path, capsys, command, message):
+    # a repeated value would write its rows and aggregates twice
+    out = tmp_path / "x.csv"
+    extra = ["--reps", "1", "--workers", "1"] if command[0] == "simulate" else []
+    rc = cli_main(command + extra + ["--batch", "5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_algorithm(tmp_path):
     rc = cli_main(["simulate", "--algorithms", "nope", "--receivers", "2",
                    "--loss", "0.5", "--batch", "5", "--reps", "1",
