@@ -45,11 +45,9 @@ class InvariantViolation(RuntimeError):
 
 def check_unique(what: str, values) -> None:
     """Reject a sweep axis that lists a value twice: its rows would repeat."""
-    seen = set()
-    for value in values:
-        if value in seen:
+    for i, value in enumerate(values):
+        if value in values[:i]:
             raise ValueError(f"{what} {value!r} given more than once")
-        seen.add(value)
 
 
 @dataclass

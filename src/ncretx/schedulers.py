@@ -326,14 +326,12 @@ class _BenefitRun(_Run):
             self._clear_prospective()
             self._wait[:] = _FREE
             self._scan()
-        # No straggler sweep is needed: a cycle at desired benefit 1 drains
-        # every outstanding packet.  In it a lone free packet passes all
-        # three gates, so every free packet can anchor a set, and a
-        # prospective set always flushes; the cycle ends with every
-        # non-anchor packet at cu == 0.  Each anchor's set was sent before
-        # any later anchor's set, so going backwards through the cycle's
-        # anchors, every buffered XOR that holds an anchor peels to it.
-        # (Started at 1, cycle 1 repairs each lost original uncoded at once.)
+        # No straggler sweep: a cycle at desired benefit 1 drains every
+        # outstanding packet.  A lone free packet passes all three gates and a
+        # prospective set always flushes, so the cycle leaves every non-anchor
+        # at cu == 0; each anchor's set went out before any later anchor's, so
+        # backwards through the anchors every buffered XOR peels to its anchor.
+        # Started at 1, cycle 1 repairs each lost original uncoded at once.
         # result() raises IntegrityError should a cell still be lost.
         return self.result("benefit", audit=self.audit)
 
