@@ -27,7 +27,6 @@ from .theory import (
     expected_min_retx,
     loss_cdf,
     q_distribution,
-    q_j,
     theory_ratio,
 )
 
@@ -36,7 +35,7 @@ __all__ = [
     "ReceiverState", "RunMetrics", "RunResult", "Schedule", "SCHEDULER_NAMES",
     "BenefitAudit", "TheoryParams", "TransmissionMatrix",
     "baseline_arq", "benefit", "expected_baseline_retx",
-    "expected_min_retx", "greedy_nc", "loss_cdf", "q_distribution", "q_j",
+    "expected_min_retx", "greedy_nc", "loss_cdf", "q_distribution",
     "retransmission_ratio", "rlnc", "run_metrics", "run_scheduler",
     "sample_loss_counts", "sample_matrix", "sort_by_utility", "theory_ratio",
     "time_to_decode",

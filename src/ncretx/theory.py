@@ -6,16 +6,18 @@ every repair transmission reaches everyone needs at least max_i L_i
 transmissions, so the distribution of that maximum is the analytic floor
 the schedulers are measured against:
 
-    P[L_i <= j]   binomial CDF per receiver
+    P[L_i <= j]   binomial CDF per receiver, j = 0..N
     Q_j           P[max_i L_i = j], a telescoping product difference
     E[max_i L_i]  sum_j j * Q_j, the expected minimum repair count
 
-The binomial CDF is summed in log space so batches up to 10^4 stay stable.
+Each distinct loss rate's CDF is one running log-sum-exp over its log pmf:
+the floor costs O(N * M), and batches up to 10^4 stay stable.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,52 +43,30 @@ class TheoryParams:
         return cls(receivers, batch, (float(p),) * receivers)
 
 
-def loss_cdf(batch: int, p: float, j: int) -> float:
-    """P[L <= j] for L ~ Binomial(batch, p)."""
-    if not 0 <= j <= batch:
-        raise ValueError(f"j={j} outside 0..{batch}")
+def loss_cdf(batch: int, p: float) -> np.ndarray:
+    """P[L <= j] for j = 0..batch, L ~ Binomial(batch, p)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"loss probability {p} outside [0, 1]")
-    if p == 0.0:
-        return 1.0
+    cdf = np.ones(batch + 1)
     if p == 1.0:
-        return 1.0 if j >= batch else 0.0
-    if j == batch:
-        return 1.0
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_terms = [
-        math.lgamma(batch + 1) - math.lgamma(c + 1) - math.lgamma(batch - c + 1)
-        + c * log_p + (batch - c) * log_q
-        for c in range(j + 1)
-    ]
-    peak = max(log_terms)
-    total = peak + math.log(sum(math.exp(t - peak) for t in log_terms))
-    return min(1.0, math.exp(total))
-
-
-def _joint_cdf(params: TheoryParams, j: int) -> float:
-    prod = 1.0
-    for p in params.loss_probabilities:
-        prod *= loss_cdf(params.batch, p, j)
-    return prod
-
-
-def q_j(params: TheoryParams, j: int) -> float:
-    """P[max_i L_i = j]: the chance the batch needs exactly j repairs."""
-    if not 0 <= j <= params.batch:
-        raise ValueError(f"j={j} outside 0..{params.batch}")
-    if j == 0:
-        return _joint_cdf(params, 0)
-    return _joint_cdf(params, j) - _joint_cdf(params, j - 1)
+        cdf[:-1] = 0.0
+    elif p > 0.0:
+        c = np.arange(batch + 1)
+        log_fact = np.array([math.lgamma(x + 1) for x in range(batch + 1)])
+        log_pmf = (log_fact[batch] - log_fact - log_fact[::-1]
+                   + c * math.log(p) + (batch - c) * math.log1p(-p))
+        # over the full sum: cancels the lgamma rounding all terms share
+        log_cdf = np.logaddexp.accumulate(log_pmf)
+        cdf[:-1] = np.minimum(1.0, np.exp(log_cdf[:-1] - log_cdf[-1]))
+    return cdf
 
 
 def q_distribution(params: TheoryParams) -> np.ndarray:
     """Q_j for j = 0..N as an array (sums to 1)."""
-    joint = np.array([_joint_cdf(params, j) for j in range(params.batch + 1)])
-    out = np.empty(params.batch + 1)
-    out[0] = joint[0]
-    out[1:] = np.diff(joint)
-    return out
+    joint = np.ones(params.batch + 1)
+    for p, count in Counter(params.loss_probabilities).items():
+        joint *= loss_cdf(params.batch, p) ** count
+    return np.diff(joint, prepend=0.0)
 
 
 def expected_min_retx(params: TheoryParams) -> float:

@@ -24,7 +24,7 @@ SIMULATE_SHA = (
 
 THEORY = ["theory", "--receivers", "3,12", "--loss", "0.3,0.6", "--batch", "20"]
 THEORY_SHA = (
-    "62807127e25d147ebb0b4d29ba91b1d3109784efe59f2beba28af23b83e99429")
+    "0b3591dee3e89680c35b3cdd736395e9741a9eeaf9dcf167007ca53165484dd2")
 
 TRACE_SHA = {
     ("worked", "arq"):

@@ -14,7 +14,6 @@ from ncretx import (
     expected_min_retx,
     loss_cdf,
     q_distribution,
-    q_j,
     sample_loss_counts,
     theory_ratio,
 )
@@ -26,48 +25,58 @@ def cdf_fraction_oracle(n: int, p: Fraction, j: int) -> Fraction:
 
 
 def test_cdf_trivial_points():
-    assert loss_cdf(10, 0.5, 10) == 1.0
-    assert loss_cdf(10, 0.0, 0) == 1.0
-    assert loss_cdf(10, 1.0, 9) == 0.0
-    assert loss_cdf(10, 1.0, 10) == 1.0
+    assert loss_cdf(10, 0.5)[10] == 1.0
+    assert loss_cdf(10, 0.0)[0] == 1.0
+    assert loss_cdf(10, 1.0)[9] == 0.0
+    assert loss_cdf(10, 1.0)[10] == 1.0
 
 
 def test_cdf_small_case_by_hand():
     # two transmissions at p = 1/2: P[L <= 1] = 1/4 + 1/2
-    assert abs(loss_cdf(2, 0.5, 1) - 0.75) < 1e-15
+    assert abs(loss_cdf(2, 0.5)[1] - 0.75) < 1e-15
 
 
 def test_cdf_against_exact_fractions():
     for n in (5, 17, 60):
         for p in (0.25, 0.5, 0.9):
             exact = [float(cdf_fraction_oracle(n, Fraction(p), j)) for j in range(n + 1)]
+            cdf = loss_cdf(n, p)
             for j in range(n + 1):
-                assert abs(loss_cdf(n, p, j) - exact[j]) < 1e-12
+                assert abs(cdf[j] - exact[j]) < 1e-12
 
 
 def test_cdf_large_batch_exact_fractions():
     # stability target: absolute error under 1e-12 at N = 1000
     n = 1000
+    cdf = loss_cdf(n, 0.5)
     for j in (300, 500, 700):
         exact = float(cdf_fraction_oracle(n, Fraction(1, 2), j))
-        assert abs(loss_cdf(n, 0.5, j) - exact) < 1e-12
+        assert abs(cdf[j] - exact) < 1e-12
 
 
 def test_cdf_monotone_in_j_and_survival():
     n = 10_000
-    values = [loss_cdf(n, 0.5, j) for j in range(0, n + 1, 500)]
+    values = loss_cdf(n, 0.5)[::500].tolist()
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
-    assert loss_cdf(n, 0.3, n // 2) > loss_cdf(n, 0.5, n // 2)
+    assert loss_cdf(n, 0.3)[n // 2] > loss_cdf(n, 0.5)[n // 2]
 
 
 def test_cdf_range_checks():
     with pytest.raises(ValueError):
-        loss_cdf(5, 0.5, 6)
-    with pytest.raises(ValueError):
-        loss_cdf(5, 0.5, -1)
-    with pytest.raises(ValueError):
-        loss_cdf(5, 1.5, 2)
+        loss_cdf(5, 1.5)
+
+
+def test_floor_stable_at_batch_10_000():
+    # the module's claim: N = 10^4 stays stable (and takes milliseconds)
+    n = 10_000
+    cdf = loss_cdf(n, 0.5)
+    assert (np.diff(cdf) >= 0.0).all()
+    # p = 1/2 is symmetric: P[L <= j] + P[L <= N-1-j] = 1
+    assert np.max(np.abs(cdf[:n] + cdf[n - 1::-1] - 1.0)) < 1e-12
+    q = q_distribution(TheoryParams.homogeneous(10, n, 0.5))
+    assert (q >= 0.0).all()
+    assert abs(q.sum() - 1.0) < 1e-12
 
 
 def enumerate_q(m: int, n: int, p: float) -> list[float]:
@@ -96,17 +105,20 @@ def test_q_matches_exhaustive_enumeration(m, n, p):
 def test_single_receiver_q_is_binomial_pmf():
     n, p = 12, 0.3
     params = TheoryParams.homogeneous(1, n, p)
+    q = q_distribution(params)
     for j in range(n + 1):
         pmf = math.comb(n, j) * p ** j * (1 - p) ** (n - j)
-        assert abs(q_j(params, j) - pmf) < 1e-12
+        assert abs(q[j] - pmf) < 1e-12
 
 
-def test_q_out_of_range():
-    params = TheoryParams.homogeneous(2, 4, 0.5)
-    with pytest.raises(ValueError):
-        q_j(params, 5)
-    with pytest.raises(ValueError):
-        q_j(params, -1)
+@pytest.mark.parametrize("rates", [(0.0, 0.2, 0.5, 0.5, 1.0), (0.0, 0.2, 0.5, 0.5, 0.7)])
+def test_q_mixed_rates_against_exact_fractions(rates):
+    n = 30
+    joint = [math.prod(cdf_fraction_oracle(n, Fraction(p), j) for p in rates)
+             for j in range(n + 1)]
+    exact = [joint[0]] + [b - a for a, b in zip(joint, joint[1:])]
+    got = q_distribution(TheoryParams(len(rates), n, rates))
+    assert np.max(np.abs(got - np.array([float(x) for x in exact]))) < 1e-12
 
 
 def test_expected_min_trivial_cases():
