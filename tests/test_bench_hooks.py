@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 # cli is not used here, but install patches it, so the snapshot must see it
-from ncretx import SCHEDULER_NAMES, cli, decoder, gf, harness, model, schedulers  # noqa: F401
+from ncretx import SCHEDULER_NAMES, cli, decoder, gf, harness, model, schedulers, theory  # noqa: F401
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,6 +45,9 @@ def test_tracer_installs_runs_and_restores(worked_example):
         for name in SCHEDULER_NAMES:
             schedulers.run_scheduler(name, worked_example, seed=1)
         harness.payload_check(worked_example, "rlnc", payload_len=8, seed=1)
+        params = theory.TheoryParams(3, 20, (0.3, 0.3, 0.6))
+        theory.expected_min_retx(params)
+        theory.theory_ratio(params)
     finally:
         patches.restore()
     assert package_attributes() == before
@@ -54,6 +57,10 @@ def test_tracer_installs_runs_and_restores(worked_example):
         expected = repairs[name] * (2 if name == "rlnc" else 1)
         assert counts[f"schedulers.{name}.repairs"] == expected
     for span in ("schedulers.receiver_setup", "decoder.receive", "gf.insert",
-                 "gf.solve", "harness.payload_check"):
+                 "gf.solve", "harness.payload_check", "theory.expected_min_retx",
+                 "theory.expected_baseline_retx", "theory.theory_ratio"):
         assert tracer.calls[span] > 0, span
     assert counts["decoder.receive_original_calls"] > 0
+    # one CDF per distinct loss rate, in each of the two floor computations
+    assert counts["theory.q_distribution_calls"] == 2
+    assert counts["theory.loss_cdf_calls"] == 4
