@@ -51,8 +51,8 @@ class TransmissionMatrix:
     """M x N grid of loss outcomes.
 
     ``cells[i-1, k-1]`` is 1 if receiver i lost packet k's original
-    transmission and has not recovered it yet, else 0.  Counts such as a
-    packet's utility (receivers still missing it) are read off ``cells``.
+    transmission and has not recovered it yet, else 0.  Utilities are always
+    recomputed from the grid; there are no cached counters to go stale.
     """
 
     cells: np.ndarray

@@ -68,7 +68,7 @@ def test_cdf_range_checks():
 
 
 def test_floor_stable_at_batch_10_000():
-    # the module's claim: N = 10^4 stays stable (and takes milliseconds)
+    # the module docstring claims batches up to 10^4 stay stable
     n = 10_000
     cdf = loss_cdf(n, 0.5)
     assert (np.diff(cdf) >= 0.0).all()
