@@ -58,7 +58,7 @@ class TransmissionMatrix:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.uint8)
+        self.cells = np.array(self.cells, dtype=np.uint8)  # a copy: never the caller's array
         if self.cells.ndim != 2:
             raise ValueError("cells must be a 2-d array")
         m, n = self.cells.shape

@@ -72,16 +72,19 @@ def _init_states(states: list[ReceiverState], losses: np.ndarray) -> None:
 class _Run:
     """The record of one run: what was sent, when, and who recovered what.
 
-    ``losses`` is a read-only copy of the sampled matrix's cells.  ``cells``
-    starts as another copy and has each receiver's recoveries cleared as
-    they happen, so it always shows what is still missing.  A
-    transmission's slot is its position in ``tx``.
+    ``losses`` is a read-only copy of the sampled matrix's cells.
+    ``missing[k-1]`` is an int with bit i-1 set while receiver i still lacks
+    packet k: it starts as packet k's loss column and has each recovery
+    cleared as it happens.  A transmission's slot is its position in ``tx``.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
         self.losses = matrix.cells.copy()
         self.losses.flags.writeable = False
-        self.cells = matrix.cells.copy()
+        packed = np.packbits(self.losses.T, axis=1, bitorder="little")
+        width, raw = packed.shape[1], packed.tobytes()
+        self.missing = [int.from_bytes(raw[at:at + width], "little")
+                        for at in range(0, len(raw), width)]
         self.states = [ReceiverState() for _ in range(matrix.receivers)]
         self.tx: list[CodedPacket] = []
         self.original_slot = np.zeros(matrix.batch, dtype=np.int64)
@@ -103,15 +106,16 @@ class _Run:
         for i0 in np.flatnonzero(self.losses[:, k - 1] == RECEIVED).tolist():
             self.states[i0].receive_original(k, packet.slot)
 
-    def send(self, constituents) -> list[tuple[int, int]]:
+    def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
-        gets; returns the (receiver row, packet) pairs it recovered."""
+        gets; returns the packet of each recovery it caused, one per receiver
+        that recovered it."""
         packet = self.append(constituents)
         recovered = []
         for i0, state in enumerate(self.states):
             for k in state.receive(packet):
-                self.cells[i0, k - 1] = RECEIVED
-                recovered.append((i0, k))
+                self.missing[k - 1] &= ~(1 << i0)
+                recovered.append(k)
         return recovered
 
     def append(self, constituents, original: bool = False) -> CodedPacket:
@@ -121,32 +125,27 @@ class _Run:
         return packet
 
     def result(self, algorithm: str, **extra) -> RunResult:
-        if self.cells.any():
+        if any(self.missing):
             raise IntegrityError(f"{algorithm} finished with unrecovered cells")
         return RunResult(algorithm, Schedule(self.tx), self.states,
                          self.original_slot, self.losses, **extra)
 
 
-def _grow_coded_set(cells: np.ndarray, ordered: list[int]) -> list[int]:
-    """Extend ordered[0] with later packets while every receiver that misses
-    any constituent misses at most one (immediate decodability for all).
+def _grow_coded_set(missing: list[int], ordered: list[int]) -> list[int]:
+    """Grow an XOR set along ``ordered``, starting from its head, while every
+    receiver that misses any constituent misses at most one (immediate
+    decodability for all).
 
-    Candidates are tried in the given order; once rejected a packet would be
-    rejected against any larger set too, so each acceptance only rescans the
-    candidates after it.
+    A packet rejected against the set would be rejected against any larger
+    set too, so one pass in order suffices.
     """
-    chosen = [ordered[0]]
-    misses = cells[:, ordered[0] - 1].astype(np.int64)
-    rest = np.array([k - 1 for k in ordered[1:]], dtype=np.intp)
-    while rest.size:
-        fits = (misses[:, None] + cells[:, rest]).max(axis=0) <= 1
-        hits = np.flatnonzero(fits)
-        if hits.size == 0:
-            break
-        col = int(rest[hits[0]])
-        chosen.append(col + 1)
-        misses = misses + cells[:, col]
-        rest = rest[hits[0] + 1:]
+    chosen = []
+    covered = 0  # receivers missing one of the chosen packets
+    for k in ordered:
+        col = missing[k - 1]
+        if not col & covered:
+            chosen.append(k)
+            covered |= col
     return chosen
 
 
@@ -167,10 +166,10 @@ def greedy_nc(matrix: TransmissionMatrix) -> RunResult:
     run = _Run(matrix)
     run.send_batch()
     while True:
-        lost = (np.flatnonzero(run.cells.any(axis=0)) + 1).tolist()
+        lost = [k for k, col in enumerate(run.missing, 1) if col]
         if not lost:
             break
-        run.send(_grow_coded_set(run.cells, lost))
+        run.send(_grow_coded_set(run.missing, lost))
     return run.result("greedy")
 
 
@@ -183,15 +182,13 @@ def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
     """
     run = _Run(matrix)
     run.send_batch()
-    cu = run.cells.sum(axis=0, dtype=np.int64)
-    # 0-based columns by descending utility, ties lower id first
-    order = np.argsort(-cu, kind="stable")[:np.count_nonzero(cu)]
-    for idx, col in enumerate(order):
-        missing = run.cells.any(axis=0)
-        if not missing[col]:
-            continue
-        pending = order[idx:]
-        run.send(_grow_coded_set(run.cells, (pending[missing[pending]] + 1).tolist()))
+    cu = run.losses.sum(axis=0, dtype=np.int64)
+    # packets by descending utility, ties lower id first
+    order = (np.argsort(-cu, kind="stable")[:np.count_nonzero(cu)] + 1).tolist()
+    missing = run.missing
+    for idx, k in enumerate(order):
+        if missing[k - 1]:
+            run.send(_grow_coded_set(missing, [j for j in order[idx:] if missing[j - 1]]))
     return run.result("sort-utility")
 
 
@@ -225,7 +222,7 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
                 for k0 in cols.tolist():
                     state.have.add(k0 + 1)
                     state.recovery_slot[k0 + 1] = slot
-                run.cells[i0, cols] = RECEIVED
+                    run.missing[k0] &= ~(1 << i0)
     return run.result("rlnc", coefficients=coefficients)
 
 
@@ -290,7 +287,7 @@ class _BenefitRun(_Run):
     requirement on how many receivers a coded repair must help now or
     later, relaxed by one per scan cycle.  Cycle 1 interleaves originals
     with repairs; cycles 2..M only rescan outstanding packets.  Gates only
-    ever look at the ``cells`` of packets already sent.
+    ever look at the ``missing`` masks of packets already sent.
     """
 
     def __init__(self, matrix: TransmissionMatrix,
@@ -301,21 +298,13 @@ class _BenefitRun(_Run):
         if not 1 <= start <= self.m:
             raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
         super().__init__(matrix)
-        self.cu = self.cells.sum(axis=0).astype(np.int64)  # kept in step with cells
+        self.cu = self.losses.sum(axis=0, dtype=np.int64)  # bit counts of missing
         self.audit: list[BenefitAudit] = []
         self.sent = 0
         self.cycle = 1
         self.desired_benefit = start
         self.prospective: list[int] = []
         self._wait = np.full(self.n, _FREE, dtype=np.int8)
-        # per-receiver missing-packet bitmasks (bit k-1 = packet k missing)
-        self._row_miss = [
-            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in self.cells
-        ]
-        # prospective-set summary, maintained incrementally
-        self._pros_mask = 0
-        self._pros_min_cu = 0
 
     def execute(self) -> RunResult:
         self._scan()
@@ -348,13 +337,12 @@ class _BenefitRun(_Run):
                 self.sent += 1
                 k = self.sent
                 self.send_original(k)
-                cu = int(self.cu[k - 1])
-                if cu >= self.desired_benefit:
+                if self.cu[k - 1] >= self.desired_benefit:
                     # missed by enough receivers on its own: repair it uncoded
                     # right away, no coding partner search.  A fresh original
                     # sits in no buffer and no prospective set, so this leaves
                     # the coding state untouched.
-                    self._transmit_repair([k], self._read_gates(1 << (k - 1)), cu)
+                    self._transmit_repair([k], self._read_gates([k]))
                 else:
                     self._consider(k)
             else:
@@ -380,31 +368,22 @@ class _BenefitRun(_Run):
 
     # -- transmission plumbing --
 
-    def _transmit_repair(self, ids: list[int], gates: tuple[int, int],
-                         min_cu: int) -> None:
-        for i0, k in self.send(ids):
+    def _transmit_repair(self, ids: list[int], gates: tuple[int, int, int]) -> None:
+        for k in self.send(ids):
             self.cu[k - 1] -= 1
-            self._row_miss[i0] &= ~(1 << (k - 1))
-        decode_benefit, combination_benefit = gates
         self.audit.append(BenefitAudit(
-            len(self.tx), tuple(ids), self.cycle, self.desired_benefit,
-            decode_benefit, min_cu, combination_benefit))
+            len(self.tx), tuple(ids), self.cycle, self.desired_benefit, *gates))
 
     # -- gate machinery --
 
     def _consider(self, newcomer: int) -> None:
-        # bitmask bookkeeping makes each consideration a handful of popcounts
-        cand_mask = self._pros_mask | (1 << (newcomer - 1))
-        min_cu = int(self.cu[newcomer - 1])
-        if self.prospective:
-            min_cu = min(min_cu, self._pros_min_cu)
-        gates = self._read_gates(cand_mask)
+        gates = self._read_gates(self.prospective + [newcomer])
         if gates is None:
             # some constituent would reach no receiver immediately; growing
             # the set only loses decoders, so wait until a set is sent
             self._wait[newcomer - 1] = _HARD
             return
-        if gates[0] < min_cu:
+        if gates[0] < gates[1]:
             # coding would not beat retransmitting the weakest constituent
             # uncoded; the newcomer waits for a different constellation
             self._wait[newcomer - 1] = _SOFT
@@ -415,50 +394,51 @@ class _BenefitRun(_Run):
         self._wait[self._wait == _SOFT] = _FREE
         self._wait[newcomer - 1] = _PROSPECTIVE if self.prospective else _ANCHOR
         self.prospective.append(newcomer)
-        self._pros_mask = cand_mask
-        self._pros_min_cu = min_cu
 
     def _flush_passing(self) -> bool:
         """Transmit the prospective set if it clears all gates; True if sent."""
         if not self.prospective:
             return False
-        gates = self._read_gates(self._pros_mask)
-        if gates is None or gates[0] < self._pros_min_cu \
-                or gates[1] < self.desired_benefit:
+        gates = self._read_gates(self.prospective)
+        if gates is None or gates[0] < gates[1] or gates[2] < self.desired_benefit:
             return False
-        self._transmit_repair(self.prospective, gates, self._pros_min_cu)
+        self._transmit_repair(self.prospective, gates)
         self._clear_prospective()
         return True
 
-    def _read_gates(self, cand_mask: int) -> tuple[int, int] | None:
-        """(decode benefit, combination benefit) of a candidate set, or None
-        if some constituent is not immediately decodable by any receiver."""
-        dec = 0
-        comb = 0
-        gain_union = 0
-        for row in self._row_miss:
-            overlap = row & cand_mask
-            if overlap:
-                comb += 1
-                if not overlap & (overlap - 1):  # single bit: decodes now
-                    dec += 1
-                    gain_union |= overlap
-        if gain_union != cand_mask:
-            return None
-        return dec, comb
+    def _read_gates(self, ids: list[int]) -> tuple[int, int, int] | None:
+        """(decode, minimum, combination benefit) of a candidate set, or None
+        if some constituent is not immediately decodable by any receiver.
+
+        ``ones`` and ``twos`` are a carry-save count of the constituents each
+        receiver misses, so ``ones & ~twos`` are the receivers missing exactly
+        one (they decode now) and ``ones`` those missing any.
+        """
+        missing = self.missing
+        ones = twos = 0
+        minimum = self.m
+        for k in ids:
+            col = missing[k - 1]
+            twos |= ones & col
+            ones |= col
+            utility = col.bit_count()
+            if utility < minimum:
+                minimum = utility
+        decoders = ones & ~twos
+        for k in ids:
+            if not missing[k - 1] & decoders:
+                return None
+        return decoders.bit_count(), minimum, ones.bit_count()
 
     def _clear_prospective(self) -> None:
         self.prospective = []
-        self._pros_mask = 0
-        self._pros_min_cu = 0
         self._wait[self._wait != _ANCHOR] = _FREE
 
 
 # ---------------------------------------------------------------- dispatch
 
 
-def run_scheduler(name: str, matrix: TransmissionMatrix, seed: int = 0,
-                  initial_desired_benefit: int | None = None) -> RunResult:
+def run_scheduler(name: str, matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
     """Run one scheduler by its public name on (a copy of) the given matrix."""
     if name == "arq":
         return baseline_arq(matrix)
@@ -467,7 +447,7 @@ def run_scheduler(name: str, matrix: TransmissionMatrix, seed: int = 0,
     if name == "sort-utility":
         return sort_by_utility(matrix)
     if name == "benefit":
-        return benefit(matrix, initial_desired_benefit)
+        return benefit(matrix)
     if name == "rlnc":
         return rlnc(matrix, seed=seed)
     raise ValueError(f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULER_NAMES)}")

@@ -61,6 +61,14 @@ def test_mark_received_on_received_cell_keeps_utility(worked_example):
     assert worked_example.column_utility(3) == before
 
 
+def test_matrix_does_not_alias_the_callers_array():
+    cells = np.ones((2, 3), dtype=np.uint8)
+    mat = TransmissionMatrix(cells)
+    mat.mark_received(1, 1)
+    assert cells[0, 0] == 1
+    assert mat.cells[0, 0] == 0
+
+
 def test_lost_cell_count_monotone_under_marks(worked_example):
     rng = np.random.default_rng(0)
     last = int(worked_example.cells.sum())

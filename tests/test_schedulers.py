@@ -112,15 +112,31 @@ def test_sort_utility_nothing_lost():
     assert sort_by_utility(mat).schedule.retransmission_count == 0
 
 
+def grown_set(cells, order):
+    """The set the strict rule grows along ``order`` (0-based columns): every
+    still-lost column that keeps each receiver missing at most one."""
+    chosen = []
+    for col in order:
+        if cells[:, col].any() and (cells[:, chosen + [col]].sum(axis=1) <= 1).all():
+            chosen.append(col)
+    return {col + 1 for col in chosen}
+
+
 def test_strict_rule_holds_for_every_repair(worked_example):
+    # each repair obeys the rule and is the full growth along the scheduler's
+    # order: lost packets ascending for greedy, and for sort-utility the
+    # original utility order, whose already recovered packets are passed over
     rng = np.random.default_rng(3)
     matrices = [worked_example] + [random_matrix(rng) for _ in range(120)]
     for mat in matrices:
-        for scheduler in (greedy_nc, sort_by_utility):
+        orders = {greedy_nc: range(mat.batch),
+                  sort_by_utility: np.argsort(-mat.cells.sum(axis=0), kind="stable").tolist()}
+        for scheduler, order in orders.items():
             result = scheduler(mat)
             for packet, shadow in replay_repairs(mat, result):
                 cols = [k - 1 for k in packet.constituents]
                 assert (shadow.cells[:, cols].sum(axis=1) <= 1).all()
+                assert set(packet.constituents) == grown_set(shadow.cells, order)
 
 
 # ---------------------------------------------------------------- rlnc
@@ -330,18 +346,16 @@ def benefit_runs(draw):
 
 
 def assert_benefit_state_consistent(run):
-    """The incremental benefit state equals what ``cells``, the receivers
+    """The incremental benefit state equals what the receivers, the losses
     and ``prospective`` say it should be."""
-    cells = run.cells
-    for row, state in zip(cells, run.states):
-        missing = set(range(1, run.sent + 1)) - state.have
-        assert (np.flatnonzero(row[:run.sent]) + 1).tolist() == sorted(missing)
-    assert np.array_equal(run.cu, cells.sum(axis=0))
-    assert run._row_miss == [sum(1 << int(k0) for k0 in np.flatnonzero(row))
-                             for row in cells]
+    for k in range(1, run.n + 1):
+        if k <= run.sent:
+            lacking = [i0 for i0, state in enumerate(run.states) if k not in state.have]
+        else:
+            lacking = np.flatnonzero(run.losses[:, k - 1]).tolist()
+        assert run.missing[k - 1] == sum(1 << i0 for i0 in lacking)
+        assert run.cu[k - 1] == len(lacking)
     pros = run.prospective
-    assert run._pros_mask == sum(1 << (k - 1) for k in pros)
-    assert run._pros_min_cu == min((int(run.cu[k - 1]) for k in pros), default=0)
     if pros:
         assert run._wait[pros[0] - 1] == _ANCHOR
     assert (np.flatnonzero(run._wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
