@@ -28,7 +28,7 @@ from .harness import (
     trace_run,
 )
 from .schedulers import SCHEDULER_NAMES
-from .theory import TheoryParams, expected_min_retx, q_distribution, theory_ratio
+from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_ratio, q_distribution
 
 
 def _check_range(part: str, lo, hi, step) -> None:
@@ -138,10 +138,10 @@ def _cmd_theory(args) -> int:
             q = q_distribution(params)
             for j, qj in enumerate(q):
                 writer.writerow([m, batch, f"{p:.10g}", j, f"{qj:.12g}"])
-            writer.writerow([m, batch, f"{p:.10g}", "expected_min_retx",
-                             f"{expected_min_retx(params):.12g}"])
-            writer.writerow([m, batch, f"{p:.10g}", "theory_ratio",
-                             f"{theory_ratio(params):.12g}"])
+            floor = floor_mean(q)
+            ratio = floor_ratio(floor, expected_baseline_retx(params))
+            writer.writerow([m, batch, f"{p:.10g}", "expected_min_retx", f"{floor:.12g}"])
+            writer.writerow([m, batch, f"{p:.10g}", "theory_ratio", f"{ratio:.12g}"])
     print(f"wrote {args.out}")
     return 0
 

@@ -32,7 +32,7 @@ from .gf import Gf256Basis, mat_vec, solve
 from .metrics import run_metrics
 from .model import RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
-from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, theory_ratio
+from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, floor_ratio
 
 CSV_COLUMNS = ("algorithm", "M", "N", "p", "replication", "seed",
                "retransmissions", "baseline_retransmissions", "ratio",
@@ -196,12 +196,12 @@ def _aggregate_rows(config: ExperimentConfig, receivers: int, loss: float,
 
 def _theory_row(receivers: int, loss: float, batch: int) -> dict:
     params = TheoryParams.homogeneous(receivers, batch, loss)
+    floor, baseline = expected_min_retx(params), expected_baseline_retx(params)
     return {
         "algorithm": "theory", "M": receivers, "N": batch, "p": loss,
         "replication": "", "seed": "",
-        "retransmissions": expected_min_retx(params),
-        "baseline_retransmissions": expected_baseline_retx(params),
-        "ratio": theory_ratio(params), "ttd_mean": "", "ttd_std": "",
+        "retransmissions": floor, "baseline_retransmissions": baseline,
+        "ratio": floor_ratio(floor, baseline), "ttd_mean": "", "ttd_std": "",
     }
 
 

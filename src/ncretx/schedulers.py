@@ -279,6 +279,20 @@ _PROSPECTIVE = 3  # in the prospective set: until the set is sent or dropped
 _ANCHOR = 4       # anchored a prospective set: until the next scan cycle
 
 
+def _rejection(gates: tuple[int, int, int] | None) -> int:
+    """Why a candidate with these gates may not join the prospective set
+    (``_HARD`` or ``_SOFT``), or ``_FREE`` if it may."""
+    if gates is None:
+        # some constituent would reach no receiver immediately; growing the
+        # set only loses decoders, so wait until a set is sent
+        return _HARD
+    if gates[0] < gates[1]:
+        # coding would not beat retransmitting the weakest constituent
+        # uncoded; wait for a different constellation
+        return _SOFT
+    return _FREE
+
+
 class _BenefitRun(_Run):
     """Sender-side state of one benefit run.
 
@@ -298,7 +312,7 @@ class _BenefitRun(_Run):
         if not 1 <= start <= self.m:
             raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
         super().__init__(matrix)
-        self.cu = self.losses.sum(axis=0, dtype=np.int64)  # bit counts of missing
+        self.cu = self.losses.sum(axis=0).tolist()  # bit counts of missing
         self.audit: list[BenefitAudit] = []
         self.sent = 0
         self.cycle = 1
@@ -309,7 +323,7 @@ class _BenefitRun(_Run):
     def execute(self) -> RunResult:
         self._scan()
         # every original is out now, so cu counts all outstanding cells
-        while self.cu.any() and self.desired_benefit > 1:
+        while any(self.cu) and self.desired_benefit > 1:
             self.cycle += 1
             self.desired_benefit -= 1
             self._clear_prospective()
@@ -351,20 +365,34 @@ class _BenefitRun(_Run):
     # -- scan order --
 
     def _next_scan_target(self) -> int | None:
-        """Outstanding packet to consider next: highest utility, lowest id.
+        """Judge the free outstanding packets in scan order (highest utility,
+        then lowest id) against the prospective set; mark each rejected one
+        and return the first that passes, or None.
 
         Cycle 1 scans only packets that are partially missing (1 <= cu < M);
         later cycles scan anything still missing.  Either way the packet
-        must have no reason to wait (``_wait``).
+        must have no reason to wait (``_wait``).  Judging the whole list in
+        one walk is exact: while the prospective set, ``missing`` and ``cu``
+        stay unchanged, a rejection only sets that packet's own ``_wait``,
+        so the next packet the scan would pick is the next one in this order
+        and is judged against the same set, whose summary is folded once.
         """
-        cu = self.cu[:self.sent]
-        mask = (cu >= 1) & (self._wait[:self.sent] == _FREE)
-        if self.cycle == 1:
-            mask &= cu < self.m
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return None
-        return int(idx[np.argmax(cu[idx])]) + 1  # argmax ties break low-id
+        cu = self.cu
+        wait = self._wait.tolist()
+        top = self.m if self.cycle == 1 else self.m + 1
+        summary = self._summarize(self.prospective)
+        missing = self.missing
+        # stable: equal utilities keep the lower id first
+        for k0 in sorted(range(self.sent), key=cu.__getitem__, reverse=True):
+            if cu[k0] >= top or wait[k0] != _FREE:
+                continue
+            if not cu[k0]:
+                break
+            reason = _rejection(self._gates_with(summary, missing[k0]))
+            if reason == _FREE:
+                return k0 + 1
+            self._wait[k0] = reason
+        return None
 
     # -- transmission plumbing --
 
@@ -377,16 +405,9 @@ class _BenefitRun(_Run):
     # -- gate machinery --
 
     def _consider(self, newcomer: int) -> None:
-        gates = self._read_gates(self.prospective + [newcomer])
-        if gates is None:
-            # some constituent would reach no receiver immediately; growing
-            # the set only loses decoders, so wait until a set is sent
-            self._wait[newcomer - 1] = _HARD
-            return
-        if gates[0] < gates[1]:
-            # coding would not beat retransmitting the weakest constituent
-            # uncoded; the newcomer waits for a different constellation
-            self._wait[newcomer - 1] = _SOFT
+        reason = _rejection(self._read_gates(self.prospective + [newcomer]))
+        if reason != _FREE:
+            self._wait[newcomer - 1] = reason
             return
         # keep the candidate either way: a set short of the desired benefit
         # waits for reinforcements, a passing one is still grown until no
@@ -400,7 +421,7 @@ class _BenefitRun(_Run):
         if not self.prospective:
             return False
         gates = self._read_gates(self.prospective)
-        if gates is None or gates[0] < gates[1] or gates[2] < self.desired_benefit:
+        if _rejection(gates) != _FREE or gates[2] < self.desired_benefit:
             return False
         self._transmit_repair(self.prospective, gates)
         self._clear_prospective()
@@ -408,11 +429,17 @@ class _BenefitRun(_Run):
 
     def _read_gates(self, ids: list[int]) -> tuple[int, int, int] | None:
         """(decode, minimum, combination benefit) of a candidate set, or None
-        if some constituent is not immediately decodable by any receiver.
+        if some constituent is not immediately decodable by any receiver."""
+        return self._gates_with(self._summarize(ids[:-1]), self.missing[ids[-1] - 1])
+
+    def _summarize(self, ids: list[int]) -> tuple[int, int, int, list[int]]:
+        """Fold a set's ``missing`` masks, once, into what judging a newcomer
+        against it needs: the receivers missing any constituent, those
+        missing exactly one (they decode now), the minimum utility, and per
+        constituent the receivers that decode it now.
 
         ``ones`` and ``twos`` are a carry-save count of the constituents each
-        receiver misses, so ``ones & ~twos`` are the receivers missing exactly
-        one (they decode now) and ``ones`` those missing any.
+        receiver misses, so ``ones & ~twos`` misses exactly one.
         """
         missing = self.missing
         ones = twos = 0
@@ -425,10 +452,27 @@ class _BenefitRun(_Run):
             if utility < minimum:
                 minimum = utility
         decoders = ones & ~twos
-        for k in ids:
-            if not missing[k - 1] & decoders:
+        return ones, decoders, minimum, [missing[k - 1] & decoders for k in ids]
+
+    @staticmethod
+    def _gates_with(summary: tuple[int, int, int, list[int]],
+              col: int) -> tuple[int, int, int] | None:
+        """The gates of a summarized set grown by a newcomer that the
+        receivers in ``col`` miss.
+
+        A receiver decodes the grown set now if it missed exactly one old
+        constituent and not the newcomer, or only the newcomer.  So an old
+        constituent stays decodable iff ``col`` leaves one of its decoders
+        out, and the newcomer is decodable iff some receiver misses it alone.
+        """
+        ones, decoders, minimum, decodes_own = summary
+        if not col & ~ones:
+            return None
+        for own in decodes_own:
+            if not own & ~col:
                 return None
-        return decoders.bit_count(), minimum, ones.bit_count()
+        decoders = (decoders & ~col) | (col & ~ones)
+        return decoders.bit_count(), min(minimum, col.bit_count()), (ones | col).bit_count()
 
     def _clear_prospective(self) -> None:
         self.prospective = []

@@ -71,8 +71,12 @@ def q_distribution(params: TheoryParams) -> np.ndarray:
 
 def expected_min_retx(params: TheoryParams) -> float:
     """E[max_i L_i]: expected minimum number of repair transmissions."""
-    q = q_distribution(params)
-    return float(np.arange(params.batch + 1) @ q)
+    return floor_mean(q_distribution(params))
+
+
+def floor_mean(q: np.ndarray) -> float:
+    """sum_j j * Q_j, the mean of a Q_j distribution over j = 0..N."""
+    return float(np.arange(q.size) @ q)
 
 
 def expected_baseline_retx(params: TheoryParams) -> float:
@@ -88,11 +92,11 @@ def expected_baseline_retx(params: TheoryParams) -> float:
 
 
 def theory_ratio(params: TheoryParams) -> float:
-    """Lower-bound retransmission ratio: E[max_i L_i] / E[ARQ repairs].
+    """Lower-bound retransmission ratio: E[max_i L_i] / E[ARQ repairs]."""
+    return floor_ratio(expected_min_retx(params), expected_baseline_retx(params))
 
-    Zero when no receiver ever loses anything (no repairs to compare).
-    """
-    baseline = expected_baseline_retx(params)
-    if baseline == 0.0:
-        return 0.0
-    return expected_min_retx(params) / baseline
+
+def floor_ratio(min_retx: float, baseline: float) -> float:
+    """The floor over the ARQ mean, or zero when no receiver ever loses
+    anything (no repairs to compare)."""
+    return 0.0 if baseline == 0.0 else min_retx / baseline

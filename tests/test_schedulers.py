@@ -20,7 +20,7 @@ from ncretx import (
     sample_matrix,
     sort_by_utility,
 )
-from ncretx.schedulers import _ANCHOR, _PROSPECTIVE, _BenefitRun
+from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _SOFT, _BenefitRun
 
 from conftest import random_matrix
 
@@ -359,6 +359,13 @@ def assert_benefit_state_consistent(run):
     if pros:
         assert run._wait[pros[0] - 1] == _ANCHOR
     assert (np.flatnonzero(run._wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
+    # a rejection still holds against the current set: hard ones leave some
+    # constituent undecodable, soft ones decode fewer than the minimum
+    for k0 in np.flatnonzero(run._wait == _HARD).tolist():
+        assert run._read_gates(pros + [k0 + 1]) is None
+    for k0 in np.flatnonzero(run._wait == _SOFT).tolist():
+        gates = run._read_gates(pros + [k0 + 1])
+        assert gates is not None and gates[0] < gates[1]
 
 
 @given(benefit_runs())
@@ -369,7 +376,8 @@ def assert_benefit_state_consistent(run):
 def test_benefit_incremental_state_matches_recomputation(run_input):
     # every transmission is followed by a scan or, for an original repaired
     # at once, by that repair, so checking on entry to both checks the state
-    # after each transmission (and after each consideration)
+    # after each transmission (and after each consideration); checking on
+    # entry to _consider also sees the marks a scan left before admitting
     mat, start = run_input
     checked_slots = set()
 
@@ -381,11 +389,60 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_next_scan_target", "_transmit_repair"):
+        for name in ("_next_scan_target", "_consider", "_transmit_repair"):
             mp.setattr(_BenefitRun, name, checking(getattr(_BenefitRun, name)))
         result = benefit(mat, start)
     assert checked_slots >= set(range(1, len(result.schedule.transmissions) + 1))
     assert not any(a.forced for a in result.audit)
+
+
+class OneCandidatePerCall(_BenefitRun):
+    """Reference benefit scan: each call picks the single next free packet
+    (highest utility, lowest id) and leaves judging it to ``_consider``, with
+    the gates read by a direct fold over the whole candidate set."""
+
+    def _next_scan_target(self):
+        cu = np.array(self.cu[:self.sent])
+        mask = (cu >= 1) & (self._wait[:self.sent] == _FREE)
+        if self.cycle == 1:
+            mask &= cu < self.m
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            return None
+        return int(idx[np.argmax(cu[idx])]) + 1  # argmax ties break low-id
+
+    def _read_gates(self, ids):
+        ones = twos = 0
+        minimum = self.m
+        for k in ids:
+            col = self.missing[k - 1]
+            twos |= ones & col
+            ones |= col
+            minimum = min(minimum, col.bit_count())
+        decoders = ones & ~twos
+        if any(not self.missing[k - 1] & decoders for k in ids):
+            return None
+        return decoders.bit_count(), minimum, ones.bit_count()
+
+
+@given(loss_matrices(max_receivers=12))
+@example(TransmissionMatrix(np.ones((2, 1), dtype=np.uint8)))
+@example(TransmissionMatrix(np.ones((12, 40), dtype=np.uint8)))
+@example(TransmissionMatrix(np.zeros((12, 40), dtype=np.uint8)))
+@example(sample_matrix(ChannelParams.homogeneous(30, 0.5, seed=8), 100))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_benefit_bulk_rejection_matches_one_candidate_per_call(mat):
+    for start in (None, 1, math.ceil(mat.receivers / 2)):
+        result = benefit(mat, start)
+        reference = OneCandidatePerCall(mat, start).execute()
+        assert [(cp.slot, cp.constituents, cp.original)
+                for cp in result.schedule.transmissions] == \
+               [(cp.slot, cp.constituents, cp.original)
+                for cp in reference.schedule.transmissions]
+        assert result.audit == reference.audit
+        for state, ref in zip(result.receivers, reference.receivers):
+            assert list(state.recovery_slot.items()) == list(ref.recovery_slot.items())
+            assert state.source == ref.source
 
 
 def test_benefit_desired_benefit_bounds(worked_example):
