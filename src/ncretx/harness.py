@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.output_path is not None and not Path(self.output_path).parent.is_dir():
+            raise ValueError(f"output directory {Path(self.output_path).parent} does not exist")
 
     @property
     def scheduler_names(self) -> list[str]:
@@ -343,29 +345,33 @@ def _check_xor_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     A packet received as an original is its own wire bytes and must not have
     been lost at that receiver.  A repaired packet is the wire XOR of its
     source packet, sent no later than the recovery, with every other
-    constituent's already rebuilt bytes XOR-ed out.
+    constituent's already rebuilt bytes XOR-ed out.  Each payload is held as
+    one int, so a wire or a rebuild is one int XOR per constituent.
     """
-    wires: dict[int, np.ndarray] = {}
+    values = [int.from_bytes(row.tobytes(), "big") for row in payloads]
+    wires: dict[int, int] = {}
     for i, state in enumerate(result.receivers, start=1):
-        rebuilt: dict[int, np.ndarray] = {}
+        rebuilt: dict[int, int] = {}
         for k, slot in state.recovery_slot.items():
             packet = state.source.get(k)
             if packet is None:
                 if result.losses[i - 1, k - 1]:
                     raise PayloadMismatch(i, k)
-                data = payloads[k - 1]
+                data = values[k - 1]
             else:
                 if packet.slot > slot:
                     raise PayloadMismatch(i, k)
                 if packet.slot not in wires:
-                    wires[packet.slot] = np.bitwise_xor.reduce(
-                        payloads[[c - 1 for c in packet.constituents]])
+                    wire = 0
+                    for c in packet.constituents:
+                        wire ^= values[c - 1]
+                    wires[packet.slot] = wire
                 data = wires[packet.slot]
                 for other in packet.constituents - {k}:
                     if other not in rebuilt:
                         raise PayloadMismatch(i, k)
-                    data = data ^ rebuilt[other]
-            if not np.array_equal(data, payloads[k - 1]):
+                    data ^= rebuilt[other]
+            if data != values[k - 1]:
                 raise PayloadMismatch(i, k)
             rebuilt[k] = data
         for k in range(1, len(payloads) + 1):
@@ -384,7 +390,8 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     """
     repairs = [packet for packet in result.schedule.transmissions if not packet.original]
     coefficients = result.coefficients or []
-    wires = [mat_vec(payloads.T, vec) for vec in coefficients]
+    columns = np.ascontiguousarray(payloads.T)  # byte-major: row b is byte b of every packet
+    wires = [mat_vec(columns, vec) for vec in coefficients]
     original_slot = result.original_slot.tolist()
     for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
         known = np.flatnonzero(row == RECEIVED)
@@ -394,7 +401,7 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
         lost = np.flatnonzero(row)
         if not lost.size:
             continue
-        known_payloads = payloads[known].T
+        known_payloads = columns[:, known]
         basis = Gf256Basis()
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ncretx import TransmissionMatrix
 
@@ -33,4 +34,19 @@ def random_matrix(rng: np.random.Generator, max_receivers: int = 8,
     n = int(rng.integers(1, max_batch + 1))
     p = rng.uniform(0.05, 0.95, size=m)
     cells = rng.random((m, n)) < p[:, None]
+    return TransmissionMatrix(cells.astype(np.uint8))
+
+
+@st.composite
+def loss_matrices(draw, max_receivers=10, max_batch=40):
+    """A loss matrix with per-receiver p in [0, 1], or all lost, or none."""
+    m = draw(st.integers(2, max_receivers))
+    n = draw(st.integers(1, max_batch))
+    kind = draw(st.sampled_from(["random", "all-lost", "none-lost"]))
+    if kind == "random":
+        p = np.array(draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cells = rng.random((m, n)) < p[:, None]
+    else:
+        cells = np.full((m, n), kind == "all-lost")
     return TransmissionMatrix(cells.astype(np.uint8))

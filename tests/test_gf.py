@@ -232,15 +232,35 @@ def test_mat_vec_matches_scalar_products():
     rng = np.random.default_rng(31)
     for shape in [(1, 1), (5, 7), (64, 200), (3, 0), (0, 4)]:
         matrix = rng.integers(0, 256, shape, dtype=np.uint8)
-        vec = rng.integers(0, 256, shape[1], dtype=np.uint8)
-        expected = []
-        for row in matrix.tolist():
-            acc = 0
-            for a, b in zip(row, vec.tolist()):
-                acc ^= int(MUL_TABLE[a, b])
-            expected.append(acc)
-        got = mat_vec(matrix, vec)
-        assert got.dtype == np.uint8 and got.tolist() == expected
+        known = np.flatnonzero(rng.random(shape[1]) < 0.5)
+        # contiguous, a transposed view, and a column fancy-index of a
+        # byte-major array (the layouts the rlnc payload replay passes)
+        for layout in (matrix, np.ascontiguousarray(matrix.T).T, matrix[:, known]):
+            vec = rng.integers(0, 256, layout.shape[1], dtype=np.uint8)
+            expected = []
+            for row in layout.tolist():
+                acc = 0
+                for a, b in zip(row, vec.tolist()):
+                    acc ^= int(MUL_TABLE[a, b])
+                expected.append(acc)
+            got = mat_vec(layout, vec)
+            assert got.dtype == np.uint8 and got.tolist() == expected
+
+
+def test_basis_one_wide_and_all_zero_inserts():
+    basis = Gf256Basis()
+    assert not basis.insert(np.zeros(1, dtype=np.uint8))
+    assert basis.rank == 0
+    assert basis.insert(np.array([37], dtype=np.uint8))
+    assert basis.rank == 1 and basis._rows[0].tolist() == [1]
+    assert not basis.insert(np.array([200], dtype=np.uint8))
+    assert not basis.insert(np.zeros(1, dtype=np.uint8))
+    wide = Gf256Basis()
+    assert not wide.insert(np.zeros(6, dtype=np.uint8))
+    assert wide.insert(np.array([0, 0, 5, 0, 9, 0], dtype=np.uint8))
+    assert not wide.insert(np.zeros(6, dtype=np.uint8))
+    assert wide.rank == 1
+    assert wide._rows[0].tolist() == [0, 0, 1, 0, int(MUL_TABLE[9, INV_TABLE[5]]), 0]
 
 
 # -- GF(2) elimination oracle --

@@ -5,6 +5,8 @@ import filecmp
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncretx import SCHEDULER_NAMES, CodedPacket, TransmissionMatrix
 from ncretx.cli import main as cli_main, parse_float_range, parse_int_range
@@ -22,7 +24,7 @@ from ncretx.harness import (
     trace_run,
 )
 
-from conftest import random_matrix
+from conftest import loss_matrices, random_matrix
 
 
 def small_config(out, **kw):
@@ -203,6 +205,44 @@ def test_payload_mismatch_names_receiver_and_packet(worked_example, monkeypatch)
     assert (err.value.receiver, err.value.packet) == (3, 4)
 
 
+@pytest.mark.parametrize("receiver,packet,slot", [
+    # receiver 3 claims lost c3 as a received original (no source)
+    (3, 3, None),
+    # receiver 2 claims c4 came out of the slot-3 repair c1^c2: every
+    # constituent is rebuilt by then, so only the byte comparison sees it
+    (2, 4, 3),
+])
+def test_payload_mismatch_on_a_wrong_source(worked_example, monkeypatch, receiver,
+                                            packet, slot):
+    import ncretx.harness as H
+
+    real = H.run_scheduler
+
+    def corrupted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        source = result.receivers[receiver - 1].source
+        if slot is None:
+            del source[packet]
+        else:
+            earlier = result.schedule.transmissions[slot - 1]
+            assert not earlier.original and packet not in earlier.constituents
+            source[packet] = earlier
+        return result
+
+    monkeypatch.setattr(H, "run_scheduler", corrupted)
+    with pytest.raises(PayloadMismatch) as err:
+        payload_check(worked_example, "benefit", payload_len=8, seed=1)
+    assert (err.value.receiver, err.value.packet) == (receiver, packet)
+
+
+@given(loss_matrices(), st.integers(0, 2**32 - 1))
+@example(TransmissionMatrix(np.ones((2, 1), dtype=np.uint8)), 0)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_payload_round_trip_property(mat, seed):
+    for name in SCHEDULER_NAMES:
+        payload_check(mat, name, payload_len=4, seed=seed)
+
+
 @pytest.mark.parametrize("dated,first", [("lost", (1, 1)), ("received", (1, 3))])
 def test_rlnc_payload_check_rejects_early_recovery_slots(worked_example, monkeypatch,
                                                         dated, first):
@@ -317,6 +357,22 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "fig" / "fig5.csv").exists()
+
+
+def test_cli_simulate_rejects_missing_output_directory(tmp_path, capsys, monkeypatch):
+    import ncretx.harness as H
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran before the output path was checked")
+
+    monkeypatch.setattr(H, "run_replication", no_replication)
+    out = tmp_path / "missing" / "x.csv"
+    rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", "3", "--loss", "0.5",
+                   "--batch", "5", "--reps", "1", "--workers", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: output directory {tmp_path / 'missing'} does not exist\n"
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("algorithms", ["arq", "theory"])

@@ -22,7 +22,7 @@ from ncretx import (
 )
 from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _SOFT, _BenefitRun
 
-from conftest import random_matrix
+from conftest import loss_matrices, random_matrix
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -235,21 +235,6 @@ def rlnc_oracle(mat, seed):
                 for k0 in np.flatnonzero(mat.cells[i]).tolist():
                     recovery[i][k0 + 1] = slot
     return coefficients, recovery
-
-
-@st.composite
-def loss_matrices(draw, max_receivers=10, max_batch=40):
-    """A loss matrix with per-receiver p in [0, 1], or all lost, or none."""
-    m = draw(st.integers(2, max_receivers))
-    n = draw(st.integers(1, max_batch))
-    kind = draw(st.sampled_from(["random", "all-lost", "none-lost"]))
-    if kind == "random":
-        p = np.array(draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        cells = rng.random((m, n)) < p[:, None]
-    else:
-        cells = np.full((m, n), kind == "all-lost")
-    return TransmissionMatrix(cells.astype(np.uint8))
 
 
 @given(loss_matrices(), st.integers(0, 2**32 - 1))
