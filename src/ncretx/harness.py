@@ -76,8 +76,12 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.output_path is not None and not Path(self.output_path).parent.is_dir():
-            raise ValueError(f"output directory {Path(self.output_path).parent} does not exist")
+        if self.output_path is not None:  # before a sweep that may run for minutes
+            out = Path(self.output_path)
+            if not out.parent.is_dir():
+                raise ValueError(f"output directory {out.parent} does not exist")
+            if out.is_dir():
+                raise ValueError(f"output path {out} is a directory")
 
     @property
     def scheduler_names(self) -> list[str]:
@@ -345,8 +349,7 @@ def _check_xor_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     A packet received as an original is its own wire bytes and must not have
     been lost at that receiver.  A repaired packet is the wire XOR of its
     source packet, sent no later than the recovery, with every other
-    constituent's already rebuilt bytes XOR-ed out.  Each payload is held as
-    one int, so a wire or a rebuild is one int XOR per constituent.
+    constituent's already rebuilt bytes XOR-ed out, all as one int per payload.
     """
     values = [int.from_bytes(row.tobytes(), "big") for row in payloads]
     wires: dict[int, int] = {}

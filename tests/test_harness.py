@@ -359,20 +359,26 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     assert not (tmp_path / "fig" / "fig5.csv").exists()
 
 
-def test_cli_simulate_rejects_missing_output_directory(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out,message", [
+    ("missing/x.csv", "output directory {tmp}/missing does not exist"),
+    ("existing", "output path {tmp}/existing is a directory"),
+])
+def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, monkeypatch,
+                                                           out, message):
     import ncretx.harness as H
 
     def no_replication(*args):
         raise AssertionError("a replication ran before the output path was checked")
 
     monkeypatch.setattr(H, "run_replication", no_replication)
-    out = tmp_path / "missing" / "x.csv"
+    (tmp_path / "existing").mkdir()
     rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", "3", "--loss", "0.5",
-                   "--batch", "5", "--reps", "1", "--workers", "1", "--out", str(out)])
+                   "--batch", "5", "--reps", "1", "--workers", "1",
+                   "--out", str(tmp_path / out)])
     assert rc == 1
-    assert capsys.readouterr().err == \
-        f"error: output directory {tmp_path / 'missing'} does not exist\n"
+    assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
     assert not (tmp_path / "missing").exists()
+    assert not any((tmp_path / "existing").iterdir())
 
 
 @pytest.mark.parametrize("algorithms", ["arq", "theory"])
