@@ -59,8 +59,10 @@ def sample_matrix(params: ChannelParams, batch: int) -> TransmissionMatrix:
     return TransmissionMatrix(cells)
 
 
-def sample_loss_counts(params: ChannelParams, batch: int, replications: int,
-                       chunk: int = 10_000) -> np.ndarray:
+_CHUNK = 10_000  # replications drawn per block in sample_loss_counts
+
+
+def sample_loss_counts(params: ChannelParams, batch: int, replications: int) -> np.ndarray:
     """Per-receiver lost-packet counts L_i for many independent batches.
 
     Batched Monte Carlo path for distributional checks: row i consumes its
@@ -72,10 +74,7 @@ def sample_loss_counts(params: ChannelParams, batch: int, replications: int,
     counts = np.empty((replications, params.receivers), dtype=np.int64)
     for i, p in enumerate(params.loss_probabilities, start=1):
         rng = _row_rng(params.seed, i)
-        done = 0
-        while done < replications:
-            step = min(chunk, replications - done)
-            draws = rng.random((step, batch)) < p
-            counts[done:done + step, i - 1] = draws.sum(axis=1)
-            done += step
+        for done in range(0, replications, _CHUNK):
+            draws = rng.random((min(_CHUNK, replications - done), batch)) < p
+            counts[done:done + len(draws), i - 1] = draws.sum(axis=1)
     return counts

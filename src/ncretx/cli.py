@@ -7,7 +7,7 @@
     ncretx trace    --matrix table.txt --algorithm benefit
 
 Ranges: "a..b" (ints, step 1), "a..b:step", or comma-separated values.
-Exit status 0 on success, 2 on an invariant violation, 1 on bad input.
+Exit status 0 on success, 2 on an invariant violation or unrecovered cell, 1 on bad input.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .harness import (
     run_experiment,
     trace_run,
 )
+from .model import IntegrityError
 from .schedulers import SCHEDULER_NAMES
 from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_ratio, q_distribution
 
@@ -171,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                 "figure": _cmd_figure, "trace": _cmd_trace}
     try:
         return handlers[args.command](args)
-    except InvariantViolation as exc:
+    except (InvariantViolation, IntegrityError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

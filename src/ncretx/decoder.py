@@ -1,12 +1,13 @@
 """Per-receiver XOR decoding: immediate decode, buffering and peeling search.
 
-A receiver reduces every arriving coded packet by the packets it already
-holds.  One remaining unknown means immediate recovery; two or more means
-the packet waits in a buffer.  Each recovery triggers a search over the
-buffer for packets that the new knowledge unlocks, peeling recursively
-until nothing changes.  Decoding is symbolic (sets of packet ids), but each
-repaired packet keeps a record of the coded packet it came out of, so the
-harness payload check can rebuild the actual bytes along the same path.
+A receiver reduces every arriving repair by the packets it already holds.
+One remaining unknown means immediate recovery; two or more means the
+repair waits in a buffer.  Each recovery from a repair triggers a search
+over the buffer for packets it unlocks, peeling recursively until nothing
+changes; an original, sent before every repair that holds it, unlocks
+nothing.  Decoding is symbolic (sets of packet ids), but each repaired
+packet keeps a record of the coded packet it came out of, so the harness
+payload check can rebuild the actual bytes along the same path.
 """
 
 from __future__ import annotations
@@ -17,44 +18,47 @@ from .model import CodedPacket
 class ReceiverState:
     """What one receiver holds: recovered packets plus pending coded packets.
 
-    ``have`` is the set of recovered packet ids and ``recovery_slot`` maps
-    each to the slot it became known in, in recovery order.  ``source`` maps
-    each packet recovered from a repair to the coded packet that yielded it;
-    a packet absent from ``source`` was received as an original.  ``buffer``
-    keeps ``(unknowns, packet)`` for coded packets that could not be decoded
-    yet, ``unknowns`` being the constituents still missing (always at least
-    two).
+    ``recovery_slot`` maps each recovered packet id to the slot it became
+    known in, in recovery order; its keys are the packets the receiver
+    holds.  ``source`` maps each packet recovered from a repair to the coded
+    packet that yielded it; a packet absent from ``source`` was received as
+    an original.  ``buffer`` keeps ``(unknowns, packet)`` for coded packets
+    that could not be decoded yet, ``unknowns`` being the constituents still
+    missing (always at least two).
     """
 
     def __init__(self) -> None:
-        self.have: set[int] = set()
-        self.buffer: list[tuple[set[int], CodedPacket]] = []
         self.recovery_slot: dict[int, int] = {}
         self.source: dict[int, CodedPacket] = {}
+        self.buffer: list[tuple[set[int], CodedPacket]] = []
 
-    def receive_original(self, k: int, slot: int) -> list[int]:
-        """An original transmission arrived intact."""
-        if k in self.have:
-            return []
-        return self._learn(k, slot, None)
+    @property
+    def have(self):
+        """The recovered packet ids: a read-only view of ``recovery_slot``."""
+        return self.recovery_slot.keys()
+
+    def receive_original(self, k: int, slot: int) -> None:
+        """Packet k's original arrived intact.  It is sent once, before every
+        repair that holds it, so it is new and unlocks nothing: no search."""
+        self.recovery_slot[k] = slot
 
     def receive(self, packet: CodedPacket) -> list[int]:
-        """Process a (losslessly delivered) coded packet.
-
-        Returns every packet id newly recovered, including any unlocked from
-        the buffer by the peeling search.
-        """
-        unknowns = set(packet.constituents) - self.have
+        """Process a (losslessly delivered) repair; returns every packet id
+        newly recovered, including any the peeling search unlocks."""
+        unknowns = packet.constituents.difference(self.recovery_slot)
         if not unknowns:
             return []  # nothing new in it
         if len(unknowns) == 1:
-            return self._learn(unknowns.pop(), packet.slot, packet)
-        self.buffer.append((unknowns, packet))
+            (k,) = unknowns
+            self.recovery_slot[k] = packet.slot
+            self.source[k] = packet
+            return [k] + self.decode_search(k, packet.slot)
+        self.buffer.append((set(unknowns), packet))
         return []
 
     def decode_search(self, newly: int, slot: int) -> list[int]:
         """Peel the buffer after ``newly`` became known; returns further recoveries."""
-        if newly not in self.have:
+        if newly not in self.recovery_slot:
             raise ValueError(f"packet {newly} has not been recovered")
         recovered: list[int] = []
         frontier = [newly]
@@ -66,8 +70,7 @@ class ReceiverState:
                 unknowns.discard(known)
                 if len(unknowns) == 1:
                     k = unknowns.pop()
-                    if k not in self.have:
-                        self.have.add(k)
+                    if k not in self.recovery_slot:
                         self.recovery_slot[k] = slot
                         self.source[k] = packet
                         recovered.append(k)
@@ -77,10 +80,3 @@ class ReceiverState:
                 # sets reduced to zero unknowns carried no new information
             self.buffer = remaining
         return recovered
-
-    def _learn(self, k: int, slot: int, packet: CodedPacket | None) -> list[int]:
-        self.have.add(k)
-        self.recovery_slot[k] = slot
-        if packet is not None:
-            self.source[k] = packet
-        return [k] + self.decode_search(k, slot)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelParams, sample_matrix
 from .gf import Gf256Basis, mat_vec, solve
-from .metrics import run_metrics
+from .metrics import run_metrics, time_to_decode
 from .model import RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
 from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, floor_ratio
@@ -102,7 +102,7 @@ def replication_seed(base_seed: int, receivers: int, loss: float, batch: int,
 def _check_run(result: RunResult, baseline: RunResult, seed: int) -> None:
     retx = result.schedule.retransmission_count
     batch = result.losses.shape[1]
-    if any(len(state.have) < batch for state in result.receivers):
+    if any(len(state.recovery_slot) < batch for state in result.receivers):
         raise InvariantViolation(f"{result.algorithm}: unrecovered cells (seed {seed})")
     if retx < result.max_receiver_losses:
         raise InvariantViolation(
@@ -119,19 +119,23 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
     """All requested schedulers on one shared sampled matrix."""
     params = ChannelParams.homogeneous(receivers, loss, seed)
     matrix = sample_matrix(params, batch)
-    baseline = run_scheduler("arq", matrix)
-    rows = []
-    for name in scheduler_names:
-        result = baseline if name == "arq" else run_scheduler(name, matrix, seed=seed)
-        _check_run(result, baseline, seed)
-        m = run_metrics(result, baseline)
-        rows.append({
-            "algorithm": name, "M": receivers, "N": batch, "p": loss,
-            "seed": seed, "retransmissions": m.retransmissions,
-            "baseline_retransmissions": m.baseline_retransmissions,
-            "ratio": m.ratio, "ttd_mean": m.ttd_mean, "ttd_std": m.ttd_std,
-            "ttd_samples": m.ttd_samples,
-        })
+    name = "arq"
+    try:
+        baseline = run_scheduler(name, matrix)
+        rows = []
+        for name in scheduler_names:
+            result = baseline if name == "arq" else run_scheduler(name, matrix, seed=seed)
+            _check_run(result, baseline, seed)
+            m = run_metrics(result, baseline)
+            rows.append({
+                "algorithm": name, "M": receivers, "N": batch, "p": loss,
+                "seed": seed, "retransmissions": m.retransmissions,
+                "baseline_retransmissions": m.baseline_retransmissions,
+                "ratio": m.ratio, "ttd_mean": m.ttd_mean, "ttd_std": m.ttd_std,
+                "ttd_samples": m.ttd_samples,
+            })
+    except IntegrityError as exc:  # a broken run: name it and its seed for replay
+        raise InvariantViolation(f"{name}: {exc} (seed {seed})") from exc
     return rows
 
 
@@ -269,6 +273,8 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
               emit=print) -> RunResult:
     """Run one scheduler and narrate every slot: transmission, losses, decodes."""
     result = run_scheduler(algorithm, matrix, seed=seed)
+    # before any line: a run with a cell left lost raises here and prints nothing
+    ttd = time_to_decode(result.losses, result.original_slot, result.receivers)
     emit(f"matrix: {matrix.receivers} receivers x {matrix.batch} packets, "
          f"{int(matrix.cells.sum())} lost cells; algorithm: {algorithm}")
     events = _decode_events(result)
@@ -284,11 +290,9 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
         if what:
             line += " | " + "; ".join(what)
         emit(line)
-    baseline = run_scheduler("arq", matrix)
-    metrics = run_metrics(result, baseline)
-    tail = f"retransmissions={metrics.retransmissions}"
-    if metrics.ttd_samples:
-        tail += f" ttd_mean={metrics.ttd_mean:.6g}"
+    tail = f"retransmissions={result.schedule.retransmission_count}"
+    if ttd.samples:
+        tail += f" ttd_mean={ttd.mean:.6g}"
     emit(tail)
     return result
 

@@ -99,8 +99,7 @@ class _Run:
 
     def send_original(self, k: int) -> None:
         """Send packet k's original in the next slot to every receiver that
-        did not lose it.  A fresh original sits in no buffer, so it unlocks
-        nothing more."""
+        did not lose it."""
         packet = self.append((k,), original=True)
         self.original_slot[k - 1] = packet.slot
         for i0 in np.flatnonzero(self.losses[:, k - 1] == RECEIVED).tolist():
@@ -220,7 +219,6 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
             if (basis.rank < cols.size and basis.insert(vec[cols])
                     and basis.rank == cols.size):
                 for k0 in cols.tolist():
-                    state.have.add(k0 + 1)
                     state.recovery_slot[k0 + 1] = slot
                     run.missing[k0] &= ~(1 << i0)
     return run.result("rlnc", coefficients=coefficients)

@@ -54,6 +54,33 @@ def test_search_unlocks_buffered_packet_at_trigger_slot():
     assert list(state.recovery_slot) == [3, 4, 2, 1]
 
 
+def test_original_runs_no_search(monkeypatch):
+    # an original goes out before every repair holding it, so it can unlock
+    # nothing: receiving one is a single record, with no buffer search
+    state = holding(3)
+    packet = CodedPacket(frozenset({1, 2, 3}), 4)
+    state.receive(packet)
+
+    def no_search(self, newly, slot):
+        raise AssertionError("an original ran the buffer search")
+
+    monkeypatch.setattr(ReceiverState, "decode_search", no_search)
+    assert state.receive_original(5, 5) is None
+    assert state.buffer == [({1, 2}, packet)]
+    assert state.recovery_slot == {3: 1, 5: 5}
+    assert state.source == {}
+
+
+def test_have_is_a_read_only_view_of_recovery_slots():
+    state = holding(2, 4)
+    assert state.have == {2, 4}
+    state.receive(CodedPacket(frozenset({1, 2}), 3))
+    assert state.have == {1, 2, 4} == set(state.recovery_slot)
+    with pytest.raises(AttributeError):
+        state.have = set()
+    assert vars(state).keys() == {"recovery_slot", "source", "buffer"}
+
+
 def test_search_on_empty_buffer():
     state = holding(1)
     assert state.decode_search(1, 5) == []

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_check_run_requires_every_receiver_to_hold_the_batch(worked_example):
     base = run_scheduler("arq", worked_example)
     result = run_scheduler("benefit", worked_example)
     _check_run(result, base, seed=7)
-    result.receivers[3].have.discard(5)
+    del result.receivers[3].recovery_slot[5]
     with pytest.raises(InvariantViolation, match=r"benefit: unrecovered cells \(seed 7\)"):
         _check_run(result, base, seed=7)
 
@@ -379,6 +380,45 @@ def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, mo
     assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
     assert not (tmp_path / "missing").exists()
     assert not any((tmp_path / "existing").iterdir())
+
+
+def drop_repairs_holding_c1(monkeypatch):
+    """Break the decoder: every receiver ignores each repair that holds c1."""
+    from ncretx import ReceiverState
+
+    receive = ReceiverState.receive
+    monkeypatch.setattr(ReceiverState, "receive", lambda self, packet: (
+        [] if 1 in packet.constituents else receive(self, packet)))
+
+
+def assert_one_violation_line(err, *parts):
+    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    assert all(part in err for part in parts), err
+
+
+@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="only forked pool workers inherit the broken decoder"))])
+def test_cli_simulate_reports_an_unrecovered_cell_with_its_seed(tmp_path, capsys,
+                                                               monkeypatch, workers):
+    drop_repairs_holding_c1(monkeypatch)
+    out = tmp_path / "x.csv"
+    rc = cli_main(["simulate", "--algorithms", "greedy", "--receivers", "3",
+                   "--loss", "0.5", "--batch", "10", "--reps", "2",
+                   "--workers", workers, "--out", str(out)])
+    assert rc == 2
+    assert_one_violation_line(capsys.readouterr().err, "unrecovered cells", "(seed ")
+    assert not out.exists()
+
+
+def test_cli_trace_reports_an_unrecovered_cell(worked_example_path, capsys, monkeypatch):
+    drop_repairs_holding_c1(monkeypatch)
+    rc = cli_main(["trace", "--matrix", str(worked_example_path),
+                   "--algorithm", "arq", "--seed", "4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the run is checked before any slot is narrated
+    assert_one_violation_line(captured.err, "arq finished with unrecovered cells")
 
 
 @pytest.mark.parametrize("algorithms", ["arq", "theory"])

@@ -44,8 +44,7 @@ def replay_repairs(matrix, result):
         if packet.original:
             for i in range(1, matrix.receivers + 1):
                 if not matrix.is_lost(i, k):
-                    for kk in states[i - 1].receive_original(k, packet.slot):
-                        shadow.mark_received(i, kk)
+                    states[i - 1].receive_original(k, packet.slot)
             continue
         yield packet, shadow
         for i in range(1, matrix.receivers + 1):
@@ -448,35 +447,45 @@ def test_benefit_lower_initial_benefit_trades_bandwidth_for_delay(worked_example
 # ---------------------------------------------------------------- shared invariants
 
 
-def test_full_recovery_and_repair_floor_everywhere():
-    rng = np.random.default_rng(12)
-    for t in range(150):
-        mat = random_matrix(rng)
-        floor = int(mat.cells.sum(axis=1).max())
-        for name in ALL:
-            result = run_scheduler(name, mat, seed=t)
-            assert all(state.have == set(range(1, mat.batch + 1))
-                       for state in result.receivers)
-            assert result.schedule.retransmission_count >= floor
-            # schedule structure: dense slots, each original exactly once,
-            # marked as such and sent in the slot the run records for it
-            slots = [cp.slot for cp in result.schedule.transmissions]
-            assert slots == list(range(1, len(slots) + 1))
-            originals = {next(iter(cp.constituents)): cp.slot
-                         for cp in result.schedule.transmissions if cp.original}
-            assert sum(cp.original for cp in result.schedule.transmissions) == mat.batch
-            assert originals == {k: int(result.original_slot[k - 1])
-                                 for k in range(1, mat.batch + 1)}
-            assert all(cp.is_uncoded for cp in result.schedule.transmissions if cp.original)
-
-
-def test_coded_schedulers_never_exceed_arq():
-    rng = np.random.default_rng(14)
-    for _ in range(150):
-        mat = random_matrix(rng)
-        base = baseline_arq(mat).schedule.retransmission_count
-        for scheduler in (greedy_nc, sort_by_utility, benefit):
-            assert scheduler(mat).schedule.retransmission_count <= base
+@given(loss_matrices(), st.integers(0, 2**32 - 1))
+@example(TransmissionMatrix(np.ones((2, 1), dtype=np.uint8)), 0)
+@example(TransmissionMatrix(np.ones((10, 40), dtype=np.uint8)), 1)
+@example(TransmissionMatrix(np.zeros((10, 40), dtype=np.uint8)), 2)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_scheduler_keeps_the_run_invariants(mat, seed):
+    floor = int(mat.cells.sum(axis=1).max())
+    base = baseline_arq(mat).schedule.retransmission_count
+    for name in ALL:
+        result = run_scheduler(name, mat, seed=seed)
+        transmissions = result.schedule.transmissions
+        repairs = [cp for cp in transmissions if not cp.original]
+        retx = result.schedule.retransmission_count
+        assert retx == len(repairs)
+        # full recovery, the per-receiver floor, and coded XOR never above arq
+        assert all(state.recovery_slot.keys() == set(range(1, mat.batch + 1))
+                   for state in result.receivers)
+        assert retx >= floor
+        if name in ("greedy", "sort-utility", "benefit"):
+            assert retx <= base
+        # schedule structure: dense slots, each packet's original exactly once,
+        # uncoded, in the slot the run records for it, and before every
+        # repair that holds the packet (the decoder relies on this)
+        assert [cp.slot for cp in transmissions] == list(range(1, len(transmissions) + 1))
+        originals = [cp for cp in transmissions if cp.original]
+        assert all(cp.is_uncoded for cp in originals)
+        assert sorted(next(iter(cp.constituents)) for cp in originals) == \
+            list(range(1, mat.batch + 1))
+        assert {next(iter(cp.constituents)): cp.slot for cp in originals} == \
+            {k: int(result.original_slot[k - 1]) for k in range(1, mat.batch + 1)}
+        assert all(result.original_slot[k - 1] < cp.slot
+                   for cp in repairs for k in cp.constituents)
+        if name in ("greedy", "sort-utility"):
+            # strict rule: before each repair, every receiver lacks at most
+            # one of its constituents
+            for cp in repairs:
+                for state in result.receivers:
+                    assert sum(state.recovery_slot[k] >= cp.slot
+                               for k in cp.constituents) <= 1
 
 
 def test_identical_inputs_identical_schedules(worked_example):
