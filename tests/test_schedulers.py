@@ -488,6 +488,37 @@ def test_every_scheduler_keeps_the_run_invariants(mat, seed):
                                for k in cp.constituents) <= 1
 
 
+def test_full_recovery_and_repair_floor_everywhere():
+    rng = np.random.default_rng(12)
+    for t in range(150):
+        mat = random_matrix(rng)
+        floor = int(mat.cells.sum(axis=1).max())
+        for name in ALL:
+            result = run_scheduler(name, mat, seed=t)
+            assert all(state.have == set(range(1, mat.batch + 1))
+                       for state in result.receivers)
+            assert result.schedule.retransmission_count >= floor
+            # schedule structure: dense slots, each original exactly once,
+            # marked as such and sent in the slot the run records for it
+            slots = [cp.slot for cp in result.schedule.transmissions]
+            assert slots == list(range(1, len(slots) + 1))
+            originals = {next(iter(cp.constituents)): cp.slot
+                         for cp in result.schedule.transmissions if cp.original}
+            assert sum(cp.original for cp in result.schedule.transmissions) == mat.batch
+            assert originals == {k: int(result.original_slot[k - 1])
+                                 for k in range(1, mat.batch + 1)}
+            assert all(cp.is_uncoded for cp in result.schedule.transmissions if cp.original)
+
+
+def test_coded_schedulers_never_exceed_arq():
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        mat = random_matrix(rng)
+        base = baseline_arq(mat).schedule.retransmission_count
+        for scheduler in (greedy_nc, sort_by_utility, benefit):
+            assert scheduler(mat).schedule.retransmission_count <= base
+
+
 def test_identical_inputs_identical_schedules(worked_example):
     mat = sample_matrix(ChannelParams.homogeneous(5, 0.45, seed=99), 30)
     for name in ALL:
