@@ -264,7 +264,7 @@ def figure_config(name: str, out_dir: str | Path, replications: int = 1000,
 def load_matrix(path: str | Path) -> TransmissionMatrix:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read matrix file {path}: {exc}") from exc
     return TransmissionMatrix.parse(text)
 

@@ -130,22 +130,27 @@ class _Run:
                          self.original_slot, self.losses, **extra)
 
 
-def _grow_coded_set(missing: list[int], ordered: list[int]) -> list[int]:
-    """Grow an XOR set along ``ordered``, starting from its head, while every
-    receiver that misses any constituent misses at most one (immediate
-    decodability for all).
+def _strict_repairs(run: _Run, order: list[int]) -> None:
+    """Repair every packet in ``order`` under the strict rule, in one pass.
 
-    A packet rejected against the set would be rejected against any larger
-    set too, so one pass in order suffices.
+    Each packet still missing at its turn heads an XOR set grown along the
+    rest of ``order`` while every receiver missing a constituent misses just
+    one, so all decode it at once.  A packet rejected against the set would
+    be rejected against any larger one, so one walk suffices.  One repair
+    per packet at most bounds the pass; ``result()`` catches a failed one.
     """
-    chosen = []
-    covered = 0  # receivers missing one of the chosen packets
-    for k in ordered:
-        col = missing[k - 1]
-        if not col & covered:
-            chosen.append(k)
-            covered |= col
-    return chosen
+    missing = run.missing
+    for at, head in enumerate(order):
+        covered = missing[head - 1]  # receivers missing one of the chosen packets
+        if not covered:
+            continue
+        chosen = [head]
+        for k in order[at + 1:]:
+            col = missing[k - 1]
+            if col and not col & covered:
+                chosen.append(k)
+                covered |= col
+        run.send(chosen)
 
 
 # ---------------------------------------------------------------- schedulers
@@ -164,11 +169,7 @@ def greedy_nc(matrix: TransmissionMatrix) -> RunResult:
     """Grow XOR sets over lost packets in arrival order, strict rule enforced."""
     run = _Run(matrix)
     run.send_batch()
-    while True:
-        lost = [k for k, col in enumerate(run.missing, 1) if col]
-        if not lost:
-            break
-        run.send(_grow_coded_set(run.missing, lost))
+    _strict_repairs(run, [k for k, col in enumerate(run.missing, 1) if col])
     return run.result("greedy")
 
 
@@ -181,13 +182,10 @@ def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
     """
     run = _Run(matrix)
     run.send_batch()
-    cu = run.losses.sum(axis=0, dtype=np.int64)
-    # packets by descending utility, ties lower id first
-    order = (np.argsort(-cu, kind="stable")[:np.count_nonzero(cu)] + 1).tolist()
     missing = run.missing
-    for idx, k in enumerate(order):
-        if missing[k - 1]:
-            run.send(_grow_coded_set(missing, [j for j in order[idx:] if missing[j - 1]]))
+    lost = [k for k, col in enumerate(missing, 1) if col]
+    # stable: equal utilities keep the lower id first
+    _strict_repairs(run, sorted(lost, key=lambda k: missing[k - 1].bit_count(), reverse=True))
     return run.result("sort-utility")
 
 

@@ -20,7 +20,8 @@ def test_undecodable_packet_is_buffered():
     state = holding(3, 4)
     packet = CodedPacket(frozenset({1, 2}), 3)
     assert state.receive(packet) == []
-    assert state.buffer == [({1, 2}, packet)]
+    assert state.buffer == [packet]
+    assert packet.constituents - state.have == {1, 2}
 
 
 def test_one_unknown_decodes_immediately():
@@ -66,7 +67,8 @@ def test_original_runs_no_search(monkeypatch):
 
     monkeypatch.setattr(ReceiverState, "decode_search", no_search)
     assert state.receive_original(5, 5) is None
-    assert state.buffer == [({1, 2}, packet)]
+    assert state.buffer == [packet]
+    assert packet.constituents - state.have == {1, 2}
     assert state.recovery_slot == {3: 1, 5: 5}
     assert state.source == {}
 
@@ -103,6 +105,21 @@ def test_chained_peel():
     assert state.buffer == []
 
 
+def test_cascade_reduces_by_its_own_earlier_recoveries():
+    # buffer c1^c2, c2^c3, c1^c2^c3, then c1 arrives: peeling c1 out of c1^c2
+    # gives c2, and c1^c2^c3 is then judged with c2 known, so it yields c3
+    state = holding(4)
+    first = CodedPacket(frozenset({1, 2}), 6)
+    triple = CodedPacket(frozenset({1, 2, 3}), 8)
+    for packet in (first, CodedPacket(frozenset({2, 3}), 7), triple):
+        assert state.receive(packet) == []
+    trigger = CodedPacket(frozenset({1, 4}), 9)
+    assert state.receive(trigger) == [1, 2, 3]
+    assert state.recovery_slot == {4: 1, 1: 9, 2: 9, 3: 9}
+    assert state.source == {1: trigger, 2: first, 3: triple}
+    assert state.buffer == []
+
+
 def test_buffer_invariants_random_streams():
     rng = np.random.default_rng(21)
     for _ in range(300):
@@ -111,13 +128,16 @@ def test_buffer_invariants_random_streams():
         for k in range(1, n + 1):
             if rng.random() < 0.5:
                 state.receive_original(k, k)
+        heard = []
         for slot in range(n + 1, n + 12):
             size = int(rng.integers(1, n + 1))
             ids = frozenset(int(x) + 1 for x in rng.choice(n, size=size, replace=False))
-            state.receive(CodedPacket(ids, slot))
-            assert all(len(unknowns) >= 2 for unknowns, _ in state.buffer)
-            assert all(not (unknowns & state.have) for unknowns, _ in state.buffer)
-            assert all(unknowns <= packet.constituents for unknowns, packet in state.buffer)
+            heard.append(CodedPacket(ids, slot))
+            state.receive(heard[-1])
+            # the buffer holds repairs as heard, in arrival order, each still
+            # lacking at least two constituents
+            assert all(len(packet.constituents - state.have) >= 2 for packet in state.buffer)
+            assert state.buffer == [packet for packet in heard if packet in state.buffer]
 
 
 def test_peeling_never_exceeds_elimination_closure():

@@ -3,6 +3,11 @@
 import csv
 import filecmp
 import multiprocessing
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +330,15 @@ def test_cli_trace_exit_codes(worked_example_path, tmp_path):
                      "--algorithm", "benefit"]) == 1
 
 
+def test_cli_trace_names_an_undecodable_matrix_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"2 2\n0 1\n\xe91 0\n")
+    assert cli_main(["trace", "--matrix", str(bad), "--algorithm", "arq"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read matrix file {bad}: ") and err.count("\n") == 1
+    assert "codec can't decode" in err
+
+
 def test_cli_figure_small(tmp_path):
     assert cli_main(["figure", "fig5", "--out", str(tmp_path), "--reps", "2",
                      "--loss", "0.3", "--workers", "1"]) == 0
@@ -419,6 +433,39 @@ def test_cli_trace_reports_an_unrecovered_cell(worked_example_path, capsys, monk
     captured = capsys.readouterr()
     assert captured.out == ""  # the run is checked before any slot is narrated
     assert_one_violation_line(captured.err, "arq finished with unrecovered cells")
+
+
+# ``ncretx trace`` with every repair that holds c1 dropped by the decoder
+DROPPING_TRACE = """
+import sys
+from ncretx import ReceiverState
+from ncretx.cli import main
+receive = ReceiverState.receive
+ReceiverState.receive = lambda self, packet: (
+    [] if 1 in packet.constituents else receive(self, packet))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _limit_child() -> None:
+    """A scheduler that never stops fails fast in the child, not the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "sort-utility", "benefit"])
+def test_cli_trace_stops_a_scheduler_whose_repairs_are_dropped(worked_example_path,
+                                                                algorithm):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", DROPPING_TRACE, "trace", "--matrix", str(worked_example_path),
+         "--algorithm", algorithm],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_child, timeout=120)
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert child.stdout == ""
+    assert_one_violation_line(child.stderr, f"{algorithm} finished with unrecovered cells")
 
 
 @pytest.mark.parametrize("algorithms", ["arq", "theory"])

@@ -1,5 +1,6 @@
 """The five schedulers: worked-example traces, rule compliance, invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from ncretx import (
 from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _SOFT, _BenefitRun
 
 from conftest import loss_matrices, random_matrix
+from gf2_oracle import constituents_to_bits, gf2_decodable
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -486,6 +488,85 @@ def test_every_scheduler_keeps_the_run_invariants(mat, seed):
                 for state in result.receivers:
                     assert sum(state.recovery_slot[k] >= cp.slot
                                for k in cp.constituents) <= 1
+
+
+@given(loss_matrices())
+# benefit: R4 buffers c2^c3 and c1^c2, then c1 peels c2, whose own search gives c3
+@example(TransmissionMatrix.from_rows([[1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 1]]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_peeling_stays_in_the_gf2_span_for_every_xor_scheduler(mat):
+    # replay each schedule through fresh receivers: after every transmission
+    # a receiver holds only what elimination over what it heard could give,
+    # and every buffered repair still lacks at least two constituents
+    n = mat.batch
+    for name in ("arq", "greedy", "sort-utility", "benefit"):
+        states = [ReceiverState() for _ in range(mat.receivers)]
+        heard = [[] for _ in states]
+        for packet in run_scheduler(name, mat).schedule.transmissions:
+            k = min(packet.constituents)
+            for i0, state in enumerate(states):
+                if packet.original and mat.cells[i0, k - 1]:
+                    continue
+                heard[i0].append(constituents_to_bits(packet.constituents, n))
+                if packet.original:
+                    state.receive_original(k, packet.slot)
+                elif state.receive(packet):
+                    # the span only grows, so only a recovery can leave it
+                    assert state.have <= gf2_decodable(heard[i0], n)
+                assert all(len(cp.constituents - state.have) >= 2 for cp in state.buffer)
+        assert all(state.have == set(range(1, n + 1)) for state in states)
+
+
+def strict_optimum(cells: np.ndarray) -> int:
+    """The fewest repairs that clear ``cells`` when every repair must be
+    decodable at once by every receiver: each misses at most one of its
+    packets.  A memoised search over the residual loss cells (one receiver
+    mask per packet) that tries only maximal valid sets, since adding a
+    packet that fits never leaves more cells lost."""
+
+    @functools.cache
+    def fewest(cols: tuple[int, ...]) -> int:
+        lost = [k for k, col in enumerate(cols) if col]
+        if not lost:
+            return 0
+        valid = set()
+        for pick in range(1, 1 << len(lost)):
+            covered, fits = 0, True
+            for j, k in enumerate(lost):
+                if pick >> j & 1:
+                    fits = fits and not cols[k] & covered
+                    covered |= cols[k]
+            if fits:
+                valid.add(pick)
+        best = len(lost)
+        for pick in valid:
+            if any(not pick >> j & 1 and pick | 1 << j in valid for j in range(len(lost))):
+                continue  # not maximal
+            sent = {k for j, k in enumerate(lost) if pick >> j & 1}
+            best = min(best, 1 + fewest(tuple(0 if k in sent else col
+                                              for k, col in enumerate(cols))))
+        return best
+
+    return fewest(tuple(sum(int(bit) << i for i, bit in enumerate(column))
+                        for column in cells.T))
+
+
+def test_strict_optimum_on_the_worked_example(worked_example):
+    # c1, c2, c4 and c5 each share a receiver with one another, so no two can
+    # go together under the strict rule: four repairs, where benefit sends three
+    assert strict_optimum(worked_example.cells) == 4
+    assert benefit(worked_example).schedule.retransmission_count == 3
+    assert strict_optimum(np.ones((3, 4), dtype=np.uint8)) == 4
+    assert strict_optimum(np.eye(4, dtype=np.uint8)) == 1
+
+
+@given(loss_matrices(max_receivers=5, max_batch=6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_strict_rule_schedulers_never_beat_the_strict_optimum(mat):
+    optimum = strict_optimum(mat.cells)
+    assert optimum >= int(mat.cells.sum(axis=1).max())
+    for scheduler in (baseline_arq, greedy_nc, sort_by_utility):
+        assert scheduler(mat).schedule.retransmission_count >= optimum
 
 
 def test_full_recovery_and_repair_floor_everywhere():
