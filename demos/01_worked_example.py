@@ -19,8 +19,7 @@ MATRIX = TransmissionMatrix.from_rows([
 def main() -> None:
     print(__doc__)
     print(MATRIX.format())
-    print("packet utilities cu_k:",
-          [MATRIX.column_utility(k) for k in range(1, 6)])
+    print("packet utilities cu_k:", MATRIX.cells.sum(axis=0).tolist())
     print()
 
     baseline = run_scheduler("arq", MATRIX)

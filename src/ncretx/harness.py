@@ -119,9 +119,8 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
     """All requested schedulers on one shared sampled matrix."""
     params = ChannelParams.homogeneous(receivers, loss, seed)
     matrix = sample_matrix(params, batch)
-    name = "arq"
     try:
-        baseline = run_scheduler(name, matrix)
+        baseline = run_scheduler("arq", matrix)
         rows = []
         for name in scheduler_names:
             result = baseline if name == "arq" else run_scheduler(name, matrix, seed=seed)
@@ -134,8 +133,8 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
                 "ratio": m.ratio, "ttd_mean": m.ttd_mean, "ttd_std": m.ttd_std,
                 "ttd_samples": m.ttd_samples,
             })
-    except IntegrityError as exc:  # a broken run: name it and its seed for replay
-        raise InvariantViolation(f"{name}: {exc} (seed {seed})") from exc
+    except IntegrityError as exc:  # a broken run names itself; add its seed for replay
+        raise InvariantViolation(f"{exc} (seed {seed})") from exc
     return rows
 
 

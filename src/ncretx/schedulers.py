@@ -266,8 +266,8 @@ def benefit(matrix: TransmissionMatrix,
     return _BenefitRun(matrix, initial_desired_benefit).execute()
 
 
-# Why a packet is not scanned right now.  Each reason lasts until its own
-# event; a packet holds at most one, since only free packets are considered.
+# Why a packet is not judged right now.  Each reason lasts until its own
+# event; a packet holds at most one, since only free packets are judged.
 _FREE = 0
 _SOFT = 1         # lost the decode-benefit gate: until the prospective set changes
 _HARD = 2         # a constituent would reach no receiver: until a set is sent
@@ -295,9 +295,12 @@ class _BenefitRun(_Run):
     ``prospective`` is the ordered list of packets waiting to be coded
     together (its head is the anchor), ``desired_benefit`` the current
     requirement on how many receivers a coded repair must help now or
-    later, relaxed by one per scan cycle.  Cycle 1 interleaves originals
-    with repairs; cycles 2..M only rescan outstanding packets.  Gates only
-    ever look at the ``missing`` masks of packets already sent.
+    later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet k
+    is not judged right now, a plain list beside ``cu``.  Cycle 1
+    interleaves originals with repairs; cycles 2..M only rescan outstanding
+    packets.  Every admission, from the scan order or of a fresh original,
+    goes through one walk (``_admit_first``).  Gates only ever look at the
+    ``missing`` masks of packets already sent.
     """
 
     def __init__(self, matrix: TransmissionMatrix,
@@ -314,7 +317,7 @@ class _BenefitRun(_Run):
         self.cycle = 1
         self.desired_benefit = start
         self.prospective: list[int] = []
-        self._wait = np.full(self.n, _FREE, dtype=np.int8)
+        self._wait = [_FREE] * self.n
 
     def execute(self) -> RunResult:
         self._scan()
@@ -322,8 +325,8 @@ class _BenefitRun(_Run):
         while any(self.cu) and self.desired_benefit > 1:
             self.cycle += 1
             self.desired_benefit -= 1
-            self._clear_prospective()
-            self._wait[:] = _FREE
+            self.prospective = []
+            self._wait = [_FREE] * self.n
             self._scan()
         # No straggler sweep: a cycle at desired benefit 1 drains every
         # outstanding packet.  A lone free packet passes all three gates and a
@@ -335,60 +338,67 @@ class _BenefitRun(_Run):
         return self.result("benefit", audit=self.audit)
 
     def _scan(self) -> None:
-        """One scan cycle: consider outstanding packets, flush passing sets
-        and, while the batch lasts, send the next original."""
+        """One scan cycle: admit outstanding packets to the prospective set,
+        flush passing sets and, while the batch lasts, send the next
+        original, which joins the set or is repaired uncoded at once."""
         while True:
-            k = self._next_scan_target()
-            if k is not None:
-                self._consider(k)
-            elif self._flush_passing():
+            # stable: equal utilities keep the lower id first
+            if self._admit_first(sorted(range(self.sent), key=self.cu.__getitem__,
+                                        reverse=True)):
                 continue
-            elif self.sent < self.n:
-                self.sent += 1
-                k = self.sent
-                self.send_original(k)
-                if self.cu[k - 1] >= self.desired_benefit:
-                    # missed by enough receivers on its own: repair it uncoded
-                    # right away, no coding partner search.  A fresh original
-                    # sits in no buffer and no prospective set, so this leaves
-                    # the coding state untouched.
-                    self._transmit_repair([k], self._read_gates([k]))
-                else:
-                    self._consider(k)
-            else:
+            if self._flush_passing():
+                continue
+            if self.sent == self.n:
                 return
+            self.sent += 1
+            k = self.sent
+            self.send_original(k)
+            if self.cu[k - 1] >= self.desired_benefit:
+                # missed by enough receivers on its own: repair it uncoded
+                # right away, no coding partner search.  A fresh original
+                # sits in no buffer and no prospective set, so this leaves
+                # the coding state untouched.
+                self._transmit_repair([k], self._read_gates([k]))
+            else:
+                self._admit_first([k - 1])
 
-    # -- scan order --
+    def _admit_first(self, order: list[int]) -> bool:
+        """Judge the packets of ``order`` (0-based ids) against the
+        prospective set; mark each rejected one and admit the first that
+        passes.  True if one was admitted.
 
-    def _next_scan_target(self) -> int | None:
-        """Judge the free outstanding packets in scan order (highest utility,
-        then lowest id) against the prospective set; mark each rejected one
-        and return the first that passes, or None.
-
-        Cycle 1 scans only packets that are partially missing (1 <= cu < M);
-        later cycles scan anything still missing.  Either way the packet
-        must have no reason to wait (``_wait``).  Judging the whole list in
-        one walk is exact: while the prospective set, ``missing`` and ``cu``
-        stay unchanged, a rejection only sets that packet's own ``_wait``,
-        so the next packet the scan would pick is the next one in this order
-        and is judged against the same set, whose summary is folded once.
+        Cycle 1 judges only packets that are partially missing
+        (1 <= cu < M); later cycles judge anything still missing.  Either
+        way the packet must have no reason to wait (``_wait``).  The walk
+        stops at the first cu == 0, so ``order`` must put those last.
+        Judging the whole list in one walk is exact: while the prospective
+        set, ``missing`` and ``cu`` stay unchanged, a rejection only sets
+        that packet's own ``_wait``, so the next packet the scan would pick
+        is the next one in this order and is judged against the same set,
+        whose summary is folded once.
         """
         cu = self.cu
-        wait = self._wait.tolist()
+        wait = self._wait
         top = self.m if self.cycle == 1 else self.m + 1
         summary = self._summarize(self.prospective)
         missing = self.missing
-        # stable: equal utilities keep the lower id first
-        for k0 in sorted(range(self.sent), key=cu.__getitem__, reverse=True):
+        for k0 in order:
             if cu[k0] >= top or wait[k0] != _FREE:
                 continue
             if not cu[k0]:
                 break
             reason = _rejection(self._gates_with(summary, missing[k0]))
-            if reason == _FREE:
-                return k0 + 1
-            self._wait[k0] = reason
-        return None
+            if reason != _FREE:
+                wait[k0] = reason
+                continue
+            # keep the candidate either way: a set short of the desired
+            # benefit waits for reinforcements, a passing one is still grown
+            # until no further packet fits and is then flushed
+            self._wait = [_FREE if mark == _SOFT else mark for mark in wait]
+            self._wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
+            self.prospective.append(k0 + 1)
+            return True
+        return False
 
     # -- transmission plumbing --
 
@@ -399,18 +409,6 @@ class _BenefitRun(_Run):
             len(self.tx), tuple(ids), self.cycle, self.desired_benefit, *gates))
 
     # -- gate machinery --
-
-    def _consider(self, newcomer: int) -> None:
-        reason = _rejection(self._read_gates(self.prospective + [newcomer]))
-        if reason != _FREE:
-            self._wait[newcomer - 1] = reason
-            return
-        # keep the candidate either way: a set short of the desired benefit
-        # waits for reinforcements, a passing one is still grown until no
-        # further packet fits and is then flushed
-        self._wait[self._wait == _SOFT] = _FREE
-        self._wait[newcomer - 1] = _PROSPECTIVE if self.prospective else _ANCHOR
-        self.prospective.append(newcomer)
 
     def _flush_passing(self) -> bool:
         """Transmit the prospective set if it clears all gates; True if sent."""
@@ -472,7 +470,7 @@ class _BenefitRun(_Run):
 
     def _clear_prospective(self) -> None:
         self.prospective = []
-        self._wait[self._wait != _ANCHOR] = _FREE
+        self._wait = [_ANCHOR if mark == _ANCHOR else _FREE for mark in self._wait]
 
 
 # ---------------------------------------------------------------- dispatch

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ncretx import TransmissionMatrix
+from ncretx import ReceiverState, TransmissionMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,3 +50,34 @@ def loss_matrices(draw, max_receivers=10, max_batch=40):
     else:
         cells = np.full((m, n), kind == "all-lost")
     return TransmissionMatrix(cells.astype(np.uint8))
+
+
+def replay(mat, transmissions):
+    """Deliver a schedule to fresh receivers, independently of the run that
+    made it: an original reaches the receivers that did not lose it, a repair
+    reaches every receiver.
+
+    Yields ``(packet, lacking, states, recovered)`` once each packet is
+    delivered.  ``lacking`` is the grid as the packet found it: the loss
+    cells, less those recovered from earlier repairs.  ``states`` are the
+    receivers after the packet, and ``recovered[i0]`` lists what receiver
+    i0 recovered from it.  At the end nothing may be left lacking.
+    """
+    lacking = mat.cells.copy()
+    states = [ReceiverState() for _ in range(mat.receivers)]
+    for packet in transmissions:
+        k = min(packet.constituents)
+        recovered = []
+        for i0, state in enumerate(states):
+            if not packet.original:
+                recovered.append(state.receive(packet))
+            elif mat.cells[i0, k - 1]:
+                recovered.append([])
+            else:
+                state.receive_original(k, packet.slot)
+                recovered.append([k])
+        yield packet, lacking, states, recovered
+        for i0, ks in enumerate(recovered):
+            for kk in ks:
+                lacking[i0, kk - 1] = 0
+    assert not lacking.any()

@@ -14,7 +14,6 @@ import numpy as np
 
 from ncretx import (
     ChannelParams,
-    ReceiverState,
     TheoryParams,
     TransmissionMatrix,
     expected_min_retx,
@@ -29,7 +28,7 @@ from ncretx.cli import main as cli_main
 from ncretx.gf import MUL_TABLE
 from ncretx.harness import payload_check, replication_seed, run_replication
 
-from conftest import WORKED_EXAMPLE_ROWS
+from conftest import WORKED_EXAMPLE_ROWS, replay
 from gf2_oracle import constituents_to_bits, gf2_decodable
 
 
@@ -213,43 +212,22 @@ def test_acceptance_8_invariants():
     payload_check(worked_example(), "sort-utility", payload_len=33, seed=0)
 
 
-def _replay(mat, result):
-    states = [ReceiverState() for _ in range(mat.receivers)]
-    for packet in result.schedule.transmissions:
-        k = next(iter(packet.constituents))
-        if packet.original:
-            for i in range(1, mat.receivers + 1):
-                if not mat.is_lost(i, k):
-                    states[i - 1].receive_original(k, packet.slot)
-        else:
-            yield packet, states
-            for state in states:
-                state.receive(packet)
-
-
 def _assert_strict_rule(mat, result):
-    for packet, states in _replay(mat, result):
-        for i, state in enumerate(states, start=1):
-            missing = [k for k in packet.constituents if k not in state.have]
-            assert len(missing) <= 1
+    for packet, lacking, _, _ in replay(mat, result.schedule.transmissions):
+        if not packet.original:
+            # every receiver lacks at most one constituent
+            cols = [k - 1 for k in packet.constituents]
+            assert (lacking[:, cols].sum(axis=1) <= 1).all()
 
 
 def _assert_peeling_sound(mat, result):
     heard: list[list[int]] = [[] for _ in range(mat.receivers)]
-    states = [ReceiverState() for _ in range(mat.receivers)]
-    for packet in result.schedule.transmissions:
-        k = next(iter(packet.constituents))
-        for i in range(1, mat.receivers + 1):
-            state = states[i - 1]
-            if packet.original:
-                if not mat.is_lost(i, k):
-                    state.receive_original(k, packet.slot)
-                    heard[i - 1].append(constituents_to_bits({k}, mat.batch))
-            else:
-                state.receive(packet)
-                heard[i - 1].append(
-                    constituents_to_bits(packet.constituents, mat.batch))
-            assert state.have <= gf2_decodable(heard[i - 1], mat.batch)
+    for packet, _, states, _ in replay(mat, result.schedule.transmissions):
+        k = min(packet.constituents)
+        for i0, state in enumerate(states):
+            if not (packet.original and mat.cells[i0, k - 1]):
+                heard[i0].append(constituents_to_bits(packet.constituents, mat.batch))
+            assert state.have <= gf2_decodable(heard[i0], mat.batch)
 
 
 @report(9, "byte-identical CSV from two identical simulate invocations")

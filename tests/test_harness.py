@@ -396,13 +396,16 @@ def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, mo
     assert not any((tmp_path / "existing").iterdir())
 
 
-def drop_repairs_holding_c1(monkeypatch):
-    """Break the decoder: every receiver ignores each repair that holds c1."""
+def drop_repairs_holding_c1(monkeypatch, coded_only=False):
+    """Break the decoder: every receiver ignores each repair that holds c1,
+    or, with ``coded_only``, each such repair that holds another packet too."""
     from ncretx import ReceiverState
 
     receive = ReceiverState.receive
+    fewest = 2 if coded_only else 1
     monkeypatch.setattr(ReceiverState, "receive", lambda self, packet: (
-        [] if 1 in packet.constituents else receive(self, packet)))
+        [] if 1 in packet.constituents and len(packet.constituents) >= fewest
+        else receive(self, packet)))
 
 
 def assert_one_violation_line(err, *parts):
@@ -415,13 +418,16 @@ def assert_one_violation_line(err, *parts):
     reason="only forked pool workers inherit the broken decoder"))])
 def test_cli_simulate_reports_an_unrecovered_cell_with_its_seed(tmp_path, capsys,
                                                                monkeypatch, workers):
-    drop_repairs_holding_c1(monkeypatch)
+    # arq's repairs are uncoded and pass; greedy sends c1^c2 in replication 0
+    drop_repairs_holding_c1(monkeypatch, coded_only=True)
     out = tmp_path / "x.csv"
     rc = cli_main(["simulate", "--algorithms", "greedy", "--receivers", "3",
                    "--loss", "0.5", "--batch", "10", "--reps", "2",
                    "--workers", workers, "--out", str(out)])
     assert rc == 2
-    assert_one_violation_line(capsys.readouterr().err, "unrecovered cells", "(seed ")
+    seed = replication_seed(0, 3, 0.5, 10, 0)
+    assert capsys.readouterr().err == (
+        f"invariant violation: greedy finished with unrecovered cells (seed {seed})\n")
     assert not out.exists()
 
 

@@ -20,7 +20,7 @@ from ncretx import (
     time_to_decode,
 )
 
-from conftest import random_matrix
+from conftest import random_matrix, replay
 
 
 def _sched(count: int) -> Schedule:
@@ -65,16 +65,8 @@ def test_ttd_replay_of_worked_example_schedule(worked_example):
         CodedPacket(frozenset({4}), 5, True), CodedPacket(frozenset({2, 3, 4}), 6),
         CodedPacket(frozenset({5}), 7, True), CodedPacket(frozenset({5}), 8),
     ]
-    states = [ReceiverState() for _ in range(4)]
-    for cp in transmissions:
-        k = next(iter(cp.constituents))
-        if cp.original:
-            for i0 in range(4):
-                if not worked_example.is_lost(i0 + 1, k):
-                    states[i0].receive_original(k, cp.slot)
-        else:
-            for state in states:
-                state.receive(cp)
+    for _, _, states, _ in replay(worked_example, transmissions):
+        pass
     stats = time_to_decode(worked_example.cells, np.array([1, 2, 4, 5, 7]), states)
     assert sorted(stats.samples) == [1, 1, 1, 1, 1, 1, 2, 2, 4, 5]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ncretx import (
     ChannelParams,
-    ReceiverState,
     TransmissionMatrix,
     baseline_arq,
     benefit,
@@ -23,7 +22,7 @@ from ncretx import (
 )
 from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _SOFT, _BenefitRun
 
-from conftest import loss_matrices, random_matrix
+from conftest import loss_matrices, random_matrix, replay
 from gf2_oracle import constituents_to_bits, gf2_decodable
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
@@ -31,28 +30,6 @@ ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
 def constituent_sets(result, start=0):
     return [set(cp.constituents) for cp in result.schedule.transmissions[start:]]
-
-
-def replay_repairs(matrix, result):
-    """Independent replay of a schedule through fresh decoder state.
-
-    Yields (packet, shadow_matrix_before_delivery) for every repair, applying
-    each repair afterwards, so callers can assert per-transmission rules.
-    """
-    shadow = TransmissionMatrix(matrix.cells.copy())
-    states = [ReceiverState() for _ in range(matrix.receivers)]
-    for packet in result.schedule.transmissions:
-        k = next(iter(packet.constituents))
-        if packet.original:
-            for i in range(1, matrix.receivers + 1):
-                if not matrix.is_lost(i, k):
-                    states[i - 1].receive_original(k, packet.slot)
-            continue
-        yield packet, shadow
-        for i in range(1, matrix.receivers + 1):
-            for kk in states[i - 1].receive(packet):
-                shadow.mark_received(i, kk)
-    assert not shadow.cells.any()
 
 
 # ---------------------------------------------------------------- arq
@@ -133,11 +110,12 @@ def test_strict_rule_holds_for_every_repair(worked_example):
         orders = {greedy_nc: range(mat.batch),
                   sort_by_utility: np.argsort(-mat.cells.sum(axis=0), kind="stable").tolist()}
         for scheduler, order in orders.items():
-            result = scheduler(mat)
-            for packet, shadow in replay_repairs(mat, result):
+            for packet, lacking, _, _ in replay(mat, scheduler(mat).schedule.transmissions):
+                if packet.original:
+                    continue
                 cols = [k - 1 for k in packet.constituents]
-                assert (shadow.cells[:, cols].sum(axis=1) <= 1).all()
-                assert set(packet.constituents) == grown_set(shadow.cells, order)
+                assert (lacking[:, cols].sum(axis=1) <= 1).all()
+                assert set(packet.constituents) == grown_set(lacking, order)
 
 
 # ---------------------------------------------------------------- rlnc
@@ -303,13 +281,15 @@ def test_benefit_audit_matches_independent_replay(worked_example):
     for mat, start in runs:
         result = benefit(mat, start)
         audit = {a.slot: a for a in result.audit}
-        for packet, shadow in replay_repairs(mat, result):
+        for packet, lacking, _, _ in replay(mat, result.schedule.transmissions):
+            if packet.original:
+                continue
             entry = audit[packet.slot]
             assert set(entry.constituents) == set(packet.constituents)
-            ru = shadow.cells[:, [k - 1 for k in entry.constituents]].sum(axis=1)
+            ru = lacking[:, [k - 1 for k in entry.constituents]].sum(axis=1)
             dec = int((ru == 1).sum())
             comb = int((ru >= 1).sum())
-            minb = min(shadow.column_utility(k) for k in entry.constituents)
+            minb = min(int(lacking[:, k - 1].sum()) for k in entry.constituents)
             assert (dec, minb, comb) == (entry.decode_benefit,
                                          entry.minimum_benefit,
                                          entry.combination_benefit)
@@ -317,9 +297,9 @@ def test_benefit_audit_matches_independent_replay(worked_example):
                 assert dec >= minb
                 assert comb >= entry.desired_benefit
                 # every constituent immediately decodable somewhere
-                one = np.flatnonzero(ru == 1) + 1
+                one = np.flatnonzero(ru == 1)
                 for k in entry.constituents:
-                    assert any(shadow.is_lost(i, k) for i in one)
+                    assert lacking[one, k - 1].any()
 
 
 @st.composite
@@ -342,14 +322,15 @@ def assert_benefit_state_consistent(run):
         assert run.missing[k - 1] == sum(1 << i0 for i0 in lacking)
         assert run.cu[k - 1] == len(lacking)
     pros = run.prospective
+    wait = np.array(run._wait)
     if pros:
-        assert run._wait[pros[0] - 1] == _ANCHOR
-    assert (np.flatnonzero(run._wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
+        assert wait[pros[0] - 1] == _ANCHOR
+    assert (np.flatnonzero(wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
     # a rejection still holds against the current set: hard ones leave some
     # constituent undecodable, soft ones decode fewer than the minimum
-    for k0 in np.flatnonzero(run._wait == _HARD).tolist():
+    for k0 in np.flatnonzero(wait == _HARD).tolist():
         assert run._read_gates(pros + [k0 + 1]) is None
-    for k0 in np.flatnonzero(run._wait == _SOFT).tolist():
+    for k0 in np.flatnonzero(wait == _SOFT).tolist():
         gates = run._read_gates(pros + [k0 + 1])
         assert gates is not None and gates[0] < gates[1]
 
@@ -360,10 +341,9 @@ def assert_benefit_state_consistent(run):
 @example((TransmissionMatrix(np.zeros((12, 40), dtype=np.uint8)), 1))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_benefit_incremental_state_matches_recomputation(run_input):
-    # every transmission is followed by a scan or, for an original repaired
+    # every transmission is followed by a walk or, for an original repaired
     # at once, by that repair, so checking on entry to both checks the state
-    # after each transmission (and after each consideration); checking on
-    # entry to _consider also sees the marks a scan left before admitting
+    # after each transmission and after each walk, the marks it left included
     mat, start = run_input
     checked_slots = set()
 
@@ -375,7 +355,7 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_next_scan_target", "_consider", "_transmit_repair"):
+        for name in ("_admit_first", "_transmit_repair"):
             mp.setattr(_BenefitRun, name, checking(getattr(_BenefitRun, name)))
         result = benefit(mat, start)
     assert checked_slots >= set(range(1, len(result.schedule.transmissions) + 1))
@@ -383,19 +363,27 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
 
 
 class OneCandidatePerCall(_BenefitRun):
-    """Reference benefit scan: each call picks the single next free packet
-    (highest utility, lowest id) and leaves judging it to ``_consider``, with
-    the gates read by a direct fold over the whole candidate set."""
+    """Reference benefit scan: each call judges the single next free packet
+    of ``order`` (highest utility, lowest id), with the gates read by a
+    direct fold over the whole candidate set.  It marks a rejection itself
+    and admits through the real walk, which must agree that the packet
+    passes; either way it returns True, so the scan calls again."""
 
-    def _next_scan_target(self):
-        cu = np.array(self.cu[:self.sent])
-        mask = (cu >= 1) & (self._wait[:self.sent] == _FREE)
-        if self.cycle == 1:
-            mask &= cu < self.m
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return None
-        return int(idx[np.argmax(cu[idx])]) + 1  # argmax ties break low-id
+    def _admit_first(self, order):
+        top = self.m if self.cycle == 1 else self.m + 1
+        free = sorted(k0 for k0 in order
+                      if 1 <= self.cu[k0] < top and self._wait[k0] == _FREE)
+        if not free:
+            return False
+        k0 = max(free, key=self.cu.__getitem__)  # max keeps the lowest id of a tie
+        gates = self._read_gates(self.prospective + [k0 + 1])
+        if gates is None:
+            self._wait[k0] = _HARD
+        elif gates[0] < gates[1]:
+            self._wait[k0] = _SOFT
+        else:
+            assert super()._admit_first([k0])
+        return True
 
     def _read_gates(self, ids):
         ones = twos = 0
@@ -500,17 +488,15 @@ def test_peeling_stays_in_the_gf2_span_for_every_xor_scheduler(mat):
     # and every buffered repair still lacks at least two constituents
     n = mat.batch
     for name in ("arq", "greedy", "sort-utility", "benefit"):
-        states = [ReceiverState() for _ in range(mat.receivers)]
-        heard = [[] for _ in states]
-        for packet in run_scheduler(name, mat).schedule.transmissions:
+        heard = [[] for _ in range(mat.receivers)]
+        schedule = run_scheduler(name, mat).schedule.transmissions
+        for packet, _, states, recovered in replay(mat, schedule):
             k = min(packet.constituents)
             for i0, state in enumerate(states):
                 if packet.original and mat.cells[i0, k - 1]:
                     continue
                 heard[i0].append(constituents_to_bits(packet.constituents, n))
-                if packet.original:
-                    state.receive_original(k, packet.slot)
-                elif state.receive(packet):
+                if not packet.original and recovered[i0]:
                     # the span only grows, so only a recovery can leave it
                     assert state.have <= gf2_decodable(heard[i0], n)
                 assert all(len(cp.constituents - state.have) >= 2 for cp in state.buffer)
