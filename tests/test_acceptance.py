@@ -215,7 +215,6 @@ def test_acceptance_8_invariants():
 def _assert_strict_rule(mat, result):
     for packet, lacking, _, _ in replay(mat, result.schedule.transmissions):
         if not packet.original:
-            # every receiver lacks at most one constituent
             cols = [k - 1 for k in packet.constituents]
             assert (lacking[:, cols].sum(axis=1) <= 1).all()
 

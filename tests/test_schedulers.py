@@ -343,7 +343,8 @@ def assert_benefit_state_consistent(run):
 def test_benefit_incremental_state_matches_recomputation(run_input):
     # every transmission is followed by a walk or, for an original repaired
     # at once, by that repair, so checking on entry to both checks the state
-    # after each transmission and after each walk, the marks it left included
+    # after each transmission; checking on entry to a walk also sees the
+    # marks the walk before it left
     mat, start = run_input
     checked_slots = set()
 
