@@ -4,17 +4,20 @@ Refactors must leave every hash here unchanged.  A change that alters the
 output on purpose updates the hashes and says why in CHANGES.md.  The
 12-receiver trace pins the order of same-slot event lines, which list
 receivers in numeric order ("R2" before "R10") for every scheduler.
+``BENEFIT_RECORD_SHA`` pins benefit's whole record on random matrices:
+schedule, gate audit, and each receiver's recovery order and sources.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from ncretx import SCHEDULER_NAMES, ChannelParams, sample_matrix
+from ncretx import SCHEDULER_NAMES, ChannelParams, benefit, sample_matrix
 from ncretx.cli import main as cli_main
 from ncretx.harness import load_matrix, trace_run
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, random_matrix
 
 SIMULATE = ["simulate", "--algorithms", ",".join(SCHEDULER_NAMES) + ",theory",
             "--receivers", "3,12", "--loss", "0.3,0.6", "--batch", "20",
@@ -49,6 +52,9 @@ TRACE_SHA = {
         "1065db92509de8607434ce6cf9a4bf5d41e931c288cfc1cce98c03b367582878",
 }
 
+BENEFIT_RECORD_SHA = (
+    "7e58b8bfa86d4bd08ff45678a13b185c85b33354c43736a4cc228118ab0e53e5")
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -82,3 +88,30 @@ def test_theory_csv_locked(tmp_path, capsys):
 @pytest.mark.parametrize("which,name", sorted(TRACE_SHA))
 def test_trace_locked(which, name):
     assert trace_digest(which, name) == TRACE_SHA[(which, name)]
+
+
+def benefit_record(result) -> str:
+    """One canonical line for a benefit run: every transmission with its kind
+    and sorted constituents, every audit field, and per receiver each
+    recovery as ``k@slot``, with ``<source-slot`` if a repair yielded it."""
+    tx = " ".join(("o" if cp.original else "r") + ",".join(map(str, sorted(cp.constituents)))
+                  for cp in result.schedule.transmissions)
+    audit = " ".join(
+        f"{a.slot}:{','.join(map(str, a.constituents))}:{a.cycle}:{a.desired_benefit}:"
+        f"{a.decode_benefit}:{a.minimum_benefit}:{a.combination_benefit}:{a.forced}"
+        for a in result.audit)
+    held = " | ".join(
+        " ".join(f"{k}@{slot}" + (f"<{state.source[k].slot}" if k in state.source else "")
+                 for k, slot in state.recovery_slot.items())
+        for state in result.receivers)
+    return f"{tx} / {audit} / {held}"
+
+
+def test_benefit_record_locked():
+    rng = np.random.default_rng(13)
+    lines = []
+    for _ in range(300):
+        mat = random_matrix(rng, max_receivers=20, max_batch=40)
+        for start in dict.fromkeys((None, 1, mat.receivers // 2)):
+            lines.append(benefit_record(benefit(mat, initial_desired_benefit=start)))
+    assert sha256("\n".join(lines).encode()) == BENEFIT_RECORD_SHA
