@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
     FIGURE_PRESETS,
-    InvariantViolation,
     check_unique,
     figure_config,
     load_matrix,
@@ -33,6 +33,8 @@ from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_rati
 
 
 def _check_range(part: str, lo, hi, step) -> None:
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"range {part!r} needs finite bounds and step")
     if step <= 0:
         raise ValueError(f"range {part!r} needs a positive step")
     if hi < lo:
@@ -71,8 +73,15 @@ def parse_float_range(text: str) -> list[float]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1), not with argparse's exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncretx",
         description="Network-coded retransmission schedulers: simulation and bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,12 +176,12 @@ def _cmd_trace(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"simulate": _cmd_simulate, "theory": _cmd_theory,
                 "figure": _cmd_figure, "trace": _cmd_trace}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (InvariantViolation, IntegrityError) as exc:
+    except IntegrityError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -39,10 +39,6 @@ CSV_COLUMNS = ("algorithm", "M", "N", "p", "replication", "seed",
                "ttd_mean", "ttd_std")
 
 
-class InvariantViolation(RuntimeError):
-    """A run broke a guarantee the harness checks; the seed is in the message."""
-
-
 def check_unique(what: str, values) -> None:
     """Reject a sweep axis that lists a value twice: its rows would repeat."""
     for i, value in enumerate(values):
@@ -72,6 +68,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if any(m < 2 for m in self.receiver_counts):
             raise ValueError("need at least 2 receivers")
+        if not self.receiver_counts:
+            raise ValueError("need at least one receiver count")
+        if not self.loss_rates:
+            raise ValueError("need at least one loss rate")
+        for p in self.loss_rates:
+            ChannelParams.homogeneous(2, p)  # raises on a rate outside [0, 1]
+        if self.batch < 1:
+            raise ValueError("batch size must be >= 1")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.workers is not None and self.workers < 1:
@@ -99,19 +103,19 @@ def replication_seed(base_seed: int, receivers: int, loss: float, batch: int,
     return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
 
 
-def _check_run(result: RunResult, baseline: RunResult, seed: int) -> None:
+def _check_run(result: RunResult, baseline: RunResult) -> None:
     retx = result.schedule.retransmission_count
     batch = result.losses.shape[1]
     if any(len(state.recovery_slot) < batch for state in result.receivers):
-        raise InvariantViolation(f"{result.algorithm}: unrecovered cells (seed {seed})")
+        raise IntegrityError(f"{result.algorithm}: unrecovered cells")
     if retx < result.max_receiver_losses:
-        raise InvariantViolation(
+        raise IntegrityError(
             f"{result.algorithm}: {retx} repairs below the per-receiver floor "
-            f"{result.max_receiver_losses} (seed {seed})")
+            f"{result.max_receiver_losses}")
     if result.algorithm != "rlnc" and retx > baseline.schedule.retransmission_count:
-        raise InvariantViolation(
+        raise IntegrityError(
             f"{result.algorithm}: {retx} repairs exceed the ARQ baseline "
-            f"{baseline.schedule.retransmission_count} (seed {seed})")
+            f"{baseline.schedule.retransmission_count}")
 
 
 def run_replication(scheduler_names: list[str], receivers: int, loss: float,
@@ -124,7 +128,7 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
         rows = []
         for name in scheduler_names:
             result = baseline if name == "arq" else run_scheduler(name, matrix, seed=seed)
-            _check_run(result, baseline, seed)
+            _check_run(result, baseline)
             m = run_metrics(result, baseline)
             rows.append({
                 "algorithm": name, "M": receivers, "N": batch, "p": loss,
@@ -134,7 +138,7 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
                 "ttd_samples": m.ttd_samples,
             })
     except IntegrityError as exc:  # a broken run names itself; add its seed for replay
-        raise InvariantViolation(f"{exc} (seed {seed})") from exc
+        raise IntegrityError(f"{exc} (seed {seed})") from exc
     return rows
 
 

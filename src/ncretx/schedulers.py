@@ -259,8 +259,10 @@ def benefit(matrix: TransmissionMatrix,
         desired benefit.
 
     Only the last gate failing stores the candidate as the new prospective
-    list.  Each scan cycle after the batch relaxes the desired benefit by
-    one, down to 1; a cycle at 1 leaves nothing missing.
+    list, which is sent once it reaches the desired benefit: its first two
+    gates cannot move while it waits.  Each scan cycle after the batch
+    relaxes the desired benefit by one, down to 1; a cycle at 1 leaves
+    nothing missing.
     Lowering the initial desired benefit trades bandwidth for latency.
     """
     return _BenefitRun(matrix, initial_desired_benefit).execute()
@@ -275,20 +277,6 @@ _PROSPECTIVE = 3  # in the prospective set: until the set is sent or dropped
 _ANCHOR = 4       # anchored a prospective set: until the next scan cycle
 
 
-def _rejection(gates: tuple[int, int, int] | None) -> int:
-    """Why a candidate with these gates may not join the prospective set
-    (``_HARD`` or ``_SOFT``), or ``_FREE`` if it may."""
-    if gates is None:
-        # some constituent would reach no receiver immediately; growing the
-        # set only loses decoders, so wait until a set is sent
-        return _HARD
-    if gates[0] < gates[1]:
-        # coding would not beat retransmitting the weakest constituent
-        # uncoded; wait for a different constellation
-        return _SOFT
-    return _FREE
-
-
 class _BenefitRun(_Run):
     """Sender-side state of one benefit run.
 
@@ -298,8 +286,8 @@ class _BenefitRun(_Run):
     later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet k
     is not judged right now, a plain list beside ``cu``.  Cycle 1
     interleaves originals with repairs; cycles 2..M only rescan outstanding
-    packets.  Every admission, from the scan order or of a fresh original,
-    goes through one walk (``_admit_first``).  Gates only ever look at the
+    packets.  Every admission, of a fresh original too, goes through the
+    scan's one walk (``_admit_first``).  Gates only ever look at the
     ``missing`` masks of packets already sent.
     """
 
@@ -359,18 +347,20 @@ class _BenefitRun(_Run):
                 # sits in no buffer and no prospective set, so this leaves
                 # the coding state untouched.
                 self._transmit_repair([k], self._read_gates([k]))
-            else:
-                self._admit_first([k - 1])
+            # else the next walk judges k: sending k moved no other mask,
+            # mark or cu and not the prospective set, so that walk skips what
+            # the failed walk before it skipped and judges k against its set
 
     def _admit_first(self, order: list[int]) -> bool:
         """Judge the packets of ``order`` (0-based ids) against the
         prospective set; mark each rejected one and admit the first that
         passes.  True if one was admitted.
 
-        Cycle 1 judges only packets that are partially missing
-        (1 <= cu < M); later cycles judge anything still missing.  Either
-        way the packet must have no reason to wait (``_wait``).  The walk
-        stops at the first cu == 0, so ``order`` must put those last.
+        A packet is judged while it is still missing and has no reason to
+        wait (``_wait``); the walk stops at the first cu == 0, so ``order``
+        must put those last.  No packet with cu == M is ever outstanding in
+        cycle 1: cu never rises, and a fresh original with cu at or above the
+        desired benefit (at most M) is repaired uncoded at once.
         Judging the whole list in one walk is exact: while the prospective
         set, ``missing`` and ``cu`` stay unchanged, a rejection only sets
         that packet's own ``_wait``, so the next packet the scan would pick
@@ -379,25 +369,30 @@ class _BenefitRun(_Run):
         """
         cu = self.cu
         wait = self._wait
-        top = self.m if self.cycle == 1 else self.m + 1
         summary = self._summarize(self.prospective)
         missing = self.missing
         for k0 in order:
-            if cu[k0] >= top or wait[k0] != _FREE:
+            if wait[k0] != _FREE:
                 continue
             if not cu[k0]:
                 break
-            reason = _rejection(self._gates_with(summary, missing[k0]))
-            if reason != _FREE:
-                wait[k0] = reason
-                continue
-            # keep the candidate either way: a set short of the desired
-            # benefit waits for reinforcements, a passing one is still grown
-            # until no further packet fits and is then flushed
-            self._wait = [_FREE if mark == _SOFT else mark for mark in wait]
-            self._wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
-            self.prospective.append(k0 + 1)
-            return True
+            gates = self._gates_with(summary, missing[k0])
+            if gates is None:
+                # some constituent would reach no receiver immediately; growing
+                # the set only loses decoders, so wait until a set is sent
+                wait[k0] = _HARD
+            elif gates[0] < gates[1]:
+                # coding would not beat retransmitting the weakest constituent
+                # uncoded; wait for a different constellation
+                wait[k0] = _SOFT
+            else:
+                # keep the candidate either way: a set short of the desired
+                # benefit waits for reinforcements, a passing one is still
+                # grown until no further packet fits and is then flushed
+                self._wait = [_FREE if mark == _SOFT else mark for mark in wait]
+                self._wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
+                self.prospective.append(k0 + 1)
+                return True
         return False
 
     # -- transmission plumbing --
@@ -411,11 +406,15 @@ class _BenefitRun(_Run):
     # -- gate machinery --
 
     def _flush_passing(self) -> bool:
-        """Transmit the prospective set if it clears all gates; True if sent."""
+        """Transmit the prospective set if it reaches the desired benefit;
+        True if sent.  Its other two gates hold as its last admission read
+        them: since then only fresh originals and their uncoded repairs went
+        out, and no buffered repair holds a fresh original, so no
+        constituent's ``missing`` mask has moved."""
         if not self.prospective:
             return False
         gates = self._read_gates(self.prospective)
-        if _rejection(gates) != _FREE or gates[2] < self.desired_benefit:
+        if gates[2] < self.desired_benefit:
             return False
         self._transmit_repair(self.prospective, gates)
         self._clear_prospective()

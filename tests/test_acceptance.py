@@ -189,7 +189,7 @@ def test_acceptance_8_invariants():
         for name in schedulers[1:]:
             results[name] = run_scheduler(name, mat, seed=trial)
         for name, result in results.items():
-            assert all(len(state.have) == n for state in result.receivers), (name, trial)
+            assert all(len(state.recovery_slot) == n for state in result.receivers), (name, trial)
             assert result.schedule.retransmission_count >= floor, (name, trial)
         # strict rule: every greedy / sort-utility repair decodable by all
         for name in ("greedy", "sort-utility"):
@@ -226,7 +226,7 @@ def _assert_peeling_sound(mat, result):
         for i0, state in enumerate(states):
             if not (packet.original and mat.cells[i0, k - 1]):
                 heard[i0].append(constituents_to_bits(packet.constituents, mat.batch))
-            assert state.have <= gf2_decodable(heard[i0], mat.batch)
+            assert state.recovery_slot.keys() <= gf2_decodable(heard[i0], mat.batch)
 
 
 @report(9, "byte-identical CSV from two identical simulate invocations")

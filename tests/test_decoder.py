@@ -21,7 +21,7 @@ def test_undecodable_packet_is_buffered():
     packet = CodedPacket(frozenset({1, 2}), 3)
     assert state.receive(packet) == []
     assert state.buffer == [packet]
-    assert packet.constituents - state.have == {1, 2}
+    assert packet.constituents - state.recovery_slot.keys() == {1, 2}
 
 
 def test_one_unknown_decodes_immediately():
@@ -68,7 +68,7 @@ def test_original_runs_no_search(monkeypatch):
     monkeypatch.setattr(ReceiverState, "decode_search", no_search)
     assert state.receive_original(5, 5) is None
     assert state.buffer == [packet]
-    assert packet.constituents - state.have == {1, 2}
+    assert packet.constituents - state.recovery_slot.keys() == {1, 2}
     assert state.recovery_slot == {3: 1, 5: 5}
     assert state.source == {}
 
@@ -136,7 +136,8 @@ def test_buffer_invariants_random_streams():
             state.receive(heard[-1])
             # the buffer holds repairs as heard, in arrival order, each still
             # lacking at least two constituents
-            assert all(len(packet.constituents - state.have) >= 2 for packet in state.buffer)
+            assert all(len(packet.constituents - state.recovery_slot.keys()) >= 2
+                       for packet in state.buffer)
             assert state.buffer == [packet for packet in heard if packet in state.buffer]
 
 
@@ -158,4 +159,4 @@ def test_peeling_never_exceeds_elimination_closure():
             state.receive(CodedPacket(ids, slot))
             received_vectors.append(constituents_to_bits(ids, n))
             closure = gf2_decodable(received_vectors, n)
-            assert state.have <= closure
+            assert state.recovery_slot.keys() <= closure

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncretx import SCHEDULER_NAMES, CodedPacket, TransmissionMatrix
+from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix
 from ncretx.cli import main as cli_main, parse_float_range, parse_int_range
 from ncretx.harness import (
     CSV_COLUMNS,
@@ -115,14 +115,14 @@ def test_theory_only_sweep_runs_no_replication(tmp_path, monkeypatch):
 
 def test_check_run_requires_every_receiver_to_hold_the_batch(worked_example):
     from ncretx import run_scheduler
-    from ncretx.harness import InvariantViolation, _check_run
+    from ncretx.harness import _check_run
 
     base = run_scheduler("arq", worked_example)
     result = run_scheduler("benefit", worked_example)
-    _check_run(result, base, seed=7)
+    _check_run(result, base)
     del result.receivers[3].recovery_slot[5]
-    with pytest.raises(InvariantViolation, match=r"benefit: unrecovered cells \(seed 7\)"):
-        _check_run(result, base, seed=7)
+    with pytest.raises(IntegrityError, match="benefit: unrecovered cells"):
+        _check_run(result, base)
 
 
 def test_figure_presets_match_reported_parameters():
@@ -313,7 +313,8 @@ def test_cli_theory_csv(tmp_path):
     assert lines[7].split(",")[3] == "theory_ratio"
 
 
-@pytest.mark.parametrize("batch,loss", [("0", "0.5"), ("4", "0.5,1.5")])
+@pytest.mark.parametrize("batch,loss", [("0", "0.5"), ("4", "0.5,1.5"),
+                                        ("4", "0.1..0.5:inf")])
 def test_cli_theory_validates_before_writing(tmp_path, capsys, batch, loss):
     out = tmp_path / "t.csv"
     rc = cli_main(["theory", "--receivers", "2,3", "--batch", batch,
@@ -346,7 +347,8 @@ def test_cli_figure_small(tmp_path):
 
 
 @pytest.mark.parametrize("receivers,loss", [("3", "0.1..0.5:0"), ("5..2", "0.5"),
-                                            ("3", "0.5..0.1:0.1"), ("2..6:-1", "0.5")])
+                                            ("3", "0.5..0.1:0.1"), ("2..6:-1", "0.5"),
+                                            ("3", "0.1..0.5:inf"), ("3", "0.1..inf:0.1")])
 def test_cli_rejects_zero_step_and_empty_ranges(tmp_path, capsys, receivers, loss):
     rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", receivers,
                    "--loss", loss, "--batch", "5", "--reps", "1", "--workers", "1",
@@ -374,12 +376,13 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     assert not (tmp_path / "fig" / "fig5.csv").exists()
 
 
-@pytest.mark.parametrize("out,message", [
-    ("missing/x.csv", "output directory {tmp}/missing does not exist"),
-    ("existing", "output path {tmp}/existing is a directory"),
+@pytest.mark.parametrize("out,loss,message", [
+    ("missing/x.csv", "0.5", "output directory {tmp}/missing does not exist"),
+    ("existing", "0.5", "output path {tmp}/existing is a directory"),
+    ("x.csv", "0.5,1.5", "loss probability 1.5 outside [0, 1]"),
 ])
 def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, monkeypatch,
-                                                           out, message):
+                                                           out, loss, message):
     import ncretx.harness as H
 
     def no_replication(*args):
@@ -387,13 +390,20 @@ def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, mo
 
     monkeypatch.setattr(H, "run_replication", no_replication)
     (tmp_path / "existing").mkdir()
-    rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", "3", "--loss", "0.5",
+    rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", "3", "--loss", loss,
                    "--batch", "5", "--reps", "1", "--workers", "1",
                    "--out", str(tmp_path / out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
     assert not (tmp_path / "missing").exists()
     assert not any((tmp_path / "existing").iterdir())
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_usage_error_exits_1(capsys):
+    assert cli_main(["simulate", "--algorithms", "arq"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: --receivers, --loss, --batch, --out\n")
 
 
 def drop_repairs_holding_c1(monkeypatch, coded_only=False):

@@ -293,13 +293,12 @@ def test_benefit_audit_matches_independent_replay(worked_example):
             assert (dec, minb, comb) == (entry.decode_benefit,
                                          entry.minimum_benefit,
                                          entry.combination_benefit)
-            if not entry.forced:
-                assert dec >= minb
-                assert comb >= entry.desired_benefit
-                # every constituent immediately decodable somewhere
-                one = np.flatnonzero(ru == 1)
-                for k in entry.constituents:
-                    assert lacking[one, k - 1].any()
+            assert dec >= minb
+            assert comb >= entry.desired_benefit
+            # every constituent immediately decodable somewhere
+            one = np.flatnonzero(ru == 1)
+            for k in entry.constituents:
+                assert lacking[one, k - 1].any()
 
 
 @st.composite
@@ -316,7 +315,7 @@ def assert_benefit_state_consistent(run):
     and ``prospective`` say it should be."""
     for k in range(1, run.n + 1):
         if k <= run.sent:
-            lacking = [i0 for i0, state in enumerate(run.states) if k not in state.have]
+            lacking = [i0 for i0, state in enumerate(run.states) if k not in state.recovery_slot]
         else:
             lacking = np.flatnonzero(run.losses[:, k - 1]).tolist()
         assert run.missing[k - 1] == sum(1 << i0 for i0 in lacking)
@@ -368,7 +367,9 @@ class OneCandidatePerCall(_BenefitRun):
     of ``order`` (highest utility, lowest id), with the gates read by a
     direct fold over the whole candidate set.  It marks a rejection itself
     and admits through the real walk, which must agree that the packet
-    passes; either way it returns True, so the scan calls again."""
+    passes; either way it returns True, so the scan calls again.  It keeps
+    the cycle-1 cap (cu < M) that the real walk omits, so every example also
+    checks that the cap never decides."""
 
     def _admit_first(self, order):
         top = self.m if self.cycle == 1 else self.m + 1
@@ -499,9 +500,10 @@ def test_peeling_stays_in_the_gf2_span_for_every_xor_scheduler(mat):
                 heard[i0].append(constituents_to_bits(packet.constituents, n))
                 if not packet.original and recovered[i0]:
                     # the span only grows, so only a recovery can leave it
-                    assert state.have <= gf2_decodable(heard[i0], n)
-                assert all(len(cp.constituents - state.have) >= 2 for cp in state.buffer)
-        assert all(state.have == set(range(1, n + 1)) for state in states)
+                    assert state.recovery_slot.keys() <= gf2_decodable(heard[i0], n)
+                assert all(len(cp.constituents - state.recovery_slot.keys()) >= 2
+                           for cp in state.buffer)
+        assert all(state.recovery_slot.keys() == set(range(1, n + 1)) for state in states)
 
 
 def strict_optimum(cells: np.ndarray) -> int:
@@ -563,7 +565,7 @@ def test_full_recovery_and_repair_floor_everywhere():
         floor = int(mat.cells.sum(axis=1).max())
         for name in ALL:
             result = run_scheduler(name, mat, seed=t)
-            assert all(state.have == set(range(1, mat.batch + 1))
+            assert all(state.recovery_slot.keys() == set(range(1, mat.batch + 1))
                        for state in result.receivers)
             assert result.schedule.retransmission_count >= floor
             # schedule structure: dense slots, each original exactly once,
