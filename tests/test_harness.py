@@ -113,6 +113,18 @@ def test_theory_only_sweep_runs_no_replication(tmp_path, monkeypatch):
     assert len(alone) == 4
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("receiver_counts", [], "need at least one receiver count"),
+    ("loss_rates", [], "need at least one loss rate"),
+    ("loss_rates", [0.5, float("nan")], "loss probability nan outside"),
+    ("batch", 0, "batch size must be >= 1"),
+])
+def test_experiment_config_rejects_an_empty_axis_or_a_bad_value(tmp_path, field, value,
+                                                                 message):
+    with pytest.raises(ValueError, match=message):
+        small_config(tmp_path / "x.csv", **{field: value})
+
+
 def test_check_run_requires_every_receiver_to_hold_the_batch(worked_example):
     from ncretx import run_scheduler
     from ncretx.harness import _check_run
@@ -376,13 +388,13 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     assert not (tmp_path / "fig" / "fig5.csv").exists()
 
 
-@pytest.mark.parametrize("out,loss,message", [
-    ("missing/x.csv", "0.5", "output directory {tmp}/missing does not exist"),
-    ("existing", "0.5", "output path {tmp}/existing is a directory"),
-    ("x.csv", "0.5,1.5", "loss probability 1.5 outside [0, 1]"),
+@pytest.mark.parametrize("out,message,loss", [
+    ("missing/x.csv", "output directory {tmp}/missing does not exist", "0.5"),
+    ("existing", "output path {tmp}/existing is a directory", "0.5"),
+    ("x.csv", "loss probability 1.5 outside [0, 1]", "0.5,1.5"),
 ])
 def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, monkeypatch,
-                                                           out, loss, message):
+                                                           out, message, loss):
     import ncretx.harness as H
 
     def no_replication(*args):

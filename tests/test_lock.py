@@ -53,7 +53,7 @@ TRACE_SHA = {
 }
 
 BENEFIT_RECORD_SHA = (
-    "7e58b8bfa86d4bd08ff45678a13b185c85b33354c43736a4cc228118ab0e53e5")
+    "d6071ba57df16a0573c038ccb7d3c6b4e3bf99f49da994df0e9b878c5af93e63")
 
 
 def sha256(data: bytes) -> str:
@@ -92,13 +92,14 @@ def test_trace_locked(which, name):
 
 def benefit_record(result) -> str:
     """One canonical line for a benefit run: every transmission with its kind
-    and sorted constituents, every audit field, and per receiver each
-    recovery as ``k@slot``, with ``<source-slot`` if a repair yielded it."""
+    and sorted constituents, every audit field but ``forced`` (always False,
+    and asserted so elsewhere), and per receiver each recovery as
+    ``k@slot``, with ``<source-slot`` if a repair yielded it."""
     tx = " ".join(("o" if cp.original else "r") + ",".join(map(str, sorted(cp.constituents)))
                   for cp in result.schedule.transmissions)
     audit = " ".join(
         f"{a.slot}:{','.join(map(str, a.constituents))}:{a.cycle}:{a.desired_benefit}:"
-        f"{a.decode_benefit}:{a.minimum_benefit}:{a.combination_benefit}:{a.forced}"
+        f"{a.decode_benefit}:{a.minimum_benefit}:{a.combination_benefit}"
         for a in result.audit)
     held = " | ".join(
         " ".join(f"{k}@{slot}" + (f"<{state.source[k].slot}" if k in state.source else "")
