@@ -41,12 +41,20 @@ def _check_range(part: str, lo, hi, step) -> None:
         raise ValueError(f"range {part!r} runs backwards")
 
 
+def _split_range(part: str) -> tuple[str, str, str]:
+    """The texts of a, b and step (empty if absent) in "a..b[:step]"."""
+    bounds, _, step = part.partition(":")
+    lo, _, hi = bounds.partition("..")
+    if ".." in hi + step:
+        raise ValueError(f"range {part!r} must be a..b[:step]")
+    return lo, hi, step
+
+
 def parse_int_range(text: str) -> list[int]:
     values = []
     for part in text.split(","):
         if ".." in part:
-            bounds, _, step = part.partition(":")
-            lo, hi = bounds.split("..")
+            lo, hi, step = _split_range(part)
             lo_i, hi_i, st = int(lo), int(hi), int(step) if step else 1
             _check_range(part, lo_i, hi_i, st)
             values.extend(range(lo_i, hi_i + 1, st))
@@ -59,12 +67,15 @@ def parse_float_range(text: str) -> list[float]:
     values = []
     for part in text.split(","):
         if ".." in part:
-            bounds, _, step = part.partition(":")
-            lo, hi = bounds.split("..")
+            lo, hi, step = _split_range(part)
             if not step:
                 raise ValueError(f"float range {part!r} needs an explicit :step")
             lo_f, hi_f, st = float(lo), float(hi), float(step)
             _check_range(part, lo_f, hi_f, st)
+            if st < 1e-10:
+                # values are rounded to 10 decimals, so a finer step only
+                # repeats or shifts them
+                raise ValueError(f"float range {part!r} needs a step of at least 1e-10")
             count = int(round((hi_f - lo_f) / st))
             values.extend(round(lo_f + i * st, 10) for i in range(count + 1)
                           if lo_f + i * st <= hi_f + 1e-9)

@@ -41,9 +41,11 @@ CSV_COLUMNS = ("algorithm", "M", "N", "p", "replication", "seed",
 
 def check_unique(what: str, values) -> None:
     """Reject a sweep axis that lists a value twice: its rows would repeat."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
+    seen = set()
+    for value in values:
+        if value in seen:
             raise ValueError(f"{what} {value!r} given more than once")
+        seen.add(value)
 
 
 @dataclass

@@ -271,17 +271,17 @@ def benefit(matrix: TransmissionMatrix,
 # Why a packet is not judged right now.  Each reason lasts until its own
 # event; a packet holds at most one, since only free packets are judged.
 _FREE = 0
-_SOFT = 1         # lost the decode-benefit gate: until the prospective set changes
-_HARD = 2         # a constituent would reach no receiver: until a set is sent
-_PROSPECTIVE = 3  # in the prospective set: until the set is sent or dropped
-_ANCHOR = 4       # anchored a prospective set: until the next scan cycle
+_HARD = 1         # a constituent would reach no receiver: until a set is sent
+_PROSPECTIVE = 2  # in the prospective set: until the set is sent or dropped
+_ANCHOR = 3       # anchored a prospective set: until the next scan cycle
 
 
 class _BenefitRun(_Run):
     """Sender-side state of one benefit run.
 
     ``prospective`` is the ordered list of packets waiting to be coded
-    together (its head is the anchor), ``desired_benefit`` the current
+    together (its head is the anchor), ``_summary`` its fold (see
+    ``_gates_with``), grown once per admission, ``desired_benefit`` the current
     requirement on how many receivers a coded repair must help now or
     later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet k
     is not judged right now, a plain list beside ``cu``.  Cycle 1
@@ -304,7 +304,7 @@ class _BenefitRun(_Run):
         self.sent = 0
         self.cycle = 1
         self.desired_benefit = start
-        self.prospective: list[int] = []
+        self._clear_prospective()
         self._wait = [_FREE] * self.n
 
     def execute(self) -> RunResult:
@@ -313,7 +313,7 @@ class _BenefitRun(_Run):
         while any(self.cu) and self.desired_benefit > 1:
             self.cycle += 1
             self.desired_benefit -= 1
-            self.prospective = []
+            self._clear_prospective()
             self._wait = [_FREE] * self.n
             self._scan()
         # No straggler sweep: a cycle at desired benefit 1 drains every
@@ -346,7 +346,8 @@ class _BenefitRun(_Run):
                 # right away, no coding partner search.  A fresh original
                 # sits in no buffer and no prospective set, so this leaves
                 # the coding state untouched.
-                self._transmit_repair([k], self._read_gates([k]))
+                c = self.cu[k - 1]
+                self._transmit_repair([k], (c, c, c))
             # else the next walk judges k: sending k moved no other mask,
             # mark or cu and not the prospective set, so that walk skips what
             # the failed walk before it skipped and judges k against its set
@@ -364,35 +365,42 @@ class _BenefitRun(_Run):
         Judging the whole list in one walk is exact: while the prospective
         set, ``missing`` and ``cu`` stay unchanged, a rejection only sets
         that packet's own ``_wait``, so the next packet the scan would pick
-        is the next one in this order and is judged against the same set,
-        whose summary is folded once.
+        is the next one in this order and is judged against the same set.
         """
         cu = self.cu
         wait = self._wait
-        summary = self._summarize(self.prospective)
+        summary = self._summary
         missing = self.missing
         for k0 in order:
             if wait[k0] != _FREE:
                 continue
             if not cu[k0]:
                 break
-            gates = self._gates_with(summary, missing[k0])
+            col = missing[k0]
+            gates = self._gates_with(summary, col)
             if gates is None:
                 # some constituent would reach no receiver immediately; growing
                 # the set only loses decoders, so wait until a set is sent
                 wait[k0] = _HARD
-            elif gates[0] < gates[1]:
-                # coding would not beat retransmitting the weakest constituent
-                # uncoded; wait for a different constellation
-                wait[k0] = _SOFT
-            else:
+            elif gates[0] >= gates[1]:
                 # keep the candidate either way: a set short of the desired
                 # benefit waits for reinforcements, a passing one is still
-                # grown until no further packet fits and is then flushed
-                self._wait = [_FREE if mark == _SOFT else mark for mark in wait]
-                self._wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
+                # grown until no further packet fits and is then flushed.
+                # Every old constituent's mask lies inside ``ones``, so this
+                # equals a fresh fold of the grown set.
+                ones, decoders, minimum, decodes_own = summary
+                self._summary = (ones | col, (decoders & ~col) | (col & ~ones),
+                                 min(minimum, cu[k0]),
+                                 [own & ~col for own in decodes_own] + [col & ~ones])
+                wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
                 self.prospective.append(k0 + 1)
                 return True
+            # else coding would not beat retransmitting the weakest constituent
+            # uncoded.  No mark: it would last only until the set changes, and
+            # the only walk that could reuse it follows a failed walk, a failed
+            # flush and a fresh original in cycle 1.  Sending that original
+            # moves no mask, no cu of a sent packet and no set member, so that
+            # walk rejects this packet again the same way.
         return False
 
     # -- transmission plumbing --
@@ -407,56 +415,36 @@ class _BenefitRun(_Run):
 
     def _flush_passing(self) -> bool:
         """Transmit the prospective set if it reaches the desired benefit;
-        True if sent.  Its other two gates hold as its last admission read
-        them: since then only fresh originals and their uncoded repairs went
+        True if sent.  Its summary is still a fold of its members: since
+        their admission only fresh originals and their uncoded repairs went
         out, and no buffered repair holds a fresh original, so no
         constituent's ``missing`` mask has moved."""
         if not self.prospective:
             return False
-        gates = self._read_gates(self.prospective)
-        if gates[2] < self.desired_benefit:
+        ones, decoders, minimum, _ = self._summary
+        if ones.bit_count() < self.desired_benefit:
             return False
-        self._transmit_repair(self.prospective, gates)
+        self._transmit_repair(self.prospective,
+                              (decoders.bit_count(), minimum, ones.bit_count()))
         self._clear_prospective()
+        self._wait = [_ANCHOR if mark == _ANCHOR else _FREE for mark in self._wait]
         return True
-
-    def _read_gates(self, ids: list[int]) -> tuple[int, int, int] | None:
-        """(decode, minimum, combination benefit) of a candidate set, or None
-        if some constituent is not immediately decodable by any receiver."""
-        return self._gates_with(self._summarize(ids[:-1]), self.missing[ids[-1] - 1])
-
-    def _summarize(self, ids: list[int]) -> tuple[int, int, int, list[int]]:
-        """Fold a set's ``missing`` masks, once, into what judging a newcomer
-        against it needs: the receivers missing any constituent, those
-        missing exactly one (they decode now), the minimum utility, and per
-        constituent the receivers that decode it now.
-
-        ``ones`` and ``twos`` are a carry-save count of the constituents each
-        receiver misses, so ``ones & ~twos`` misses exactly one.
-        """
-        missing = self.missing
-        ones = twos = 0
-        minimum = self.m
-        for k in ids:
-            col = missing[k - 1]
-            twos |= ones & col
-            ones |= col
-            utility = col.bit_count()
-            if utility < minimum:
-                minimum = utility
-        decoders = ones & ~twos
-        return ones, decoders, minimum, [missing[k - 1] & decoders for k in ids]
 
     @staticmethod
     def _gates_with(summary: tuple[int, int, int, list[int]],
               col: int) -> tuple[int, int, int] | None:
-        """The gates of a summarized set grown by a newcomer that the
-        receivers in ``col`` miss.
+        """(decode, minimum, combination benefit) of a summarized set grown by
+        a newcomer that the receivers in ``col`` miss, or None if some
+        constituent would not be immediately decodable by any receiver.
 
-        A receiver decodes the grown set now if it missed exactly one old
-        constituent and not the newcomer, or only the newcomer.  So an old
-        constituent stays decodable iff ``col`` leaves one of its decoders
-        out, and the newcomer is decodable iff some receiver misses it alone.
+        A set's summary ``(ones, decoders, minimum, decodes_own)`` holds the
+        receivers missing any constituent, those missing exactly one (they
+        decode now), the minimum utility, and per constituent the receivers
+        that decode it now.  A receiver decodes the grown set now if it
+        missed exactly one old constituent and not the newcomer, or only the
+        newcomer.  So an old constituent stays decodable iff ``col`` leaves
+        one of its decoders out, and the newcomer is decodable iff some
+        receiver misses it alone.
         """
         ones, decoders, minimum, decodes_own = summary
         if not col & ~ones:
@@ -468,8 +456,9 @@ class _BenefitRun(_Run):
         return decoders.bit_count(), min(minimum, col.bit_count()), (ones | col).bit_count()
 
     def _clear_prospective(self) -> None:
-        self.prospective = []
-        self._wait = [_ANCHOR if mark == _ANCHOR else _FREE for mark in self._wait]
+        """Start an empty prospective set, whose fold is empty too."""
+        self.prospective: list[int] = []
+        self._summary: tuple[int, int, int, list[int]] = (0, 0, self.m, [])
 
 
 # ---------------------------------------------------------------- dispatch

@@ -326,7 +326,7 @@ def test_cli_theory_csv(tmp_path):
 
 
 @pytest.mark.parametrize("batch,loss", [("0", "0.5"), ("4", "0.5,1.5"),
-                                        ("4", "0.1..0.5:inf")])
+                                        ("4", "0.1..0.5:inf"), ("4", "0.1..0.3:1e-12")])
 def test_cli_theory_validates_before_writing(tmp_path, capsys, batch, loss):
     out = tmp_path / "t.csv"
     rc = cli_main(["theory", "--receivers", "2,3", "--batch", batch,
@@ -360,7 +360,9 @@ def test_cli_figure_small(tmp_path):
 
 @pytest.mark.parametrize("receivers,loss", [("3", "0.1..0.5:0"), ("5..2", "0.5"),
                                             ("3", "0.5..0.1:0.1"), ("2..6:-1", "0.5"),
-                                            ("3", "0.1..0.5:inf"), ("3", "0.1..inf:0.1")])
+                                            ("3", "0.1..0.5:inf"), ("3", "0.1..inf:0.1"),
+                                            ("3", "0.1..0.3:1e-12"),
+                                            ("3", "0.1..0.2..0.3:0.1")])
 def test_cli_rejects_zero_step_and_empty_ranges(tmp_path, capsys, receivers, loss):
     rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", receivers,
                    "--loss", loss, "--batch", "5", "--reps", "1", "--workers", "1",
@@ -392,6 +394,9 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     ("missing/x.csv", "output directory {tmp}/missing does not exist", "0.5"),
     ("existing", "output path {tmp}/existing is a directory", "0.5"),
     ("x.csv", "loss probability 1.5 outside [0, 1]", "0.5,1.5"),
+    ("x.csv", "float range '0.1..0.3:1e-12' needs a step of at least 1e-10",
+     "0.1..0.3:1e-12"),
+    ("x.csv", "range '0.1..0.2..0.3:0.1' must be a..b[:step]", "0.1..0.2..0.3:0.1"),
 ])
 def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, monkeypatch,
                                                            out, message, loss):

@@ -20,7 +20,7 @@ from ncretx import (
     sample_matrix,
     sort_by_utility,
 )
-from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _SOFT, _BenefitRun
+from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _BenefitRun
 
 from conftest import loss_matrices, random_matrix, replay
 from gf2_oracle import constituents_to_bits, gf2_decodable
@@ -310,6 +310,29 @@ def benefit_runs(draw):
     return mat, start
 
 
+def direct_fold(missing, m, ids):
+    """The summary ``(ones, decoders, minimum, decodes_own)`` of a set,
+    folded directly from its members' masks."""
+    ones = twos = 0
+    minimum = m
+    for k in ids:
+        col = missing[k - 1]
+        twos |= ones & col
+        ones |= col
+        minimum = min(minimum, col.bit_count())
+    decoders = ones & ~twos
+    return ones, decoders, minimum, [missing[k - 1] & decoders for k in ids]
+
+
+def direct_gates(missing, m, ids):
+    """(decode, minimum, combination benefit) of a candidate set by a direct
+    fold, or None if some constituent reaches no receiver immediately."""
+    ones, decoders, minimum, decodes_own = direct_fold(missing, m, ids)
+    if not all(decodes_own):
+        return None
+    return decoders.bit_count(), minimum, ones.bit_count()
+
+
 def assert_benefit_state_consistent(run):
     """The incremental benefit state equals what the receivers, the losses
     and ``prospective`` say it should be."""
@@ -325,13 +348,11 @@ def assert_benefit_state_consistent(run):
     if pros:
         assert wait[pros[0] - 1] == _ANCHOR
     assert (np.flatnonzero(wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
-    # a rejection still holds against the current set: hard ones leave some
-    # constituent undecodable, soft ones decode fewer than the minimum
+    assert run._summary == direct_fold(run.missing, run.m, pros)
+    # a hard rejection still holds against the current set: some constituent
+    # would reach no receiver immediately
     for k0 in np.flatnonzero(wait == _HARD).tolist():
-        assert run._read_gates(pros + [k0 + 1]) is None
-    for k0 in np.flatnonzero(wait == _SOFT).tolist():
-        gates = run._read_gates(pros + [k0 + 1])
-        assert gates is not None and gates[0] < gates[1]
+        assert direct_gates(run.missing, run.m, pros + [k0 + 1]) is None
 
 
 @given(benefit_runs())
@@ -369,36 +390,35 @@ class OneCandidatePerCall(_BenefitRun):
     and admits through the real walk, which must agree that the packet
     passes; either way it returns True, so the scan calls again.  It keeps
     the cycle-1 cap (cu < M) that the real walk omits, so every example also
-    checks that the cap never decides."""
+    checks that the cap never decides.  It also caches a rejection by the
+    decode-benefit gate (``_soft``) until the prospective set gains a member
+    or is sent, which the real walk does not, so every example also checks
+    that re-judging such a packet never decides differently.  Each repair's
+    audited gates are read by a direct fold too."""
 
     def _admit_first(self, order):
         top = self.m if self.cycle == 1 else self.m + 1
-        free = sorted(k0 for k0 in order
-                      if 1 <= self.cu[k0] < top and self._wait[k0] == _FREE)
+        free = sorted(k0 for k0 in order if 1 <= self.cu[k0] < top
+                      and self._wait[k0] == _FREE and k0 not in self._soft)
         if not free:
             return False
         k0 = max(free, key=self.cu.__getitem__)  # max keeps the lowest id of a tie
-        gates = self._read_gates(self.prospective + [k0 + 1])
+        gates = direct_gates(self.missing, self.m, self.prospective + [k0 + 1])
         if gates is None:
             self._wait[k0] = _HARD
         elif gates[0] < gates[1]:
-            self._wait[k0] = _SOFT
+            self._soft.add(k0)
         else:
             assert super()._admit_first([k0])
+            self._soft = set()
         return True
 
-    def _read_gates(self, ids):
-        ones = twos = 0
-        minimum = self.m
-        for k in ids:
-            col = self.missing[k - 1]
-            twos |= ones & col
-            ones |= col
-            minimum = min(minimum, col.bit_count())
-        decoders = ones & ~twos
-        if any(not self.missing[k - 1] & decoders for k in ids):
-            return None
-        return decoders.bit_count(), minimum, ones.bit_count()
+    def _transmit_repair(self, ids, gates):
+        super()._transmit_repair(ids, direct_gates(self.missing, self.m, ids))
+
+    def _clear_prospective(self):
+        super()._clear_prospective()
+        self._soft = set()
 
 
 @given(loss_matrices(max_receivers=12))
