@@ -32,21 +32,22 @@ from .schedulers import SCHEDULER_NAMES
 from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_ratio, q_distribution
 
 
-def _check_range(part: str, lo, hi, step) -> None:
+def _range(part: str, convert, default_step=None) -> tuple:
+    """The checked a, b and step of "a..b[:step]"; the step may be left
+    out only where ``default_step`` is given."""
+    bounds, _, step = part.partition(":")
+    lo, _, hi = bounds.partition("..")
+    if ".." in hi + step:
+        raise ValueError(f"range {part!r} must be a..b[:step]")
+    if not step and default_step is None:
+        raise ValueError(f"float range {part!r} needs an explicit :step")
+    lo, hi, step = convert(lo), convert(hi), convert(step) if step else default_step
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"range {part!r} needs finite bounds and step")
     if step <= 0:
         raise ValueError(f"range {part!r} needs a positive step")
     if hi < lo:
         raise ValueError(f"range {part!r} runs backwards")
-
-
-def _split_range(part: str) -> tuple[str, str, str]:
-    """The texts of a, b and step (empty if absent) in "a..b[:step]"."""
-    bounds, _, step = part.partition(":")
-    lo, _, hi = bounds.partition("..")
-    if ".." in hi + step:
-        raise ValueError(f"range {part!r} must be a..b[:step]")
     return lo, hi, step
 
 
@@ -54,10 +55,8 @@ def parse_int_range(text: str) -> list[int]:
     values = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi, step = _split_range(part)
-            lo_i, hi_i, st = int(lo), int(hi), int(step) if step else 1
-            _check_range(part, lo_i, hi_i, st)
-            values.extend(range(lo_i, hi_i + 1, st))
+            lo, hi, step = _range(part, int, 1)
+            values.extend(range(lo, hi + 1, step))
         else:
             values.append(int(part))
     return values
@@ -67,18 +66,12 @@ def parse_float_range(text: str) -> list[float]:
     values = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi, step = _split_range(part)
-            if not step:
-                raise ValueError(f"float range {part!r} needs an explicit :step")
-            lo_f, hi_f, st = float(lo), float(hi), float(step)
-            _check_range(part, lo_f, hi_f, st)
-            if st < 1e-10:
-                # values are rounded to 10 decimals, so a finer step only
-                # repeats or shifts them
+            lo, hi, step = _range(part, float)
+            if step < 1e-10:  # values are rounded to 10 decimals
                 raise ValueError(f"float range {part!r} needs a step of at least 1e-10")
-            count = int(round((hi_f - lo_f) / st))
-            values.extend(round(lo_f + i * st, 10) for i in range(count + 1)
-                          if lo_f + i * st <= hi_f + 1e-9)
+            count = int(round((hi - lo) / step))
+            values.extend(round(lo + i * step, 10) for i in range(count + 1)
+                          if lo + i * step <= hi + 1e-9)
         else:
             values.append(float(part))
     return values

@@ -281,10 +281,10 @@ class _BenefitRun(_Run):
 
     ``prospective`` is the ordered list of packets waiting to be coded
     together (its head is the anchor), ``_summary`` its fold (see
-    ``_gates_with``), grown once per admission, ``desired_benefit`` the current
-    requirement on how many receivers a coded repair must help now or
-    later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet k
-    is not judged right now, a plain list beside ``cu``.  Cycle 1
+    ``_gates_with``), grown once per admission, ``desired_benefit`` the
+    current requirement on how many receivers a coded repair must help now
+    or later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet
+    k is not judged right now, a plain list beside ``cu``.  Cycle 1
     interleaves originals with repairs; cycles 2..M only rescan outstanding
     packets.  Every admission, of a fresh original too, goes through the
     scan's one walk (``_admit_first``).  Gates only ever look at the
