@@ -31,6 +31,10 @@ from .model import IntegrityError
 from .schedulers import SCHEDULER_NAMES
 from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_ratio, q_distribution
 
+# the most values one range may expand to; a longer one is refused before
+# any list is built
+MAX_RANGE_VALUES = 1_000_000
+
 
 def _range(part: str, convert, default_step=None) -> tuple:
     """The checked a, b and step of "a..b[:step]"; the step may be left
@@ -42,12 +46,18 @@ def _range(part: str, convert, default_step=None) -> tuple:
     if not step and default_step is None:
         raise ValueError(f"float range {part!r} needs an explicit :step")
     lo, hi, step = convert(lo), convert(hi), convert(step) if step else default_step
-    if not all(map(math.isfinite, (lo, hi, step))):
+    # an int is finite, and one too large for a float must not be converted
+    if convert is float and not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"range {part!r} needs finite bounds and step")
     if step <= 0:
         raise ValueError(f"range {part!r} needs a positive step")
+    if step < 1e-10:  # only a float step can be this small; values keep 10 decimals
+        raise ValueError(f"float range {part!r} needs a step of at least 1e-10")
     if hi < lo:
         raise ValueError(f"range {part!r} runs backwards")
+    # (hi - lo) / step >= MAX_RANGE_VALUES, without a quotient that can overflow
+    if hi - lo >= MAX_RANGE_VALUES * step:
+        raise ValueError(f"range {part!r} has more than {MAX_RANGE_VALUES} values")
     return lo, hi, step
 
 
@@ -67,8 +77,6 @@ def parse_float_range(text: str) -> list[float]:
     for part in text.split(","):
         if ".." in part:
             lo, hi, step = _range(part, float)
-            if step < 1e-10:  # values are rounded to 10 decimals
-                raise ValueError(f"float range {part!r} needs a step of at least 1e-10")
             count = int(round((hi - lo) / step))
             values.extend(round(lo + i * step, 10) for i in range(count + 1)
                           if lo + i * step <= hi + 1e-9)

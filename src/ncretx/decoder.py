@@ -2,12 +2,13 @@
 
 A receiver reduces every arriving repair by the packets it already holds.
 One remaining unknown means immediate recovery; two or more means the
-repair itself waits in a buffer.  Each recovery from a repair triggers a
-search over the buffered repairs that hold it, peeling recursively until
-nothing changes; an original, sent before every repair that holds it,
-unlocks nothing.  Decoding is symbolic (sets of packet ids), but each
-repaired packet keeps a record of the coded packet it came out of, so the
-harness payload check can rebuild the actual bytes along the same path.
+repair itself waits, filed under each of its unknowns.  Each recovery from
+a repair triggers a search over the waiting repairs filed under it,
+peeling recursively until nothing changes; an original, sent before every
+repair that holds it, unlocks nothing.  Decoding is symbolic (sets of
+packet ids), but each repaired packet keeps a record of the coded packet it
+came out of, so the harness payload check can rebuild the actual bytes
+along the same path.
 """
 
 from __future__ import annotations
@@ -22,19 +23,29 @@ class ReceiverState:
     known in, in recovery order; its keys are the packets the receiver
     holds.  ``source`` maps each packet recovered from a repair to the coded
     packet that yielded it; a packet absent from ``source`` was received as
-    an original.  ``buffer`` keeps the repairs that could not be decoded
-    yet, each still lacking at least two of its constituents.
+    an original.  ``waiting`` maps each packet id the receiver lacks to the
+    repairs that held it and at least one other unknown on arrival, in
+    arrival order; an entry goes once its id has been searched.
     """
 
     def __init__(self) -> None:
         self.recovery_slot: dict[int, int] = {}
         self.source: dict[int, CodedPacket] = {}
-        self.buffer: list[CodedPacket] = []
+        self.waiting: dict[int, list[CodedPacket]] = {}
 
     @property
     def have(self):
         """The recovered packet ids: a read-only view of ``recovery_slot``."""
         return self.recovery_slot.keys()
+
+    @property
+    def buffer(self) -> list[CodedPacket]:
+        """The waiting repairs still lacking at least two constituents, each
+        once, in slot order: the repairs that could not be decoded yet."""
+        pending = {packet.slot: packet for packets in self.waiting.values()
+                   for packet in packets
+                   if len(packet.constituents.difference(self.recovery_slot)) >= 2}
+        return [pending[slot] for slot in sorted(pending)]
 
     def receive_original(self, k: int, slot: int) -> None:
         """Packet k's original arrived intact.  It is sent once, before every
@@ -52,32 +63,35 @@ class ReceiverState:
             self.recovery_slot[k] = packet.slot
             self.source[k] = packet
             return [k] + self.decode_search(k, packet.slot)
-        self.buffer.append(packet)
+        waiting = self.waiting
+        for k in unknowns:
+            waiting.setdefault(k, []).append(packet)
         return []
 
     def decode_search(self, newly: int, slot: int) -> list[int]:
-        """Peel the buffer after ``newly`` became known; returns further recoveries.
+        """Peel the repairs waiting on ``newly`` after it became known;
+        returns further recoveries.
 
-        A repair is reduced by this search's earlier recoveries too, so the
-        search order may pick its ``source``, but never a packet's slot."""
+        Each id is recovered once, and every repair holding it was filed
+        under it on arrival, so popping its entry visits exactly the
+        undecoded repairs that hold it, in arrival order.  A repair is
+        reduced by this search's earlier recoveries too, so the search order
+        may pick its ``source``, but never a packet's slot."""
         if newly not in self.recovery_slot:
             raise ValueError(f"packet {newly} has not been recovered")
+        known = self.recovery_slot
+        waiting = self.waiting
         recovered: list[int] = []
         frontier = [newly]
         while frontier:
-            known = frontier.pop()
-            remaining: list[CodedPacket] = []
-            for packet in self.buffer:
-                if known in packet.constituents:
-                    unknowns = packet.constituents.difference(self.recovery_slot)
-                    if len(unknowns) == 1:
-                        (k,) = unknowns
-                        self.recovery_slot[k] = slot
-                        self.source[k] = packet
-                        recovered.append(k)
-                        frontier.append(k)
-                    if len(unknowns) <= 1:
-                        continue  # decoded, or reduced to nothing new
-                remaining.append(packet)
-            self.buffer = remaining
+            for packet in waiting.pop(frontier.pop(), ()):
+                unknowns = packet.constituents.difference(known)
+                if len(unknowns) == 1:
+                    (k,) = unknowns
+                    known[k] = slot
+                    self.source[k] = packet
+                    recovered.append(k)
+                    frontier.append(k)
+                # none left: decoded earlier; two or more: still filed under
+                # each of them
         return recovered

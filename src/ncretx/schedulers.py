@@ -22,7 +22,10 @@ the sampled matrix.  Identical inputs always produce identical schedules.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -108,12 +111,21 @@ class _Run:
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
         gets; returns the packet of each recovery it caused, one per receiver
-        that recovered it."""
+        that recovered it, receivers in index order.
+
+        Only the receivers ``lacking`` some constituent process it: any other
+        holds them all, so the repair would tell it nothing."""
         packet = self.append(constituents)
+        missing = self.missing
+        lacking = 0
+        for k in packet.constituents:
+            lacking |= missing[k - 1]
         recovered = []
-        for i0, state in enumerate(self.states):
-            for k in state.receive(packet):
-                self.missing[k - 1] &= ~(1 << i0)
+        while lacking:
+            bit = lacking & -lacking
+            lacking ^= bit
+            for k in self.states[bit.bit_length() - 1].receive(packet):
+                missing[k - 1] &= ~bit
                 recovered.append(k)
         return recovered
 
@@ -284,7 +296,10 @@ class _BenefitRun(_Run):
     ``_gates_with``), grown once per admission, ``desired_benefit`` the
     current requirement on how many receivers a coded repair must help now
     or later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet
-    k is not judged right now, a plain list beside ``cu``.  Cycle 1
+    k is not judged right now, a plain list beside ``cu``.  ``_by_cu[c]``
+    lists the sent packets (0-based ids) whose ``cu`` is c, in id order,
+    for c >= 1; ``_by_cu[0]`` stays empty.  Read from the top bucket down
+    it is the scan's walk order, kept as ``cu`` falls.  Cycle 1
     interleaves originals with repairs; cycles 2..M only rescan outstanding
     packets.  Every admission, of a fresh original too, goes through the
     scan's one walk (``_admit_first``).  Gates only ever look at the
@@ -300,6 +315,7 @@ class _BenefitRun(_Run):
             raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
         super().__init__(matrix)
         self.cu = self.losses.sum(axis=0).tolist()  # bit counts of missing
+        self._by_cu: list[list[int]] = [[] for _ in range(self.m + 1)]
         self.audit: list[BenefitAudit] = []
         self.sent = 0
         self.cycle = 1
@@ -330,9 +346,9 @@ class _BenefitRun(_Run):
         flush passing sets and, while the batch lasts, send the next
         original, which joins the set or is repaired uncoded at once."""
         while True:
-            # stable: equal utilities keep the lower id first
-            if self._admit_first(sorted(range(self.sent), key=self.cu.__getitem__,
-                                        reverse=True)):
+            # highest utility first, equal utilities lower id first; no cu
+            # moves during a walk, so the buckets can be read lazily
+            if self._admit_first(chain.from_iterable(reversed(self._by_cu))):
                 continue
             if self._flush_passing():
                 continue
@@ -341,27 +357,29 @@ class _BenefitRun(_Run):
             self.sent += 1
             k = self.sent
             self.send_original(k)
-            if self.cu[k - 1] >= self.desired_benefit:
+            c = self.cu[k - 1]
+            if c:
+                # k - 1 is the largest id sent, so its bucket stays in order
+                self._by_cu[c].append(k - 1)
+            if c >= self.desired_benefit:
                 # missed by enough receivers on its own: repair it uncoded
                 # right away, no coding partner search.  A fresh original
                 # sits in no buffer and no prospective set, so this leaves
                 # the coding state untouched.
-                c = self.cu[k - 1]
                 self._transmit_repair([k], (c, c, c))
             # else the next walk judges k: sending k moved no other mask,
             # mark or cu and not the prospective set, so that walk skips what
             # the failed walk before it skipped and judges k against its set
 
-    def _admit_first(self, order: list[int]) -> bool:
-        """Judge the packets of ``order`` (0-based ids) against the
-        prospective set; mark each rejected one and admit the first that
-        passes.  True if one was admitted.
+    def _admit_first(self, order: Iterable[int]) -> bool:
+        """Judge the packets of ``order`` (0-based ids, each with cu >= 1)
+        against the prospective set; mark each rejected one and admit the
+        first that passes.  True if one was admitted.
 
-        A packet is judged while it is still missing and has no reason to
-        wait (``_wait``); the walk stops at the first cu == 0, so ``order``
-        must put those last.  No packet with cu == M is ever outstanding in
-        cycle 1: cu never rises, and a fresh original with cu at or above the
-        desired benefit (at most M) is repaired uncoded at once.
+        A packet is judged while it has no reason to wait (``_wait``).  No
+        packet with cu == M is ever outstanding in cycle 1: cu never rises,
+        and a fresh original with cu at or above the desired benefit (at
+        most M) is repaired uncoded at once.
         Judging the whole list in one walk is exact: while the prospective
         set, ``missing`` and ``cu`` stay unchanged, a rejection only sets
         that packet's own ``_wait``, so the next packet the scan would pick
@@ -374,8 +392,6 @@ class _BenefitRun(_Run):
         for k0 in order:
             if wait[k0] != _FREE:
                 continue
-            if not cu[k0]:
-                break
             col = missing[k0]
             gates = self._gates_with(summary, col)
             if gates is None:
@@ -406,8 +422,13 @@ class _BenefitRun(_Run):
     # -- transmission plumbing --
 
     def _transmit_repair(self, ids: list[int], gates: tuple[int, int, int]) -> None:
+        cu, by_cu = self.cu, self._by_cu
         for k in self.send(ids):
-            self.cu[k - 1] -= 1
+            c = cu[k - 1]
+            by_cu[c].remove(k - 1)
+            if c > 1:
+                insort(by_cu[c - 1], k - 1)
+            cu[k - 1] = c - 1
         self.audit.append(BenefitAudit(
             len(self.tx), tuple(ids), self.cycle, self.desired_benefit, *gates))
 

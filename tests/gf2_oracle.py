@@ -1,7 +1,11 @@
-"""GF(2) reference oracle: coded-packet constituent sets as bitmask vectors.
+"""Reference decoders, independent of the package's XOR decoder.
 
-Independent of the package's XOR decoder, so tests can check that peeling
-never recovers more than Gaussian elimination over GF(2) could.
+The GF(2) oracle treats coded-packet constituent sets as bitmask vectors,
+so tests can check that peeling never recovers more than Gaussian
+elimination over GF(2) could.  ``ListScanReceiver`` is the peeling decoder
+that rescans one list of buffered repairs after every recovery, so tests
+can check that the package's indexed peeling recovers the same packets, in
+the same order, from the same repairs.
 """
 
 
@@ -36,3 +40,50 @@ def gf2_decodable(vectors, batch: int) -> set[int]:
                 basis[other] ^= basis[lead]
     return {row.bit_length() for row in basis.values()
             if row.bit_count() == 1 and row.bit_length() <= batch}
+
+
+class ListScanReceiver:
+    """Peeling by rescanning: ``buffer`` lists the undecoded repairs in
+    arrival order, and each recovery walks it whole, rebuilding it without
+    the repairs reduced to at most one unknown."""
+
+    def __init__(self) -> None:
+        self.recovery_slot: dict[int, int] = {}
+        self.source = {}
+        self.buffer = []
+
+    def receive_original(self, k: int, slot: int) -> None:
+        self.recovery_slot[k] = slot
+
+    def receive(self, packet) -> list[int]:
+        unknowns = packet.constituents.difference(self.recovery_slot)
+        if not unknowns:
+            return []
+        if len(unknowns) == 1:
+            (k,) = unknowns
+            self.recovery_slot[k] = packet.slot
+            self.source[k] = packet
+            return [k] + self.decode_search(k, packet.slot)
+        self.buffer.append(packet)
+        return []
+
+    def decode_search(self, newly: int, slot: int) -> list[int]:
+        recovered: list[int] = []
+        frontier = [newly]
+        while frontier:
+            known = frontier.pop()
+            remaining = []
+            for packet in self.buffer:
+                if known in packet.constituents:
+                    unknowns = packet.constituents.difference(self.recovery_slot)
+                    if len(unknowns) == 1:
+                        (k,) = unknowns
+                        self.recovery_slot[k] = slot
+                        self.source[k] = packet
+                        recovered.append(k)
+                        frontier.append(k)
+                    if len(unknowns) <= 1:
+                        continue
+                remaining.append(packet)
+            self.buffer = remaining
+        return recovered

@@ -61,6 +61,9 @@ def test_tracer_installs_runs_and_restores(worked_example):
                  "theory.expected_baseline_retx", "theory.theory_ratio"):
         assert tracer.calls[span] > 0, span
     assert counts["decoder.receive_original_calls"] > 0
+    # peel_recoveries is counted on decode_search: a decoder that bypassed
+    # it would read 0 there without failing
+    assert tracer.counts["decoder.decode_search_calls"] > 0
     # one CDF per distinct loss rate, in each of the two floor computations
     assert counts["theory.q_distribution_calls"] == 2
     assert counts["theory.loss_cdf_calls"] == 4

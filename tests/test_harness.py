@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix
-from ncretx.cli import main as cli_main, parse_float_range, parse_int_range
+from ncretx.cli import MAX_RANGE_VALUES, main as cli_main, parse_float_range, parse_int_range
 from ncretx.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -415,6 +415,41 @@ def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, mo
     assert not (tmp_path / "missing").exists()
     assert not any((tmp_path / "existing").iterdir())
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("receivers,loss,part", [("3", "0..1:1e-10", "0..1:1e-10"),
+                                                 ("2..10000000000", "0.5", "2..10000000000"),
+                                                 ("2..1" + "0" * 400, "0.5", "2..1" + "0" * 400)])
+def test_cli_rejects_a_range_too_long_to_expand(tmp_path, capsys, monkeypatch,
+                                                receivers, loss, part):
+    import ncretx.cli as C
+
+    def no_sweep(config):
+        raise AssertionError("a sweep ran on a range too long to expand")
+
+    monkeypatch.setattr(C, "run_experiment", no_sweep)
+    rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", receivers,
+                   "--loss", loss, "--batch", "5", "--reps", "1", "--workers", "1",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: range {part!r} has more than {MAX_RANGE_VALUES} values\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_range_length_limit_counts_values(monkeypatch):
+    import ncretx.cli as C
+
+    monkeypatch.setattr(C, "MAX_RANGE_VALUES", 5)
+    assert parse_int_range("1..5") == [1, 2, 3, 4, 5]
+    assert parse_int_range("1..13:3") == [1, 4, 7, 10, 13]
+    with pytest.raises(ValueError, match="more than 5 values"):
+        parse_int_range("1..6")
+    with pytest.raises(ValueError, match="more than 5 values"):
+        parse_int_range("1..16:3")
+    assert parse_float_range("0.1..0.5:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5]
+    with pytest.raises(ValueError, match="more than 5 values"):
+        parse_float_range("0.1..0.7:0.1")
 
 
 def test_cli_usage_error_exits_1(capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -343,6 +344,11 @@ def assert_benefit_state_consistent(run):
             lacking = np.flatnonzero(run.losses[:, k - 1]).tolist()
         assert run.missing[k - 1] == sum(1 << i0 for i0 in lacking)
         assert run.cu[k - 1] == len(lacking)
+    # the utility buckets read top down are the sent packets by descending
+    # cu, equal cu in id order, without those at cu == 0
+    assert list(chain.from_iterable(reversed(run._by_cu))) == \
+        [k0 for k0 in sorted(range(run.sent), key=run.cu.__getitem__, reverse=True)
+         if run.cu[k0]]
     pros = run.prospective
     wait = np.array(run._wait)
     if pros:
