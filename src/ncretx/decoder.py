@@ -72,11 +72,13 @@ class ReceiverState:
         """Peel the repairs waiting on ``newly`` after it became known;
         returns further recoveries.
 
-        Each id is recovered once, and every repair holding it was filed
-        under it on arrival, so popping its entry visits exactly the
-        undecoded repairs that hold it, in arrival order.  A repair is
-        reduced by this search's earlier recoveries too, so the search order
-        may pick its ``source``, but never a packet's slot."""
+        Each id is recovered once, and every undecoded repair holding it
+        was filed under it on arrival, so popping its entry visits those
+        repairs in arrival order, as a walk of the whole buffer would; one
+        decoded since, through another of its entries, reduces to nothing
+        and is skipped.  A repair is reduced by this search's earlier
+        recoveries too, so the search order may pick its ``source``, but
+        never a packet's slot."""
         if newly not in self.recovery_slot:
             raise ValueError(f"packet {newly} has not been recovered")
         known = self.recovery_slot
