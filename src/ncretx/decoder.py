@@ -2,10 +2,10 @@
 
 A receiver reduces every arriving repair by the packets it already holds.
 One remaining unknown means immediate recovery; two or more means the
-repair itself waits, filed under each of its unknowns.  Each recovery from
-a repair triggers a search over the waiting repairs filed under it,
-peeling recursively until nothing changes; an original, sent before every
-repair that holds it, unlocks nothing.  Decoding is symbolic (sets of
+repair itself waits, filed under each of its unknowns.  A recovery from a
+repair searches only when a repair waits on that id, peeling the repairs
+filed under it recursively until nothing changes; an original, sent before
+every repair that holds it, unlocks nothing.  Decoding is symbolic (sets of
 packet ids), but each repaired packet keeps a record of the coded packet it
 came out of, so the harness payload check can rebuild the actual bytes
 along the same path.
@@ -62,7 +62,8 @@ class ReceiverState:
             (k,) = unknowns
             self.recovery_slot[k] = packet.slot
             self.source[k] = packet
-            return [k] + self.decode_search(k, packet.slot)
+            # nothing filed under k: a search would pop nothing
+            return [k] + self.decode_search(k, packet.slot) if k in self.waiting else [k]
         waiting = self.waiting
         for k in unknowns:
             waiting.setdefault(k, []).append(packet)

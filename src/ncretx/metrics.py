@@ -49,15 +49,15 @@ def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
     (full recovery is guaranteed by every scheduler, so this only fires on
     corrupted inputs).
     """
+    rows, cols = np.nonzero(losses)  # receiver-major, as row-by-row walks
+    sent = np.asarray(original_slot).tolist()
+    slots = [state.recovery_slot for state in receivers]
     samples: list[int] = []
-    for i0, row in enumerate(np.asarray(losses)):
-        recovered = receivers[i0].recovery_slot
-        for k0 in np.flatnonzero(row):
-            slot = recovered.get(k0 + 1)
-            if slot is None:
-                raise IntegrityError(
-                    f"receiver {i0 + 1} never recovered packet {k0 + 1}")
-            samples.append(int(slot) - int(original_slot[k0]))
+    for i0, k0 in zip(rows.tolist(), cols.tolist()):
+        slot = slots[i0].get(k0 + 1)
+        if slot is None:
+            raise IntegrityError(f"receiver {i0 + 1} never recovered packet {k0 + 1}")
+        samples.append(slot - sent[k0])
     if samples:
         mean = float(np.mean(samples))
         std = float(np.std(samples))

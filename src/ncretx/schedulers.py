@@ -25,13 +25,14 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .decoder import ReceiverState
 from .gf import Gf256Basis
-from .model import RECEIVED, CodedPacket, IntegrityError, TransmissionMatrix
+from .model import CodedPacket, IntegrityError, TransmissionMatrix
 
 SCHEDULER_NAMES = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -42,7 +43,7 @@ class Schedule:
 
     transmissions: list[CodedPacket]
 
-    @property
+    @cached_property  # counted once: a finished run's record does not change
     def retransmission_count(self) -> int:
         return sum(not packet.original for packet in self.transmissions)
 
@@ -57,7 +58,7 @@ class RunResult:
     coefficients: list[np.ndarray] | None = None  # rlnc coding vectors, one per repair
     audit: list["BenefitAudit"] | None = None     # benefit gate log, one per repair
 
-    @property
+    @cached_property
     def max_receiver_losses(self) -> int:
         return int(self.losses.sum(axis=1).max())
 
@@ -66,10 +67,10 @@ class RunResult:
 
 
 def _init_states(states: list[ReceiverState], losses: np.ndarray) -> None:
-    """Hand each receiver the originals it did not lose, packet k in slot k."""
-    for state, row in zip(states, losses):
-        for k0 in np.flatnonzero(row == RECEIVED).tolist():
-            state.receive_original(k0 + 1, k0 + 1)
+    """Hand each fresh receiver the originals it did not lose, packet k in
+    slot k: one record built whole, not a ``receive_original`` per cell."""
+    for state, row in zip(states, losses.tolist()):
+        state.recovery_slot = {k: k for k, lost in enumerate(row, 1) if not lost}
 
 
 class _Run:
@@ -105,8 +106,12 @@ class _Run:
         did not lose it."""
         packet = self.append((k,), original=True)
         self.original_slot[k - 1] = packet.slot
-        for i0 in np.flatnonzero(self.losses[:, k - 1] == RECEIVED).tolist():
-            self.states[i0].receive_original(k, packet.slot)
+        # no repair holds k before its original, so missing[k-1] is its loss column
+        got = ~self.missing[k - 1] & ((1 << len(self.states)) - 1)
+        while got:
+            bit = got & -got
+            got ^= bit
+            self.states[bit.bit_length() - 1].receive_original(k, packet.slot)
 
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
@@ -398,6 +403,7 @@ class _BenefitRun(_Run):
                 # some constituent would reach no receiver immediately; growing
                 # the set only loses decoders, so wait until a set is sent
                 wait[k0] = _HARD
+                self._hard.append(k0)
             elif gates[0] >= gates[1]:
                 # keep the candidate either way: a set short of the desired
                 # benefit waits for reinforcements, a passing one is still
@@ -447,8 +453,9 @@ class _BenefitRun(_Run):
             return False
         self._transmit_repair(self.prospective,
                               (decoders.bit_count(), minimum, ones.bit_count()))
+        for k0 in self._hard + [k - 1 for k in self.prospective[1:]]:
+            self._wait[k0] = _FREE  # all marks since the last flush; anchors stay
         self._clear_prospective()
-        self._wait = [_ANCHOR if mark == _ANCHOR else _FREE for mark in self._wait]
         return True
 
     @staticmethod
@@ -477,8 +484,10 @@ class _BenefitRun(_Run):
         return decoders.bit_count(), min(minimum, col.bit_count()), (ones | col).bit_count()
 
     def _clear_prospective(self) -> None:
-        """Start an empty prospective set, whose fold is empty too."""
+        """Start an empty prospective set, its fold, and the list of packets
+        (0-based ids) marked ``_HARD`` since, which the next flush frees."""
         self.prospective: list[int] = []
+        self._hard: list[int] = []
         self._summary: tuple[int, int, int, list[int]] = (0, 0, self.m, [])
 
 

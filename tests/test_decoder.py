@@ -73,6 +73,23 @@ def test_original_runs_no_search(monkeypatch):
     assert state.source == {}
 
 
+def test_recovery_with_nothing_waiting_runs_no_search(monkeypatch):
+    # a recovery searches only the repairs filed under it; with none filed
+    # there is nothing to pop, so the search is not called at all
+    calls = []
+    search = ReceiverState.decode_search
+    monkeypatch.setattr(ReceiverState, "decode_search",
+                        lambda self, newly, slot: calls.append(newly) or search(self, newly, slot))
+    state = holding(2, 3)
+    state.receive(CodedPacket(frozenset({4, 5}), 4))  # filed under 4 and 5
+    assert state.receive(CodedPacket(frozenset({1, 2}), 5)) == [1]
+    assert calls == []
+    # a recovery with a repair filed under it still searches and peels
+    assert state.receive(CodedPacket(frozenset({3, 4}), 6)) == [4, 5]
+    assert calls == [4]
+    assert state.waiting == {}
+
+
 def test_have_is_a_read_only_view_of_recovery_slots():
     state = holding(2, 4)
     assert state.have == {2, 4}

@@ -6,6 +6,8 @@ output on purpose updates the hashes and says why in CHANGES.md.  The
 receivers in numeric order ("R2" before "R10") for every scheduler.
 ``BENEFIT_RECORD_SHA`` pins benefit's whole record on random matrices:
 schedule, gate audit, and each receiver's recovery order and sources.
+``XOR_RECORD_SHA`` pins the same record, less the audit, for arq, greedy
+and sort-utility.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncretx import SCHEDULER_NAMES, ChannelParams, benefit, sample_matrix
+from ncretx import (SCHEDULER_NAMES, ChannelParams, baseline_arq, benefit, greedy_nc,
+                    sample_matrix, sort_by_utility)
 from ncretx.cli import main as cli_main
 from ncretx.harness import load_matrix, trace_run
 
@@ -55,6 +58,9 @@ TRACE_SHA = {
 BENEFIT_RECORD_SHA = (
     "d6071ba57df16a0573c038ccb7d3c6b4e3bf99f49da994df0e9b878c5af93e63")
 
+XOR_RECORD_SHA = (
+    "d98907f0d6e7da1084613b80e38ac89c18b8f1eae1811636ec74cce6f17ccc9c")
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -90,22 +96,30 @@ def test_trace_locked(which, name):
     assert trace_digest(which, name) == TRACE_SHA[(which, name)]
 
 
+def sent_record(result) -> str:
+    """Every transmission with its kind and sorted constituents."""
+    return " ".join(("o" if cp.original else "r") + ",".join(map(str, sorted(cp.constituents)))
+                    for cp in result.schedule.transmissions)
+
+
+def held_record(result) -> str:
+    """Per receiver each recovery, in recovery order, as ``k@slot``, with
+    ``<source-slot`` if a repair yielded it."""
+    return " | ".join(
+        " ".join(f"{k}@{slot}" + (f"<{state.source[k].slot}" if k in state.source else "")
+                 for k, slot in state.recovery_slot.items())
+        for state in result.receivers)
+
+
 def benefit_record(result) -> str:
-    """One canonical line for a benefit run: every transmission with its kind
-    and sorted constituents, every audit field but ``forced`` (always False,
-    and asserted so elsewhere), and per receiver each recovery as
-    ``k@slot``, with ``<source-slot`` if a repair yielded it."""
-    tx = " ".join(("o" if cp.original else "r") + ",".join(map(str, sorted(cp.constituents)))
-                  for cp in result.schedule.transmissions)
+    """One canonical line for a benefit run: the transmissions, every audit
+    field but ``forced`` (always False, and asserted so elsewhere), and the
+    recoveries."""
     audit = " ".join(
         f"{a.slot}:{','.join(map(str, a.constituents))}:{a.cycle}:{a.desired_benefit}:"
         f"{a.decode_benefit}:{a.minimum_benefit}:{a.combination_benefit}"
         for a in result.audit)
-    held = " | ".join(
-        " ".join(f"{k}@{slot}" + (f"<{state.source[k].slot}" if k in state.source else "")
-                 for k, slot in state.recovery_slot.items())
-        for state in result.receivers)
-    return f"{tx} / {audit} / {held}"
+    return f"{sent_record(result)} / {audit} / {held_record(result)}"
 
 
 def test_benefit_record_locked():
@@ -116,3 +130,14 @@ def test_benefit_record_locked():
         for start in dict.fromkeys((None, 1, mat.receivers // 2)):
             lines.append(benefit_record(benefit(mat, initial_desired_benefit=start)))
     assert sha256("\n".join(lines).encode()) == BENEFIT_RECORD_SHA
+
+
+def test_strict_rule_record_locked():
+    rng = np.random.default_rng(17)
+    lines = []
+    for _ in range(400):
+        mat = random_matrix(rng, max_receivers=30, max_batch=60)
+        for scheduler in (baseline_arq, greedy_nc, sort_by_utility):
+            result = scheduler(mat)
+            lines.append(f"{result.algorithm} {sent_record(result)} / {held_record(result)}")
+    assert sha256("\n".join(lines).encode()) == XOR_RECORD_SHA

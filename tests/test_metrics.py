@@ -20,6 +20,8 @@ from ncretx import (
     time_to_decode,
 )
 
+from ncretx.metrics import TtdStats
+
 from conftest import random_matrix, replay
 
 
@@ -94,6 +96,60 @@ def test_ttd_samples_always_positive():
             stats = time_to_decode(result.losses, result.original_slot,
                                    result.receivers)
             assert all(s >= 1 for s in stats.samples)
+
+
+def row_walk_time_to_decode(losses, original_slot, receivers) -> TtdStats:
+    """Reference: the per-row walk with a numpy lookup per lost cell."""
+    samples: list[int] = []
+    for i0, row in enumerate(np.asarray(losses)):
+        recovered = receivers[i0].recovery_slot
+        for k0 in np.flatnonzero(row):
+            slot = recovered.get(k0 + 1)
+            if slot is None:
+                raise IntegrityError(
+                    f"receiver {i0 + 1} never recovered packet {k0 + 1}")
+            samples.append(int(slot) - int(original_slot[k0]))
+    if samples:
+        return TtdStats(samples, float(np.mean(samples)), float(np.std(samples)))
+    return TtdStats(samples, math.nan, math.nan)
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(IntegrityError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_ttd_matches_the_row_walk_reference():
+    rng = np.random.default_rng(29)
+    deleted = 0
+    for t in range(150):
+        mat = random_matrix(rng, max_receivers=20, max_batch=40)
+        for name in ("arq", "greedy", "sort-utility", "benefit", "rlnc"):
+            result = run_scheduler(name, mat, seed=t)
+            args = (result.losses, result.original_slot, result.receivers)
+            got, want = time_to_decode(*args), row_walk_time_to_decode(*args)
+            assert got.samples == want.samples
+            assert all(type(s) is int for s in got.samples)
+            if want.samples:
+                assert (got.mean, got.std) == (want.mean, want.std)
+            else:
+                assert math.isnan(got.mean) and math.isnan(got.std)
+            lost = np.argwhere(result.losses).tolist()
+            if not lost:
+                continue
+            # delete up to three recoveries of lost cells: both walks name
+            # the first in (receiver, packet) order
+            for at in rng.choice(len(lost), size=min(3, len(lost)), replace=False):
+                i0, k0 = lost[at]
+                del result.receivers[i0].recovery_slot[k0 + 1]
+            message = raised(time_to_decode, *args)
+            assert message == raised(row_walk_time_to_decode, *args)
+            first = next((i0, k0) for i0, k0 in lost
+                         if k0 + 1 not in result.receivers[i0].recovery_slot)
+            assert message == f"receiver {first[0] + 1} never recovered packet {first[1] + 1}"
+            deleted += 1
+    assert deleted > 500
 
 
 def test_unrecovered_cell_raises():

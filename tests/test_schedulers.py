@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ncretx import (
     ChannelParams,
+    ReceiverState,
     TransmissionMatrix,
     baseline_arq,
     benefit,
@@ -359,6 +360,8 @@ def assert_benefit_state_consistent(run):
     # would reach no receiver immediately
     for k0 in np.flatnonzero(wait == _HARD).tolist():
         assert direct_gates(run.missing, run.m, pros + [k0 + 1]) is None
+    # the flush frees exactly the listed hard marks
+    assert sorted(run._hard) == np.flatnonzero(wait == _HARD).tolist()
 
 
 @given(benefit_runs())
@@ -412,6 +415,7 @@ class OneCandidatePerCall(_BenefitRun):
         gates = direct_gates(self.missing, self.m, self.prospective + [k0 + 1])
         if gates is None:
             self._wait[k0] = _HARD
+            self._hard.append(k0)
         elif gates[0] < gates[1]:
             self._soft.add(k0)
         else:
@@ -613,6 +617,34 @@ def test_coded_schedulers_never_exceed_arq():
         base = baseline_arq(mat).schedule.retransmission_count
         for scheduler in (greedy_nc, sort_by_utility, benefit):
             assert scheduler(mat).schedule.retransmission_count <= base
+
+
+def test_only_benefit_receives_originals_one_call_per_received_cell(monkeypatch):
+    # the batch hands each receiver its originals as one record; only
+    # benefit, which sends originals one by one, calls receive_original
+    calls = []
+    receive_original = ReceiverState.receive_original
+    monkeypatch.setattr(ReceiverState, "receive_original", lambda self, k, slot: (
+        calls.append(k), receive_original(self, k, slot))[1])
+    rng = np.random.default_rng(31)
+    for t in range(60):
+        mat = random_matrix(rng)
+        for name in ALL:
+            calls.clear()
+            run_scheduler(name, mat, seed=t)
+            received = int((mat.cells == 0).sum())
+            assert len(calls) == (received if name == "benefit" else 0), name
+
+
+def test_counts_read_once_equal_a_fresh_count():
+    rng = np.random.default_rng(37)
+    for t in range(80):
+        mat = random_matrix(rng)
+        for name in ALL:
+            result = run_scheduler(name, mat, seed=t)
+            assert result.schedule.retransmission_count == \
+                sum(not packet.original for packet in result.schedule.transmissions)
+            assert result.max_receiver_losses == int(mat.cells.sum(axis=1).max())
 
 
 def test_identical_inputs_identical_schedules(worked_example):
