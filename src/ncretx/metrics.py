@@ -49,7 +49,7 @@ def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
     (full recovery is guaranteed by every scheduler, so this only fires on
     corrupted inputs).
     """
-    rows, cols = np.nonzero(losses)  # receiver-major, as row-by-row walks
+    rows, cols = np.nonzero(losses)  # receiver-major: (receiver, packet) order
     sent = np.asarray(original_slot).tolist()
     slots = [state.recovery_slot for state in receivers]
     samples: list[int] = []
