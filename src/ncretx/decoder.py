@@ -38,15 +38,6 @@ class ReceiverState:
         """The recovered packet ids: a read-only view of ``recovery_slot``."""
         return self.recovery_slot.keys()
 
-    @property
-    def buffer(self) -> list[CodedPacket]:
-        """The waiting repairs still lacking at least two constituents, each
-        once, in slot order: the repairs that could not be decoded yet."""
-        pending = {packet.slot: packet for packets in self.waiting.values()
-                   for packet in packets
-                   if len(packet.constituents.difference(self.recovery_slot)) >= 2}
-        return [pending[slot] for slot in sorted(pending)]
-
     def receive_original(self, k: int, slot: int) -> None:
         """Packet k's original arrived intact.  It is sent once, before every
         repair that holds it, so it is new and unlocks nothing: no search."""

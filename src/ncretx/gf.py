@@ -54,53 +54,59 @@ INV_TABLE[1:] = EXP_TABLE[255 - LOG_TABLE[_nz]]
 _PRODUCTS = MUL_TABLE.ravel()  # _PRODUCTS[a << 8 | b] == MUL_TABLE[a, b]
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise GF(2^8) product of broadcastable uint8 arrays.
-
-    One gather through a single native-integer index array: about twice as
-    fast as MUL_TABLE[a, b], which broadcasts two index arrays.
-    """
-    return _PRODUCTS.take((a.astype(np.intp) << 8) | b)
-
-
 def mat_vec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """GF(2^8) matrix-vector product (rows of `matrix` dotted with `vec`)."""
-    return np.bitwise_xor.reduce(_mul(np.asarray(vec, dtype=np.uint8), matrix), axis=1)
+    """GF(2^8) matrix-vector product (rows of `matrix` dotted with `vec`).
+
+    The products are one gather through a single native-integer index array:
+    about twice as fast as MUL_TABLE[vec, matrix], which broadcasts two.
+    """
+    products = _PRODUCTS.take((np.asarray(vec, dtype=np.intp) << 8) | matrix)
+    return np.bitwise_xor.reduce(products, axis=1)
 
 
 class Gf256Basis:
-    """Incremental reduced row-echelon basis over GF(2^8).
+    """Incremental row-echelon basis over GF(2^8).
 
-    The first `rank` rows of one array hold the basis: each row has a 1 in
-    its pivot column, and every pivot column is 0 in all other rows.  So
-    insert() reduces a vector against all pivots at once and keeps it if
-    anything survives; rank grows by exactly 1 per innovative vector.
+    The first `rank` rows of one array hold the basis in insertion order:
+    each row is 0 before its pivot column, 1 there, and 0 at the pivots of
+    the rows before it, so `rows[:, pivots]` is unit upper-triangular.  No
+    back-substitution: the basis only ever answers "innovative or not", and
+    rank grows by exactly 1 per innovative row.
     """
 
     def __init__(self) -> None:
         self.rank = 0
-        self._rows = np.zeros((0, 0), dtype=np.uint8)  # sized at the first insert
-        self._pivots = np.zeros(0, dtype=np.intp)
+        self._rows: np.ndarray | None = None  # width x width, sized at the first insert
+        self._pivots: list[int] = []  # row r's pivot column is _pivots[r]
 
-    def insert(self, vec: np.ndarray) -> bool:
-        """Add a vector; returns True iff it was innovative (rank increased)."""
-        v = np.asarray(vec, dtype=np.uint8)
-        if not self._rows.size:  # rank can never exceed the width
-            self._rows = np.zeros((v.size, v.size), dtype=np.uint8)
-            self._pivots = np.zeros(v.size, dtype=np.intp)
-        rows = self._rows[:self.rank]
-        # subtract each pivot entry times its row: 0 at every pivot after
-        v = v ^ np.bitwise_xor.reduce(_mul(v[self._pivots[:self.rank], None], rows), axis=0)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = MUL_TABLE[INV_TABLE[v[piv]]][v]  # normalize pivot to 1
-        rows ^= MUL_TABLE[rows[:, piv]][:, v]  # clear the new pivot column
-        self._rows[self.rank] = v
-        self._pivots[self.rank] = piv
-        self.rank += 1
-        return True
+    def insert(self, block: np.ndarray) -> int:
+        """Add one vector or a 2-D block of row vectors, eliminated in row
+        order; returns a bitmask with bit t set iff row t raised the rank
+        (so 1 or 0 for one vector)."""
+        b = np.array(block, dtype=np.uint8, ndmin=2)  # a copy: reduced in place
+        width = b.shape[-1] if self._rows is None else self._rows.shape[1]
+        if np.ndim(block) not in (1, 2) or b.shape[-1] != width:
+            raise ValueError(f"insert takes a vector or a 2-D block of width {width}, "
+                             f"got shape {np.shape(block)}")
+        if self._rows is None:  # rank can never exceed the width
+            self._rows = np.zeros((width, width), dtype=np.uint8)
+        # each earlier row clears its pivot column; the rows after it are 0 there
+        for row, piv in zip(self._rows, self._pivots):
+            b[:, piv:] ^= MUL_TABLE[b[:, piv]][:, row[piv:]]
+        out = 0
+        for t, v in enumerate(b):
+            nz = v.nonzero()[0]
+            if not nz.size:
+                continue
+            piv = int(nz[0])
+            row = self._rows[self.rank]  # still all zero
+            row[piv:] = MUL_TABLE[INV_TABLE[v[piv]]][v[piv:]]  # pivot normalized to 1
+            below = b[t + 1:]
+            below[:, piv:] ^= MUL_TABLE[below[:, piv]][:, row[piv:]]
+            self._pivots.append(piv)
+            self.rank += 1
+            out |= 1 << t
+        return out
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -395,7 +395,8 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     """Decode every receiver's lost packets from the repairs' wire bytes.
 
     A receiver keeps the first repairs that are innovative on its L_i lost
-    columns, XORs the originals it received out of their wire bytes and
+    columns (its first L_i repairs as one block, then one at a time while
+    short), XORs the originals it received out of their wire bytes and
     solves the L_i x L_i system.  Each received original must be credited at
     its own slot, and each lost packet at the slot of the repair that
     completed the system.
@@ -404,6 +405,7 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     coefficients = result.coefficients or []
     columns = np.ascontiguousarray(payloads.T)  # byte-major: row b is byte b of every packet
     wires = [mat_vec(columns, vec) for vec in coefficients]
+    drawn = np.array(coefficients, dtype=np.uint8).reshape(-1, len(payloads))
     original_slot = result.original_slot.tolist()
     for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
         known = np.flatnonzero(row == RECEIVED)
@@ -413,22 +415,18 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
         lost = np.flatnonzero(row)
         if not lost.size:
             continue
-        known_payloads = columns[:, known]
         basis = Gf256Basis()
-        rows: list[np.ndarray] = []
-        rhs: list[np.ndarray] = []
-        for vec, wire, packet in zip(coefficients, wires, repairs):
-            on_lost = vec[lost]
-            if basis.insert(on_lost):
-                rows.append(on_lost)
-                rhs.append(wire ^ mat_vec(known_payloads, vec[known]))
-                if basis.rank == lost.size:
-                    full_rank_slot = packet.slot
-                    break
-        else:
-            raise IntegrityError(
-                f"receiver {i} never collected {lost.size} innovative packets")
-        decoded = solve(np.array(rows), np.array(rhs))
+        accepted = basis.insert(drawn[:lost.size, lost])
+        used = [t for t in range(lost.size) if accepted >> t & 1]
+        for t in range(lost.size, len(drawn)):
+            if basis.rank < lost.size and basis.insert(drawn[t, lost]):
+                used.append(t)
+        if basis.rank < lost.size:
+            raise IntegrityError(f"receiver {i} never collected {lost.size} innovative packets")
+        full_rank_slot = repairs[used[-1]].slot
+        known_payloads = columns[:, known]
+        rhs = [wires[t] ^ mat_vec(known_payloads, drawn[t, known]) for t in used]
+        decoded = solve(drawn[np.ix_(used, lost)], np.array(rhs))
         for k0, data in zip(lost.tolist(), decoded):
             if (state.recovery_slot.get(k0 + 1) != full_rank_slot
                     or not np.array_equal(data, payloads[k0])):

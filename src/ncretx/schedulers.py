@@ -215,7 +215,9 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
     first reaches full rank and inversion is possible.  A received original
     is a unit vector, so a repair is innovative to a receiver iff its
     coefficients on that receiver's lost columns are, and each receiver's
-    basis spans only those columns.
+    basis spans only those columns.  Full rank takes at least L_i repairs:
+    the first L_i go in as one block when the L_i-th is drawn, and later
+    ones one at a time only if that block fell short.
     """
     run = _Run(matrix)
     run.send_batch()
@@ -230,9 +232,12 @@ def rlnc(matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
             vec = rng.integers(0, 256, size=n, dtype=np.uint8)
         coefficients.append(vec)
         slot = run.append((np.flatnonzero(vec) + 1).tolist()).slot
+        drawn = len(coefficients)
         for i0, (state, basis, cols) in enumerate(zip(run.states, bases, lost)):
-            if (basis.rank < cols.size and basis.insert(vec[cols])
-                    and basis.rank == cols.size):
+            if drawn < cols.size or basis.rank == cols.size:
+                continue
+            basis.insert(np.array(coefficients)[:, cols] if drawn == cols.size else vec[cols])
+            if basis.rank == cols.size:
                 for k0 in cols.tolist():
                     state.recovery_slot[k0 + 1] = slot
                     run.missing[k0] &= ~(1 << i0)

@@ -5,7 +5,8 @@ so tests can check that peeling never recovers more than Gaussian
 elimination over GF(2) could.  ``ListScanReceiver`` is the peeling decoder
 that rescans one list of buffered repairs after every recovery, so tests
 can check that the package's indexed peeling recovers the same packets, in
-the same order, from the same repairs.
+the same order, from the same repairs; ``buffer`` reads the same list off the
+package's decoder.
 """
 
 
@@ -40,6 +41,16 @@ def gf2_decodable(vectors, batch: int) -> set[int]:
                 basis[other] ^= basis[lead]
     return {row.bit_length() for row in basis.values()
             if row.bit_count() == 1 and row.bit_length() <= batch}
+
+
+def buffer(state) -> list:
+    """The repairs a ``ReceiverState`` heard but could not decode yet, from
+    its ``waiting`` index and ``recovery_slot``: each waiting repair still
+    lacking at least two constituents, once, in slot order."""
+    pending = {packet.slot: packet for packets in state.waiting.values()
+               for packet in packets
+               if len(packet.constituents.difference(state.recovery_slot)) >= 2}
+    return [pending[slot] for slot in sorted(pending)]
 
 
 class ListScanReceiver:

@@ -5,7 +5,7 @@ import pytest
 
 from ncretx import CodedPacket, ReceiverState
 
-from gf2_oracle import ListScanReceiver, constituents_to_bits, gf2_decodable
+from gf2_oracle import ListScanReceiver, buffer, constituents_to_bits, gf2_decodable
 
 
 def holding(*packets: int) -> ReceiverState:
@@ -20,7 +20,7 @@ def test_undecodable_packet_is_buffered():
     state = holding(3, 4)
     packet = CodedPacket(frozenset({1, 2}), 3)
     assert state.receive(packet) == []
-    assert state.buffer == [packet]
+    assert buffer(state) == [packet]
     assert packet.constituents - state.recovery_slot.keys() == {1, 2}
 
 
@@ -31,13 +31,13 @@ def test_one_unknown_decodes_immediately():
     assert state.receive(packet) == [1]
     assert state.recovery_slot[1] == 3
     assert state.source == {1: packet}  # c2, c3 arrived as originals
-    assert state.buffer == []
+    assert buffer(state) == []
 
 
 def test_fully_known_packet_discarded():
     state = holding(1, 2)
     assert state.receive(CodedPacket(frozenset({1, 2}), 3)) == []
-    assert state.buffer == []
+    assert buffer(state) == []
 
 
 def test_search_unlocks_buffered_packet_at_trigger_slot():
@@ -67,7 +67,7 @@ def test_original_runs_no_search(monkeypatch):
 
     monkeypatch.setattr(ReceiverState, "decode_search", no_search)
     assert state.receive_original(5, 5) is None
-    assert state.buffer == [packet]
+    assert buffer(state) == [packet]
     assert packet.constituents - state.recovery_slot.keys() == {1, 2}
     assert state.recovery_slot == {3: 1, 5: 5}
     assert state.source == {}
@@ -119,7 +119,7 @@ def test_chained_peel():
     got = state.receive(CodedPacket(frozenset({1}), 5))
     assert sorted(got) == [1, 2, 3]
     assert all(state.recovery_slot[k] == 5 for k in (1, 2, 3))
-    assert state.buffer == []
+    assert buffer(state) == []
 
 
 def test_cascade_reduces_by_its_own_earlier_recoveries():
@@ -134,7 +134,7 @@ def test_cascade_reduces_by_its_own_earlier_recoveries():
     assert state.receive(trigger) == [1, 2, 3]
     assert state.recovery_slot == {4: 1, 1: 9, 2: 9, 3: 9}
     assert state.source == {1: trigger, 2: first, 3: triple}
-    assert state.buffer == []
+    assert buffer(state) == []
 
 
 def test_buffer_invariants_random_streams():
@@ -153,9 +153,10 @@ def test_buffer_invariants_random_streams():
             state.receive(heard[-1])
             # the buffer holds repairs as heard, in arrival order, each still
             # lacking at least two constituents
+            held = buffer(state)
             assert all(len(packet.constituents - state.recovery_slot.keys()) >= 2
-                       for packet in state.buffer)
-            assert state.buffer == [packet for packet in heard if packet in state.buffer]
+                       for packet in held)
+            assert held == [packet for packet in heard if packet in held]
 
 
 def test_peeling_never_exceeds_elimination_closure():
@@ -202,7 +203,7 @@ def test_indexed_peeling_matches_the_list_scan_reference():
             assert got == reference.receive(packet)
             assert list(state.recovery_slot.items()) == list(reference.recovery_slot.items())
             assert state.source == reference.source
-            assert state.buffer == reference.buffer
+            assert buffer(state) == reference.buffer
             # a repair without the packet's own recovery was unlocked by a
             # recovery inside the cascade: a second level or deeper
             deeper += sum(got[0] not in state.source[k].constituents for k in got[1:])

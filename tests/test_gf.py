@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncretx.gf import EXP_TABLE, INV_TABLE, MUL_TABLE, POLY, Gf256Basis, mat_vec, solve
 
@@ -163,7 +165,7 @@ def elimination_rank(rows) -> int:
     return r
 
 
-def test_basis_rows_stay_in_reduced_row_echelon_form():
+def test_basis_rows_stay_in_row_echelon_form():
     rng = np.random.default_rng(19)
     for _ in range(30):
         width = int(rng.integers(1, 25))
@@ -180,11 +182,78 @@ def test_basis_rows_stay_in_reduced_row_echelon_form():
             assert basis.rank == elimination_rank(inserted)
             assert grew == (basis.rank == before + 1)
             rows = basis._rows[:basis.rank]
-            pivots = basis._pivots[:basis.rank]
-            assert len(set(pivots.tolist())) == basis.rank
-            assert np.array_equal(rows[:, pivots], np.eye(basis.rank, dtype=np.uint8))
+            pivots = basis._pivots
+            assert len(set(pivots)) == len(pivots) == basis.rank
+            # 1 at its own pivot, 0 at every earlier row's pivot and before its own
+            assert np.array_equal(np.tril(rows[:, pivots]), np.eye(basis.rank, dtype=np.uint8))
+            assert all(not row[:piv].any() for row, piv in zip(rows, pivots))
             # the rows span exactly what was inserted
             assert elimination_rank(list(rows) + inserted) == basis.rank
+
+
+@st.composite
+def blocks(draw):
+    """A width, rows of that width (random, sparse, zero, repeats of earlier
+    rows and combinations of them), and how many leading rows go in one at
+    a time before the rest go in as one block."""
+    width = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "sparse", "zero", "repeat",
+                                               "combination"]), max_size=width + 6)):
+        row = rng.integers(0, 256, width, dtype=np.uint8)
+        if kind == "sparse":
+            row[rng.random(width) < 0.7] = 0
+        elif kind == "zero":
+            row[:] = 0
+        elif kind == "repeat" and rows:
+            row = rows[int(rng.integers(len(rows)))].copy()
+        elif kind == "combination" and rows:
+            row = combination(rows, rng)
+        rows.append(row)
+    head = draw(st.integers(0, len(rows)))
+    return np.array(rows, dtype=np.uint8).reshape(-1, width), head
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_block_insert_matches_inserting_rows_one_at_a_time(case):
+    # the head goes in first, so the block meets a non-empty basis too
+    rows, head = case
+    block_basis, row_basis = Gf256Basis(), Gf256Basis()
+    for row in rows[:head]:
+        block_basis.insert(row)
+        row_basis.insert(row)
+    mask = block_basis.insert(rows[head:])
+    expected = sum(row_basis.insert(row) << t for t, row in enumerate(rows[head:]))
+    assert mask == expected
+    assert block_basis.rank == row_basis.rank == elimination_rank(rows)
+
+
+def test_insert_rejects_a_vector_of_another_width():
+    basis = Gf256Basis()
+    basis.insert(np.array([1, 2, 3], dtype=np.uint8))
+    with pytest.raises(ValueError, match="width 3") as err:
+        basis.insert(np.array([1, 2, 3, 4], dtype=np.uint8))
+    assert "\n" not in str(err.value) and basis.rank == 1
+
+
+def test_insert_rejects_a_block_of_another_width():
+    basis = Gf256Basis()
+    basis.insert(np.eye(3, dtype=np.uint8)[:2])
+    with pytest.raises(ValueError, match="width 3") as err:
+        basis.insert(np.ones((2, 4), dtype=np.uint8))
+    assert "\n" not in str(err.value) and basis.rank == 2
+
+
+def test_insert_rejects_more_than_two_dimensions():
+    fresh, used = Gf256Basis(), Gf256Basis()
+    used.insert(np.array([0, 1, 1], dtype=np.uint8))
+    for basis in (fresh, used):
+        with pytest.raises(ValueError, match="width") as err:
+            basis.insert(np.ones((2, 2, 3), dtype=np.uint8))
+        assert "\n" not in str(err.value)
+    assert (fresh.rank, used.rank) == (0, 1)
 
 
 def test_insert_rejects_combinations_of_earlier_rows():

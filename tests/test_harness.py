@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix
+from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix, rlnc
 from ncretx.cli import MAX_RANGE_VALUES, main as cli_main, parse_float_range, parse_int_range
+from ncretx.gf import Gf256Basis
 from ncretx.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -287,6 +288,19 @@ def test_rlnc_payload_check_rejects_early_recovery_slots(worked_example, monkeyp
         if (mat.cells.any() if dated == "lost" else not mat.cells.all()):
             with pytest.raises(PayloadMismatch):
                 payload_check(mat, "rlnc", payload_len=4, seed=t)
+
+
+@pytest.mark.parametrize("rows,seed", [([[1, 0], [0, 1]], 81),
+                                       ([[1, 1, 0], [0, 1, 1]], 90)])
+def test_rlnc_payload_check_goes_on_past_a_short_block(rows, seed):
+    # one receiver's first L_i repairs are dependent, so the scheduler and
+    # the check both take its later repairs one at a time
+    mat = TransmissionMatrix.from_rows(rows)
+    drawn = np.array(rlnc(mat, seed=seed).coefficients)
+    lost = [np.flatnonzero(row) for row in mat.cells]
+    assert any(Gf256Basis().insert(drawn[:cols.size, cols]) != (1 << cols.size) - 1
+               for cols in lost)
+    payload_check(mat, "rlnc", payload_len=8, seed=seed)
 
 
 # ---------------------------------------------------------------- cli
