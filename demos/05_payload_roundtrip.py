@@ -10,7 +10,7 @@ for XOR repair packets (peeling) and GF(2^8) random combinations
 import numpy as np
 
 from ncretx import TransmissionMatrix
-from ncretx.gf import mat_vec, solve
+from ncretx.gf import mat_mul, solve
 from ncretx.harness import payload_check
 
 MATRIX = TransmissionMatrix.from_rows([
@@ -37,7 +37,7 @@ def main() -> None:
 
     # random linear route: three GF(2^8) combinations repair three losses
     coefs = rng.integers(0, 256, size=(3, 5), dtype=np.uint8)
-    coded = np.array([mat_vec(payloads.T, c) for c in coefs], dtype=np.uint8)
+    coded = mat_mul(coefs, payloads)
     # receiver R4 already has c2 and c3 as plain unit rows
     rows = np.zeros((5, 5), dtype=np.uint8)
     rows[0, 1] = rows[1, 2] = 1

@@ -51,17 +51,18 @@ MUL_TABLE[1:, 1:] = EXP_TABLE[LOG_TABLE[_nz][:, None] + LOG_TABLE[_nz][None, :]]
 INV_TABLE = np.zeros(256, dtype=np.uint8)
 INV_TABLE[1:] = EXP_TABLE[255 - LOG_TABLE[_nz]]
 
-_PRODUCTS = MUL_TABLE.ravel()  # _PRODUCTS[a << 8 | b] == MUL_TABLE[a, b]
 
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF(2^8) product of an r x n matrix and an n x c matrix.
 
-def mat_vec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """GF(2^8) matrix-vector product (rows of `matrix` dotted with `vec`).
-
-    The products are one gather through a single native-integer index array:
-    about twice as fast as MUL_TABLE[vec, matrix], which broadcasts two.
+    One pass over the inner dimension: column j of `a` times row j of `b` is
+    an outer product read from rows of the product table.  `take` does that
+    read in 0.6-0.8 of the time of MUL_TABLE[a[:, j]][:, b[j]].
     """
-    products = _PRODUCTS.take((np.asarray(vec, dtype=np.intp) << 8) | matrix)
-    return np.bitwise_xor.reduce(products, axis=1)
+    out = np.zeros((len(a), b.shape[1]), dtype=np.uint8)
+    for j in range(len(b)):
+        out ^= MUL_TABLE.take(a[:, j], axis=0).take(b[j], axis=1)
+    return out
 
 
 class Gf256Basis:

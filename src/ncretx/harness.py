@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, sample_matrix
-from .gf import Gf256Basis, mat_vec, solve
+from .gf import Gf256Basis, mat_mul, solve
 from .metrics import run_metrics, time_to_decode
 from .model import RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
@@ -394,40 +394,44 @@ def _check_xor_recoveries(result: RunResult, payloads: np.ndarray) -> None:
 def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     """Decode every receiver's lost packets from the repairs' wire bytes.
 
-    A receiver keeps the first repairs that are innovative on its L_i lost
-    columns (its first L_i repairs as one block, then one at a time while
-    short), XORs the originals it received out of their wire bytes and
-    solves the L_i x L_i system.  Each received original must be credited at
-    its own slot, and each lost packet at the slot of the repair that
-    completed the system.
+    A receiver solves the system of its first L_i repairs on its L_i lost
+    columns, with the originals it received XOR-ed out of their wire bytes.
+    Only if those repairs are dependent (about 1 receiver in 255) does it
+    keep the first repairs that are innovative, through a basis: the first
+    L_i as one block, then one at a time while short.  Each received
+    original must be credited at its own slot, and each lost packet at the
+    slot of the repair that completed the system.
     """
     repairs = [packet for packet in result.schedule.transmissions if not packet.original]
-    coefficients = result.coefficients or []
-    columns = np.ascontiguousarray(payloads.T)  # byte-major: row b is byte b of every packet
-    wires = [mat_vec(columns, vec) for vec in coefficients]
-    drawn = np.array(coefficients, dtype=np.uint8).reshape(-1, len(payloads))
-    original_slot = result.original_slot.tolist()
+    drawn = np.array(result.coefficients or [], dtype=np.uint8).reshape(-1, len(payloads))
+    wires = mat_mul(drawn, payloads)
     for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
-        known = np.flatnonzero(row == RECEIVED)
-        for k0 in known.tolist():
-            if state.recovery_slot.get(k0 + 1) != original_slot[k0]:
-                raise PayloadMismatch(i, k0 + 1)
-        lost = np.flatnonzero(row)
+        slots = np.array([state.recovery_slot.get(k, 0) for k in range(1, row.size + 1)])
+        known, lost = np.flatnonzero(row == RECEIVED), np.flatnonzero(row)
+        wrong = np.flatnonzero(slots[known] != result.original_slot[known])
+        if wrong.size:
+            raise PayloadMismatch(i, int(known[wrong[0]]) + 1)
         if not lost.size:
             continue
-        basis = Gf256Basis()
-        accepted = basis.insert(drawn[:lost.size, lost])
-        used = [t for t in range(lost.size) if accepted >> t & 1]
-        for t in range(lost.size, len(drawn)):
-            if basis.rank < lost.size and basis.insert(drawn[t, lost]):
-                used.append(t)
-        if basis.rank < lost.size:
-            raise IntegrityError(f"receiver {i} never collected {lost.size} innovative packets")
-        full_rank_slot = repairs[used[-1]].slot
-        known_payloads = columns[:, known]
-        rhs = [wires[t] ^ mat_vec(known_payloads, drawn[t, known]) for t in used]
-        decoded = solve(drawn[np.ix_(used, lost)], np.array(rhs))
-        for k0, data in zip(lost.tolist(), decoded):
-            if (state.recovery_slot.get(k0 + 1) != full_rank_slot
-                    or not np.array_equal(data, payloads[k0])):
-                raise PayloadMismatch(i, k0 + 1)
+
+        def decode(used):
+            rhs = wires[used] ^ mat_mul(drawn[used][:, known], payloads[known])
+            return solve(drawn[used][:, lost], rhs)
+
+        used = np.arange(min(lost.size, len(drawn)))
+        try:
+            decoded = decode(used)
+        except ValueError:  # too few repairs, or the first L_i are dependent
+            basis = Gf256Basis()
+            accepted = basis.insert(drawn[:lost.size, lost])
+            used = [t for t in range(lost.size) if accepted >> t & 1]
+            for t in range(lost.size, len(drawn)):
+                if basis.rank < lost.size and basis.insert(drawn[t, lost]):
+                    used.append(t)
+            if basis.rank < lost.size:
+                raise IntegrityError(f"receiver {i} never collected {lost.size} innovative packets")
+            decoded = decode(used)
+        wrong = np.flatnonzero((slots[lost] != repairs[used[-1]].slot)
+                               | (decoded != payloads[lost]).any(axis=1))
+        if wrong.size:
+            raise PayloadMismatch(i, int(lost[wrong[0]]) + 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncretx.gf import EXP_TABLE, INV_TABLE, MUL_TABLE, POLY, Gf256Basis, mat_vec, solve
+from ncretx.gf import EXP_TABLE, INV_TABLE, MUL_TABLE, POLY, Gf256Basis, mat_mul, solve
 
 from gf2_oracle import constituents_to_bits, gf2_decodable
 
@@ -297,23 +297,25 @@ def test_solve_rejects_singular():
             solve(a, rng.integers(0, 256, (n, 3), dtype=np.uint8))
 
 
-def test_mat_vec_matches_scalar_products():
+def test_mat_mul_matches_scalar_products():
     rng = np.random.default_rng(31)
-    for shape in [(1, 1), (5, 7), (64, 200), (3, 0), (0, 4)]:
-        matrix = rng.integers(0, 256, shape, dtype=np.uint8)
-        known = np.flatnonzero(rng.random(shape[1]) < 0.5)
-        # contiguous, a transposed view, and a column fancy-index of a
-        # byte-major array (the layouts the rlnc payload replay passes)
-        for layout in (matrix, np.ascontiguousarray(matrix.T).T, matrix[:, known]):
-            vec = rng.integers(0, 256, layout.shape[1], dtype=np.uint8)
-            expected = []
-            for row in layout.tolist():
-                acc = 0
-                for a, b in zip(row, vec.tolist()):
-                    acc ^= int(MUL_TABLE[a, b])
-                expected.append(acc)
-            got = mat_vec(layout, vec)
-            assert got.dtype == np.uint8 and got.tolist() == expected
+    for r, n, c in [(1, 1, 1), (5, 7, 3), (64, 200, 9), (0, 4, 3), (3, 0, 5), (4, 6, 0)]:
+        matrix = rng.integers(0, 256, (r, 2 * n), dtype=np.uint8)
+        picked = np.sort(rng.choice(2 * n, n, replace=False))
+        # contiguous, a transposed view, and a column fancy-index (the
+        # layouts the rlnc payload check passes)
+        for layout in (matrix[:, :n].copy(), np.ascontiguousarray(matrix[:, :n].T).T,
+                       matrix[:, picked]):
+            other = rng.integers(0, 256, (n, c), dtype=np.uint8)
+            for right in (other, np.ascontiguousarray(other.T).T):
+                expected = [[0] * c for _ in range(r)]
+                for i, row in enumerate(layout.tolist()):
+                    for j, a in enumerate(row):
+                        for col, b in enumerate(right[j].tolist()):
+                            expected[i][col] ^= int(MUL_TABLE[a, b])
+                got = mat_mul(layout, right)
+                assert got.dtype == np.uint8 and got.shape == (r, c)
+                assert got.tolist() == expected
 
 
 def test_basis_one_wide_and_all_zero_inserts():

@@ -262,6 +262,10 @@ def test_payload_round_trip_property(mat, seed):
         payload_check(mat, name, payload_len=4, seed=seed)
 
 
+# one receiver's first L_i repairs are dependent in each (checked below)
+SHORT_BLOCKS = [([[1, 0], [0, 1]], 81), ([[1, 1, 0], [0, 1, 1]], 90)]
+
+
 @pytest.mark.parametrize("dated,first", [("lost", (1, 1)), ("received", (1, 3))])
 def test_rlnc_payload_check_rejects_early_recovery_slots(worked_example, monkeypatch,
                                                         dated, first):
@@ -288,19 +292,77 @@ def test_rlnc_payload_check_rejects_early_recovery_slots(worked_example, monkeyp
         if (mat.cells.any() if dated == "lost" else not mat.cells.all()):
             with pytest.raises(PayloadMismatch):
                 payload_check(mat, "rlnc", payload_len=4, seed=t)
+    # the same fault where a receiver's first block fell short
+    for rows, seed in SHORT_BLOCKS:
+        with pytest.raises(PayloadMismatch):
+            payload_check(TransmissionMatrix.from_rows(rows), "rlnc", payload_len=4, seed=seed)
 
 
-@pytest.mark.parametrize("rows,seed", [([[1, 0], [0, 1]], 81),
-                                       ([[1, 1, 0], [0, 1, 1]], 90)])
-def test_rlnc_payload_check_goes_on_past_a_short_block(rows, seed):
-    # one receiver's first L_i repairs are dependent, so the scheduler and
-    # the check both take its later repairs one at a time
+def check_inserts(monkeypatch, mat, seed):
+    """Run rlnc, then its payload check alone; the check's basis inserts."""
+    import ncretx.harness as H
+
+    result = rlnc(mat, seed=seed)
+    payloads = np.random.default_rng(seed).integers(0, 256, (mat.batch, 8), dtype=np.uint8)
+    real, calls = Gf256Basis.insert, []
+
+    def counted(self, block):
+        calls.append(block)
+        return real(self, block)
+
+    monkeypatch.setattr(Gf256Basis, "insert", counted)
+    H._check_rlnc_recoveries(result, payloads)
+    return len(calls)
+
+
+def test_rlnc_payload_check_solves_a_full_rank_block_directly(worked_example, monkeypatch):
+    # every receiver's first L_i repairs are independent: one solve each
+    # and no basis
+    assert check_inserts(monkeypatch, worked_example, seed=1) == 0
+
+
+@pytest.mark.parametrize("rows,seed", SHORT_BLOCKS)
+def test_rlnc_payload_check_goes_on_past_a_short_block(rows, seed, monkeypatch):
+    # the scheduler and the check both take the short receiver's later
+    # repairs one at a time
     mat = TransmissionMatrix.from_rows(rows)
     drawn = np.array(rlnc(mat, seed=seed).coefficients)
     lost = [np.flatnonzero(row) for row in mat.cells]
     assert any(Gf256Basis().insert(drawn[:cols.size, cols]) != (1 << cols.size) - 1
                for cols in lost)
     payload_check(mat, "rlnc", payload_len=8, seed=seed)
+    assert check_inserts(monkeypatch, mat, seed) >= 1
+
+
+@pytest.mark.parametrize("slot_fault,first", [(False, (4, 5)), (True, (4, 1))])
+def test_rlnc_payload_check_reports_a_wrong_byte(worked_example, monkeypatch,
+                                                 slot_fault, first):
+    # receiver 4 lost c1, c4 and c5 and is the fourth to solve; one byte of
+    # its decoded c5 is flipped.  With c1 also dated one slot late, the
+    # earlier packet is the one reported
+    import ncretx.harness as H
+
+    real_solve, real_run, solves = H.solve, H.run_scheduler, []
+
+    def flipped(a, b):
+        out = real_solve(a, b)
+        solves.append(a)
+        if len(solves) == 4:
+            out[2, 3] ^= 0x40
+        return out
+
+    def late(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        result.receivers[3].recovery_slot[1] += 1
+        return result
+
+    monkeypatch.setattr(H, "solve", flipped)
+    if slot_fault:
+        monkeypatch.setattr(H, "run_scheduler", late)
+    with pytest.raises(PayloadMismatch) as err:
+        payload_check(worked_example, "rlnc", payload_len=8, seed=1)
+    assert (err.value.receiver, err.value.packet) == first
+    assert len(solves) == 4
 
 
 # ---------------------------------------------------------------- cli
