@@ -182,6 +182,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.seed < 0:  # it seeds rlnc's coefficient draws
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     matrix = load_matrix(args.matrix)
     trace_run(matrix, args.algorithm, seed=args.seed)
     return 0

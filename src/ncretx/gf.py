@@ -3,9 +3,9 @@
 GF(2) is implicit everywhere XOR coding appears (a coded packet is a 0/1
 coefficient vector over the batch); this module adds GF(2^8) for random
 linear coding: byte-valued coefficients with multiplication modulo the
-fixed irreducible polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).  Products go
-through log/antilog tables built once at import; 3 generates the
-multiplicative group for this polynomial.
+fixed irreducible polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).  Products and
+inverses are read from full tables built at import from that polynomial, so
+numpy fancy-indexing vectorizes the matrix operations.
 """
 
 from __future__ import annotations
@@ -13,43 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 POLY = 0x11B
-GENERATOR = 3
 
 
-def _mul_slow(a: int, b: int) -> int:
-    # carry-less multiply mod POLY; only used to build the tables
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= POLY
-        b >>= 1
-    return r
+def _product_table() -> np.ndarray:
+    """a * b for every byte pair (a by row, b by column) by shift and add:
+    XOR in a * x^j wherever bit j of b is set, doubling a mod POLY each step."""
+    b = np.arange(256, dtype=np.uint8)
+    table = np.zeros((256, 256), dtype=np.uint8)
+    doubled = b.copy()  # a * x^j for every a, row-wise
+    for j in range(8):
+        table ^= doubled[:, None] * (b >> j & 1)
+        # the shift drops x^8, which is POLY's low byte mod POLY: XOR that in
+        doubled = (doubled << 1) ^ (doubled >> 7) * np.uint8(POLY & 0xFF)
+    return table
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    exp = np.zeros(512, dtype=np.uint8)
-    log = np.zeros(256, dtype=np.int32)
-    x = 1
-    for i in range(255):
-        exp[i] = x
-        log[x] = i
-        x = _mul_slow(x, GENERATOR)
-    exp[255:510] = exp[:255]  # wraparound so exp[log a + log b] needs no mod
-    return exp, log
-
-
-EXP_TABLE, LOG_TABLE = _build_tables()
-
-# full 256x256 product table; lets numpy fancy-indexing vectorize mat ops
-MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
-_nz = np.arange(1, 256)
-MUL_TABLE[1:, 1:] = EXP_TABLE[LOG_TABLE[_nz][:, None] + LOG_TABLE[_nz][None, :]]
-
-INV_TABLE = np.zeros(256, dtype=np.uint8)
-INV_TABLE[1:] = EXP_TABLE[255 - LOG_TABLE[_nz]]
+MUL_TABLE = _product_table()
+# the inverse of a is the b with a * b == 1; argmax maps 0, which has none, to 0
+INV_TABLE = np.argmax(MUL_TABLE == 1, axis=1).astype(np.uint8)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ the sampled matrix.  Identical inputs always produce identical schedules.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -306,10 +307,11 @@ class _BenefitRun(_Run):
     ``_gates_with``), grown once per admission, ``desired_benefit`` the
     current requirement on how many receivers a coded repair must help now
     or later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet
-    k is not judged right now, a plain list beside ``cu``.  ``_by_cu[c]``
-    lists the sent packets (0-based ids) whose ``cu`` is c, in id order,
-    for c >= 1; ``_by_cu[0]`` stays empty.  Read from the top bucket down
-    it is the scan's walk order, kept as ``cu`` falls.  Cycle 1
+    k is not judged right now.  Packet k's utility ``cu`` is
+    ``missing[k-1].bit_count()``, the receivers still lacking it.
+    ``_by_cu[c]`` lists the sent packets (0-based ids) whose ``cu`` is c, in
+    id order, for c >= 1; ``_by_cu[0]`` stays empty.  Read from the top
+    bucket down it is the scan's walk order, kept as ``cu`` falls.  Cycle 1
     interleaves originals with repairs; cycles 2..M only rescan outstanding
     packets.  Every admission, of a fresh original too, goes through the
     scan's one walk (``_admit_first``).  Gates only ever look at the
@@ -324,7 +326,6 @@ class _BenefitRun(_Run):
         if not 1 <= start <= self.m:
             raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
         super().__init__(matrix)
-        self.cu = self.losses.sum(axis=0).tolist()  # bit counts of missing
         self._by_cu: list[list[int]] = [[] for _ in range(self.m + 1)]
         self.audit: list[BenefitAudit] = []
         self.sent = 0
@@ -335,8 +336,7 @@ class _BenefitRun(_Run):
 
     def execute(self) -> RunResult:
         self._scan()
-        # every original is out now, so cu counts all outstanding cells
-        while any(self.cu) and self.desired_benefit > 1:
+        while any(self.missing) and self.desired_benefit > 1:
             self.cycle += 1
             self.desired_benefit -= 1
             self._clear_prospective()
@@ -367,7 +367,7 @@ class _BenefitRun(_Run):
             self.sent += 1
             k = self.sent
             self.send_original(k)
-            c = self.cu[k - 1]
+            c = self.missing[k - 1].bit_count()
             if c:
                 # k - 1 is the largest id sent, so its bucket stays in order
                 self._by_cu[c].append(k - 1)
@@ -377,8 +377,8 @@ class _BenefitRun(_Run):
                 # sits in no buffer and no prospective set, so this leaves
                 # the coding state untouched.
                 self._transmit_repair([k], (c, c, c))
-            # else the next walk judges k: sending k moved no other mask,
-            # mark or cu and not the prospective set, so that walk skips what
+            # else the next walk judges k: sending k moved no other mask or
+            # mark and not the prospective set, so that walk skips what
             # the failed walk before it skipped and judges k against its set
 
     def _admit_first(self, order: Iterable[int]) -> bool:
@@ -391,11 +391,10 @@ class _BenefitRun(_Run):
         and a fresh original with cu at or above the desired benefit (at
         most M) is repaired uncoded at once.
         Judging the whole list in one walk is exact: while the prospective
-        set, ``missing`` and ``cu`` stay unchanged, a rejection only sets
-        that packet's own ``_wait``, so the next packet the scan would pick
+        set and ``missing`` stay unchanged, a rejection only sets that
+        packet's own ``_wait``, so the next packet the scan would pick
         is the next one in this order and is judged against the same set.
         """
-        cu = self.cu
         wait = self._wait
         summary = self._summary
         missing = self.missing
@@ -417,7 +416,7 @@ class _BenefitRun(_Run):
                 # equals a fresh fold of the grown set.
                 ones, decoders, minimum, decodes_own = summary
                 self._summary = (ones | col, (decoders & ~col) | (col & ~ones),
-                                 min(minimum, cu[k0]),
+                                 min(minimum, col.bit_count()),
                                  [own & ~col for own in decodes_own] + [col & ~ones])
                 wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
                 self.prospective.append(k0 + 1)
@@ -426,20 +425,21 @@ class _BenefitRun(_Run):
             # uncoded.  No mark: it would last only until the set changes, and
             # the only walk that could reuse it follows a failed walk, a failed
             # flush and a fresh original in cycle 1.  Sending that original
-            # moves no mask, no cu of a sent packet and no set member, so that
+            # moves no mask and no set member, so that
             # walk rejects this packet again the same way.
         return False
 
     # -- transmission plumbing --
 
     def _transmit_repair(self, ids: list[int], gates: tuple[int, int, int]) -> None:
-        cu, by_cu = self.cu, self._by_cu
-        for k in self.send(ids):
-            c = cu[k - 1]
-            by_cu[c].remove(k - 1)
-            if c > 1:
-                insort(by_cu[c - 1], k - 1)
-            cu[k - 1] = c - 1
+        """Send the XOR of ``ids``; move each packet it recovered (peeling may
+        add some outside ``ids``) once, down one bucket per receiver that did."""
+        missing, by_cu = self.missing, self._by_cu
+        for k, times in Counter(self.send(ids)).items():
+            c = missing[k - 1].bit_count()
+            by_cu[c + times].remove(k - 1)
+            if c:
+                insort(by_cu[c], k - 1)
         self.audit.append(BenefitAudit(
             len(self.tx), tuple(ids), self.cycle, self.desired_benefit, *gates))
 

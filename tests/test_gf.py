@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncretx.gf import EXP_TABLE, INV_TABLE, MUL_TABLE, POLY, Gf256Basis, mat_mul, solve
+from ncretx.gf import INV_TABLE, MUL_TABLE, POLY, Gf256Basis, mat_mul, solve
 
 from gf2_oracle import constituents_to_bits, gf2_decodable
 
@@ -36,7 +36,8 @@ def test_identity_and_zero():
 
 
 def test_inverses_against_exhaustive_search():
-    # brute-force inverse: the unique b with a*b == 1
+    # brute-force inverse: the unique b with a*b == 1; 0 has none and maps to 0
+    assert INV_TABLE[0] == 0
     for a in range(1, 256):
         brute = next(b for b in range(1, 256) if mul_schoolbook(a, b) == 1)
         assert INV_TABLE[a] == brute
@@ -51,10 +52,6 @@ def test_field_axioms_random_triples():
     assert np.array_equal(ab, MUL_TABLE[b, a])
     assert np.array_equal(MUL_TABLE[ab, c], MUL_TABLE[a, MUL_TABLE[b, c]])
     assert np.array_equal(MUL_TABLE[a, b ^ c], MUL_TABLE[a, b] ^ MUL_TABLE[a, c])
-
-
-def test_exp_table_cycles_through_all_nonzero():
-    assert sorted(int(x) for x in EXP_TABLE[:255]) == list(range(1, 256))
 
 
 # -- rank, with a determinant oracle built from permutation expansion --

@@ -419,6 +419,15 @@ def test_cli_trace_exit_codes(worked_example_path, tmp_path):
                      "--algorithm", "benefit"]) == 1
 
 
+@pytest.mark.parametrize("algorithm", ["rlnc", "arq"])
+def test_cli_trace_rejects_a_negative_seed(worked_example_path, capsys, algorithm):
+    assert cli_main(["trace", "--matrix", str(worked_example_path),
+                     "--algorithm", algorithm, "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_cli_trace_names_an_undecodable_matrix_file(tmp_path, capsys):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"2 2\n0 1\n\xe91 0\n")

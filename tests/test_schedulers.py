@@ -347,12 +347,11 @@ def assert_benefit_state_consistent(run):
         else:
             lacking = np.flatnonzero(run.losses[:, k - 1]).tolist()
         assert run.missing[k - 1] == sum(1 << i0 for i0 in lacking)
-        assert run.cu[k - 1] == len(lacking)
     # the utility buckets read top down are the sent packets by descending
     # cu, equal cu in id order, without those at cu == 0
+    cu = [col.bit_count() for col in run.missing]
     assert list(chain.from_iterable(reversed(run._by_cu))) == \
-        [k0 for k0 in sorted(range(run.sent), key=run.cu.__getitem__, reverse=True)
-         if run.cu[k0]]
+        [k0 for k0 in sorted(range(run.sent), key=cu.__getitem__, reverse=True) if cu[k0]]
     pros = run.prospective
     wait = np.array(run._wait)
     if pros:
@@ -410,11 +409,12 @@ class OneCandidatePerCall(_BenefitRun):
 
     def _admit_first(self, order):
         top = self.m if self.cycle == 1 else self.m + 1
-        free = sorted(k0 for k0 in order if 1 <= self.cu[k0] < top
+        cu = [col.bit_count() for col in self.missing]
+        free = sorted(k0 for k0 in order if 1 <= cu[k0] < top
                       and self._wait[k0] == _FREE and k0 not in self._soft)
         if not free:
             return False
-        k0 = max(free, key=self.cu.__getitem__)  # max keeps the lowest id of a tie
+        k0 = max(free, key=cu.__getitem__)  # max keeps the lowest id of a tie
         gates = direct_gates(self.missing, self.m, self.prospective + [k0 + 1])
         if gates is None:
             self._wait[k0] = _HARD
