@@ -36,6 +36,20 @@ from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_rati
 MAX_RANGE_VALUES = 1_000_000
 
 
+def _items(text: str, convert):
+    """``convert`` for the items of the list argument ``text``: a bad item
+    is reported as one line that quotes it and the whole argument."""
+    kind = "an integer" if convert is int else "a number"
+
+    def checked(item: str):
+        try:
+            return convert(item)
+        except ValueError:
+            raise ValueError(f"bad item {item!r} in {text!r}: expected {kind}") from None
+
+    return checked
+
+
 def _range(part: str, convert, default_step=None) -> tuple:
     """The checked a, b and step of "a..b[:step]"; the step may be left
     out only where ``default_step`` is given."""
@@ -47,7 +61,7 @@ def _range(part: str, convert, default_step=None) -> tuple:
         raise ValueError(f"float range {part!r} needs an explicit :step")
     lo, hi, step = convert(lo), convert(hi), convert(step) if step else default_step
     # an int is finite, and one too large for a float must not be converted
-    if convert is float and not all(map(math.isfinite, (lo, hi, step))):
+    if isinstance(lo, float) and not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"range {part!r} needs finite bounds and step")
     if step <= 0:
         raise ValueError(f"range {part!r} needs a positive step")
@@ -62,26 +76,28 @@ def _range(part: str, convert, default_step=None) -> tuple:
 
 
 def parse_int_range(text: str) -> list[int]:
+    number = _items(text, int)
     values = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi, step = _range(part, int, 1)
+            lo, hi, step = _range(part, number, 1)
             values.extend(range(lo, hi + 1, step))
         else:
-            values.append(int(part))
+            values.append(number(part))
     return values
 
 
 def parse_float_range(text: str) -> list[float]:
+    number = _items(text, float)
     values = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi, step = _range(part, float)
+            lo, hi, step = _range(part, number)
             count = int(round((hi - lo) / step))
             values.extend(round(lo + i * step, 10) for i in range(count + 1)
                           if lo + i * step <= hi + 1e-9)
         else:
-            values.append(float(part))
+            values.append(number(part))
     return values
 
 

@@ -2,13 +2,17 @@
 
 A receiver reduces every arriving repair by the packets it already holds.
 One remaining unknown means immediate recovery; two or more means the
-repair itself waits, filed under each of its unknowns.  A recovery from a
-repair searches only when a repair waits on that id, peeling the repairs
-filed under it recursively until nothing changes; an original, sent before
-every repair that holds it, unlocks nothing.  Decoding is symbolic (sets of
-packet ids), but each repaired packet keeps a record of the coded packet it
-came out of, so the harness payload check can rebuild the actual bytes
-along the same path.
+repair itself waits, filed under each of its unknowns.  Immediate recovery
+is one step, ``ReceiverState.recover``: record the packet's slot and
+source, and search only when a repair waits on that id, peeling the repairs
+filed under it recursively until nothing changes.  ``receive`` takes that
+step for its own one-unknown repairs; the sender's ``_Run.send`` takes it
+directly for every receiver that its loss masks show missing exactly one
+constituent, and hands ``receive`` only the repairs that buffer.  An
+original, sent before every repair that holds it, unlocks nothing.
+Decoding is symbolic (sets of packet ids), but each repaired packet keeps a
+record of the coded packet it came out of, so the harness payload check can
+rebuild the actual bytes along the same path.
 """
 
 from __future__ import annotations
@@ -45,20 +49,33 @@ class ReceiverState:
 
     def receive(self, packet: CodedPacket) -> list[int]:
         """Process a (losslessly delivered) repair; returns every packet id
-        newly recovered, including any the peeling search unlocks."""
+        newly recovered, including any the peeling search unlocks.
+
+        With one unknown this is the ``recover`` step; with two or more the
+        repair is filed under each of them.  The sender calls this only for
+        repairs that buffer, since it finds the one-unknown receivers from
+        its loss masks and calls ``recover`` itself."""
         unknowns = packet.constituents.difference(self.recovery_slot)
         if not unknowns:
             return []  # nothing new in it
         if len(unknowns) == 1:
             (k,) = unknowns
-            self.recovery_slot[k] = packet.slot
-            self.source[k] = packet
-            # nothing filed under k: a search would pop nothing
-            return [k] + self.decode_search(k, packet.slot) if k in self.waiting else [k]
+            return [k, *self.recover(k, packet)]
         waiting = self.waiting
         for k in unknowns:
             waiting.setdefault(k, []).append(packet)
         return []
+
+    def recover(self, k: int, packet: CodedPacket):
+        """Recover packet k from ``packet``, of which it is the only unknown:
+        record its slot and source, then peel what waits on it.  Returns the
+        further ids that peeling recovered, an empty sequence when nothing
+        was filed under k, since a search would pop nothing."""
+        self.recovery_slot[k] = packet.slot
+        self.source[k] = packet
+        if k in self.waiting:
+            return self.decode_search(k, packet.slot)
+        return ()
 
     def decode_search(self, newly: int, slot: int) -> list[int]:
         """Peel the repairs waiting on ``newly`` after it became known;

@@ -117,22 +117,45 @@ class _Run:
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
         gets; returns the packet of each recovery it caused, one per receiver
-        that recovered it, receivers in index order.
+        that recovered it.  The order is by constituent, then receiver: each
+        constituent once per receiver that recovers it from this repair, then
+        what peeling unlocked for each of them, receivers in index order.
 
-        Only the receivers ``lacking`` some constituent process it: any other
-        holds them all, so the repair would tell it nothing."""
+        The receivers are split by how many constituents they miss, read
+        from the ``missing`` masks with a carry-save count: ``ones`` holds
+        those missing at least one, ``twos`` those missing two or more.  One
+        in ``missing[k-1] & ones & ~twos`` misses only k, so it recovers k
+        now (``ReceiverState.recover``).  One in ``twos`` files the repair
+        (``ReceiverState.receive``).  Any other holds every constituent, so
+        the repair tells it nothing."""
         packet = self.append(constituents)
-        missing = self.missing
-        lacking = 0
+        missing, states = self.missing, self.states
+        ones = twos = 0
         for k in packet.constituents:
-            lacking |= missing[k - 1]
+            col = missing[k - 1]
+            twos |= ones & col
+            ones |= col
+        once = ones & ~twos
         recovered = []
-        while lacking:
-            bit = lacking & -lacking
-            lacking ^= bit
-            for k in self.states[bit.bit_length() - 1].receive(packet):
-                missing[k - 1] &= ~bit
-                recovered.append(k)
+        if once:
+            for k in packet.constituents:
+                decoders = missing[k - 1] & once
+                if not decoders:
+                    continue
+                # peeling recovers only what these receivers still lack, so
+                # never k: its bits can go first
+                missing[k - 1] ^= decoders
+                recovered += [k] * decoders.bit_count()
+                while decoders:
+                    bit = decoders & -decoders
+                    decoders ^= bit
+                    for j in states[bit.bit_length() - 1].recover(k, packet):
+                        missing[j - 1] &= ~bit
+                        recovered.append(j)
+        while twos:
+            bit = twos & -twos
+            twos ^= bit
+            states[bit.bit_length() - 1].receive(packet)  # files it: recovers nothing
         return recovered
 
     def append(self, constituents, original: bool = False) -> CodedPacket:
@@ -304,7 +327,7 @@ class _BenefitRun(_Run):
 
     ``prospective`` is the ordered list of packets waiting to be coded
     together (its head is the anchor), ``_summary`` its fold (see
-    ``_gates_with``), grown once per admission, ``desired_benefit`` the
+    ``_admit_first``), grown once per admission, ``desired_benefit`` the
     current requirement on how many receivers a coded repair must help now
     or later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet
     k is not judged right now.  Packet k's utility ``cu`` is
@@ -394,30 +417,49 @@ class _BenefitRun(_Run):
         set and ``missing`` stay unchanged, a rejection only sets that
         packet's own ``_wait``, so the next packet the scan would pick
         is the next one in this order and is judged against the same set.
+
+        The set's summary ``(ones, decoders, minimum, decodes_own)`` holds
+        the receivers missing any constituent, those missing exactly one
+        (they decode now), the minimum utility, and per constituent the
+        receivers that decode it now; it is unpacked once per walk.  A
+        receiver decodes the grown set now if it missed exactly one old
+        constituent and not the newcomer, or only the newcomer.  So an old
+        constituent stays decodable iff the newcomer's ``col`` leaves one of
+        its decoders out, and the newcomer is decodable iff some receiver
+        misses it alone.  A newcomer that passes both is admitted when the
+        grown set's decoders number at least its minimum utility.
         """
-        wait = self._wait
-        summary = self._summary
-        missing = self.missing
+        wait, mark_hard, missing = self._wait, self._hard.append, self.missing
+        ones, decoders, minimum, decodes_own = self._summary
         for k0 in order:
             if wait[k0] != _FREE:
                 continue
             col = missing[k0]
-            gates = self._gates_with(summary, col)
-            if gates is None:
+            fresh = col & ~ones  # the receivers that would miss only the newcomer
+            hard = not fresh
+            if not hard:
+                for own in decodes_own:
+                    if not own & ~col:
+                        hard = True
+                        break
+            if hard:
                 # some constituent would reach no receiver immediately; growing
                 # the set only loses decoders, so wait until a set is sent
                 wait[k0] = _HARD
-                self._hard.append(k0)
-            elif gates[0] >= gates[1]:
+                mark_hard(k0)
+                continue
+            grown = (decoders & ~col) | fresh
+            least = col.bit_count()
+            if minimum < least:
+                least = minimum
+            if grown.bit_count() >= least:
                 # keep the candidate either way: a set short of the desired
                 # benefit waits for reinforcements, a passing one is still
                 # grown until no further packet fits and is then flushed.
                 # Every old constituent's mask lies inside ``ones``, so this
                 # equals a fresh fold of the grown set.
-                ones, decoders, minimum, decodes_own = summary
-                self._summary = (ones | col, (decoders & ~col) | (col & ~ones),
-                                 min(minimum, col.bit_count()),
-                                 [own & ~col for own in decodes_own] + [col & ~ones])
+                self._summary = (ones | col, grown, least,
+                                 [own & ~col for own in decodes_own] + [fresh])
                 wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
                 self.prospective.append(k0 + 1)
                 return True
@@ -462,31 +504,6 @@ class _BenefitRun(_Run):
             self._wait[k0] = _FREE  # all marks since the last flush; anchors stay
         self._clear_prospective()
         return True
-
-    @staticmethod
-    def _gates_with(summary: tuple[int, int, int, list[int]],
-              col: int) -> tuple[int, int, int] | None:
-        """(decode, minimum, combination benefit) of a summarized set grown by
-        a newcomer that the receivers in ``col`` miss, or None if some
-        constituent would not be immediately decodable by any receiver.
-
-        A set's summary ``(ones, decoders, minimum, decodes_own)`` holds the
-        receivers missing any constituent, those missing exactly one (they
-        decode now), the minimum utility, and per constituent the receivers
-        that decode it now.  A receiver decodes the grown set now if it
-        missed exactly one old constituent and not the newcomer, or only the
-        newcomer.  So an old constituent stays decodable iff ``col`` leaves
-        one of its decoders out, and the newcomer is decodable iff some
-        receiver misses it alone.
-        """
-        ones, decoders, minimum, decodes_own = summary
-        if not col & ~ones:
-            return None
-        for own in decodes_own:
-            if not own & ~col:
-                return None
-        decoders = (decoders & ~col) | (col & ~ones)
-        return decoders.bit_count(), min(minimum, col.bit_count()), (ones | col).bit_count()
 
     def _clear_prospective(self) -> None:
         """Start an empty prospective set, its fold, and the list of packets

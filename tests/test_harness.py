@@ -522,6 +522,23 @@ def test_cli_rejects_a_range_too_long_to_expand(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("receivers,loss,message", [
+    ("3,", "0.5", "bad item '' in '3,': expected an integer"),
+    ("2..x", "0.5", "bad item 'x' in '2..x': expected an integer"),
+    ("3", "0.5,x", "bad item 'x' in '0.5,x': expected a number"),
+    ("3", "0.1..0.5:", "float range '0.1..0.5:' needs an explicit :step"),
+    ("3", "0.1..0.5:y", "bad item 'y' in '0.1..0.5:y': expected a number"),
+])
+def test_cli_names_a_bad_list_item(tmp_path, capsys, receivers, loss, message):
+    out = tmp_path / "x.csv"
+    rc = cli_main(["simulate", "--algorithms", "arq", "--receivers", receivers,
+                   "--loss", loss, "--batch", "5", "--reps", "1", "--workers", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_range_length_limit_counts_values(monkeypatch):
     import ncretx.cli as C
 
@@ -544,15 +561,22 @@ def test_cli_usage_error_exits_1(capsys):
 
 
 def drop_repairs_holding_c1(monkeypatch, coded_only=False):
-    """Break the decoder: every receiver ignores each repair that holds c1,
-    or, with ``coded_only``, each such repair that holds another packet too."""
-    from ncretx import ReceiverState
+    """Break delivery: each repair that holds c1, or, with ``coded_only``,
+    each such repair that holds another packet too, is still sent (it takes
+    its slot in the schedule) but reaches no receiver."""
+    from ncretx.schedulers import _Run
 
-    receive = ReceiverState.receive
+    send = _Run.send
     fewest = 2 if coded_only else 1
-    monkeypatch.setattr(ReceiverState, "receive", lambda self, packet: (
-        [] if 1 in packet.constituents and len(packet.constituents) >= fewest
-        else receive(self, packet)))
+
+    def dropping(self, constituents):
+        ids = frozenset(constituents)
+        if 1 in ids and len(ids) >= fewest:
+            self.append(ids)
+            return []
+        return send(self, ids)
+
+    monkeypatch.setattr(_Run, "send", dropping)
 
 
 def assert_one_violation_line(err, *parts):
@@ -588,14 +612,19 @@ def test_cli_trace_reports_an_unrecovered_cell(worked_example_path, capsys, monk
     assert_one_violation_line(captured.err, "arq finished with unrecovered cells")
 
 
-# ``ncretx trace`` with every repair that holds c1 dropped by the decoder
+# ``ncretx trace`` with every repair that holds c1 sent but delivered to no one
 DROPPING_TRACE = """
 import sys
-from ncretx import ReceiverState
 from ncretx.cli import main
-receive = ReceiverState.receive
-ReceiverState.receive = lambda self, packet: (
-    [] if 1 in packet.constituents else receive(self, packet))
+from ncretx.schedulers import _Run
+send = _Run.send
+def dropping(self, constituents):
+    ids = frozenset(constituents)
+    if 1 in ids:
+        self.append(ids)
+        return []
+    return send(self, ids)
+_Run.send = dropping
 sys.exit(main(sys.argv[1:]))
 """
 

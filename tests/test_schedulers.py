@@ -2,6 +2,7 @@
 
 import functools
 import math
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from ncretx import (
     ChannelParams,
+    CodedPacket,
     ReceiverState,
     TransmissionMatrix,
     baseline_arq,
@@ -22,7 +24,7 @@ from ncretx import (
     sample_matrix,
     sort_by_utility,
 )
-from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _BenefitRun
+from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _BenefitRun, _Run
 
 from conftest import loss_matrices, random_matrix, replay
 from gf2_oracle import buffer, constituents_to_bits, gf2_decodable
@@ -537,6 +539,88 @@ def test_peeling_stays_in_the_gf2_span_for_every_xor_scheduler(mat):
                 assert all(len(cp.constituents - state.recovery_slot.keys()) >= 2
                            for cp in buffer(state))
         assert all(state.recovery_slot.keys() == set(range(1, n + 1)) for state in states)
+
+
+# ---------------------------------------------------------------- delivery
+
+
+def test_send_decodes_buffers_and_skips_by_the_loss_masks():
+    # R1 lacks c1 and c3, R2 lacks c1, c2 and c3, R3 lacks nothing.  Both
+    # lacking receivers file c1^c3; then c1^c2 finds R1 missing c1 alone, so
+    # it recovers c1 and peels c3 out of c1^c3, R2 files it, R3 holds both
+    run = _Run(TransmissionMatrix.from_rows([[1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 0, 0]]))
+    run.send_batch()
+    assert run.send([1, 3]) == []
+    first = run.tx[-1]
+    assert run.send([1, 2]) == [1, 3]  # c1 by R1, then what R1's peeling unlocked
+    second = run.tx[-1]
+    assert (first.slot, second.slot) == (5, 6)
+    assert run.missing == [0b010, 0b010, 0b010, 0]
+    r1, r2, r3 = run.states
+    assert list(r1.recovery_slot.items()) == [(2, 2), (4, 4), (1, 6), (3, 6)]
+    assert r1.source == {1: second, 3: first}
+    assert r1.waiting == {}
+    assert list(r2.recovery_slot.items()) == [(4, 4)]
+    assert r2.source == {}
+    assert r2.waiting == {1: [first, second], 2: [second], 3: [first]}
+    assert list(r3.recovery_slot.items()) == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert (r3.source, r3.waiting) == ({}, {})
+
+
+def test_send_returns_recoveries_by_constituent_then_receiver():
+    # R1 lacks c2 alone, R2 and R3 lack c1 alone: c1's two recoveries come
+    # first although R1 has the lowest index
+    run = _Run(TransmissionMatrix.from_rows([[0, 1], [1, 0], [1, 0]]))
+    run.send_batch()
+    assert run.send([1, 2]) == [1, 1, 2]
+    assert run.missing == [0, 0]
+    packet = run.tx[-1]
+    assert [state.source for state in run.states] == [{2: packet}, {1: packet}, {1: packet}]
+
+
+def records(states):
+    """What each receiver holds, in order: recovery slots, source slots and
+    the repairs waiting under each id."""
+    return [(list(state.recovery_slot.items()),
+             {k: cp.slot for k, cp in state.source.items()},
+             [(k, list(cps)) for k, cps in state.waiting.items()]) for state in states]
+
+
+@given(loss_matrices())
+# benefit: R4 buffers c2^c3 and c1^c2, then c1 peels c2, whose own search gives c3
+@example(TransmissionMatrix.from_rows([[1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 1]]))
+@example(TransmissionMatrix(np.ones((10, 40), dtype=np.uint8)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mask_delivery_matches_a_replay_through_receive(mat):
+    # the run decodes from its loss masks; a replay of its schedule hands
+    # every repair to every receiver's ``receive``.  After each repair the
+    # two must agree on every receiver's records and on what it recovered
+    send, result_of = _Run.send, _Run.result
+    for name in ("arq", "greedy", "sort-utility", "benefit"):
+        sent, finished = [], []
+
+        def recording(self, constituents):
+            recovered = send(self, constituents)
+            sent.append((Counter(recovered), records(self.states)))
+            return recovered
+
+        def finishing(self, *args, **kwargs):
+            finished.append(list(self.missing))
+            return result_of(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Run, "send", recording)
+            mp.setattr(_Run, "result", finishing)
+            result = run_scheduler(name, mat)
+        assert finished == [[0] * mat.batch], name
+        repairs = iter(sent)
+        for packet, _, states, recovered in replay(mat, result.schedule.transmissions):
+            if not packet.original:
+                got, held = next(repairs)
+                assert got == Counter(chain.from_iterable(recovered)), name
+                assert held == records(states), name
+        assert next(repairs, None) is None, name
+        assert records(result.receivers) == records(states), name
 
 
 def strict_optimum(cells: np.ndarray) -> int:
