@@ -1,14 +1,13 @@
 """Per-receiver XOR decoding: immediate decode, buffering and peeling search.
 
-A receiver reduces every arriving repair by the packets it already holds.
-One remaining unknown means immediate recovery; two or more means the
-repair itself waits, filed under each of its unknowns.  Immediate recovery
-is one step, ``ReceiverState.recover``: record the packet's slot and
-source, and search only when a repair waits on that id, peeling the repairs
-filed under it recursively until nothing changes.  ``receive`` takes that
-step for its own one-unknown repairs; the sender's ``_Run.send`` takes it
-directly for every receiver that its loss masks show missing exactly one
-constituent, and hands ``receive`` only the repairs that buffer.  An
+A receiver decodes a repair at once when it leaves one unknown; with two
+or more the repair waits, filed under each of them.  There is one decode
+path.  The sender's ``_Run.send`` reads from its loss masks how many
+constituents each receiver misses.  A receiver missing exactly one goes
+to ``ReceiverState.recover``, which records the packet's slot and source
+and, only when a repair waits on that id, runs ``decode_search``: it
+peels the repairs filed under the id recursively until nothing changes.
+A receiver missing two or more files the repair through ``receive``.  An
 original, sent before every repair that holds it, unlocks nothing.
 Decoding is symbolic (sets of packet ids), but each repaired packet keeps a
 record of the coded packet it came out of, so the harness payload check can
@@ -47,24 +46,17 @@ class ReceiverState:
         repair that holds it, so it is new and unlocks nothing: no search."""
         self.recovery_slot[k] = slot
 
-    def receive(self, packet: CodedPacket) -> list[int]:
-        """Process a (losslessly delivered) repair; returns every packet id
-        newly recovered, including any the peeling search unlocks.
-
-        With one unknown this is the ``recover`` step; with two or more the
-        repair is filed under each of them.  The sender calls this only for
-        repairs that buffer, since it finds the one-unknown receivers from
-        its loss masks and calls ``recover`` itself."""
+    def receive(self, packet: CodedPacket) -> None:
+        """File a (losslessly delivered) repair under each of its two or
+        more unknowns.  A repair with fewer is decodable now, or tells the
+        receiver nothing: that is the caller's to see, so it is an error."""
         unknowns = packet.constituents.difference(self.recovery_slot)
-        if not unknowns:
-            return []  # nothing new in it
-        if len(unknowns) == 1:
-            (k,) = unknowns
-            return [k, *self.recover(k, packet)]
+        if len(unknowns) < 2:
+            raise ValueError(f"repair {packet} (slot {packet.slot}) leaves {len(unknowns)} "
+                             "unknown; receive files only repairs leaving two or more")
         waiting = self.waiting
         for k in unknowns:
             waiting.setdefault(k, []).append(packet)
-        return []
 
     def recover(self, k: int, packet: CodedPacket):
         """Recover packet k from ``packet``, of which it is the only unknown:

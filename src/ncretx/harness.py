@@ -57,7 +57,7 @@ class ExperimentConfig:
     replications: int = 1000
     base_seed: int = 0
     output_path: str | Path | None = None
-    workers: int | None = None  # None: one per CPU; 1: in-process
+    workers: int | None = None  # None: one per CPU, at most 8; 1: in-process
 
     def __post_init__(self) -> None:
         if not self.algorithms:
@@ -158,10 +158,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                   replication_seed(config.base_seed, m, p, config.batch, r))
                  for (m, p) in grid for r in range(config.replications)]
 
-    workers = config.workers
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    if workers > 1 and len(tasks) > 1:
+    # never more processes than tasks or CPUs, whatever was asked for
+    workers = min(config.workers or 8, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_replication_task, tasks, chunksize=16))
     else:
@@ -397,8 +396,8 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     A receiver solves the system of its first L_i repairs on its L_i lost
     columns, with the originals it received XOR-ed out of their wire bytes.
     Only if those repairs are dependent (about 1 receiver in 255) does it
-    keep the first repairs that are innovative, through a basis: the first
-    L_i as one block, then one at a time while short.  Each received
+    keep the first repairs that are innovative: all its repairs go into a
+    basis as one block, whose bitmask marks them in row order.  Each received
     original must be credited at its own slot, and each lost packet at the
     slot of the repair that completed the system.
     """
@@ -423,11 +422,8 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
             decoded = decode(used)
         except ValueError:  # too few repairs, or the first L_i are dependent
             basis = Gf256Basis()
-            accepted = basis.insert(drawn[:lost.size, lost])
-            used = [t for t in range(lost.size) if accepted >> t & 1]
-            for t in range(lost.size, len(drawn)):
-                if basis.rank < lost.size and basis.insert(drawn[t, lost]):
-                    used.append(t)
+            accepted = basis.insert(drawn[:, lost])
+            used = [t for t in range(len(drawn)) if accepted >> t & 1]
             if basis.rank < lost.size:
                 raise IntegrityError(f"receiver {i} never collected {lost.size} innovative packets")
             decoded = decode(used)

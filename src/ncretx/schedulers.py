@@ -125,9 +125,10 @@ class _Run:
         from the ``missing`` masks with a carry-save count: ``ones`` holds
         those missing at least one, ``twos`` those missing two or more.  One
         in ``missing[k-1] & ones & ~twos`` misses only k, so it recovers k
-        now (``ReceiverState.recover``).  One in ``twos`` files the repair
-        (``ReceiverState.receive``).  Any other holds every constituent, so
-        the repair tells it nothing."""
+        now (``ReceiverState.recover``, which peels what waits on k).  One
+        in ``twos`` files the repair (``ReceiverState.receive``, which
+        decodes nothing).  Any other holds every constituent, so the repair
+        tells it nothing.  This is the only place an XOR repair is decoded."""
         packet = self.append(constituents)
         missing, states = self.missing, self.states
         ones = twos = 0
@@ -155,7 +156,7 @@ class _Run:
         while twos:
             bit = twos & -twos
             twos ^= bit
-            states[bit.bit_length() - 1].receive(packet)  # files it: recovers nothing
+            states[bit.bit_length() - 1].receive(packet)
         return recovered
 
     def append(self, constituents, original: bool = False) -> CodedPacket:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ncretx import ReceiverState, TransmissionMatrix
+from ncretx import TransmissionMatrix, run_scheduler
+from ncretx.schedulers import _Run
+
+from gf2_oracle import ListScanReceiver, buffer, constituents_to_bits, gf2_decodable
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -53,9 +56,9 @@ def loss_matrices(draw, max_receivers=10, max_batch=40):
 
 
 def replay(mat, transmissions):
-    """Deliver a schedule to fresh receivers, independently of the run that
-    made it: an original reaches the receivers that did not lose it, a repair
-    reaches every receiver.
+    """Deliver a schedule to fresh list-scan receivers (``ListScanReceiver``,
+    which shares no code with the package's decoder): an original reaches
+    the receivers that did not lose it, a repair reaches every receiver.
 
     Yields ``(packet, lacking, states, recovered)`` once each packet is
     delivered.  ``lacking`` is the grid as the packet found it: the loss
@@ -64,7 +67,7 @@ def replay(mat, transmissions):
     i0 recovered from it.  At the end nothing may be left lacking.
     """
     lacking = mat.cells.copy()
-    states = [ReceiverState() for _ in range(mat.receivers)]
+    states = [ListScanReceiver() for _ in range(mat.receivers)]
     for packet in transmissions:
         k = min(packet.constituents)
         recovered = []
@@ -81,3 +84,57 @@ def replay(mat, transmissions):
             for kk in ks:
                 lacking[i0, kk - 1] = 0
     assert not lacking.any()
+
+
+def records(states):
+    """What each receiver holds, in order: its recovery slots, the slot of
+    each recovered packet's source, and its undecoded repairs in arrival
+    order, read off a ``ReceiverState``'s index or a list-scan buffer."""
+    return [(list(state.recovery_slot.items()),
+             {k: cp.slot for k, cp in state.source.items()},
+             state.buffer if isinstance(state, ListScanReceiver) else buffer(state))
+            for state in states]
+
+
+def recorded_run(name, mat):
+    """Run an XOR scheduler, recording its own receivers after every repair.
+
+    Returns the result and, per repair in slot order, ``(packet,
+    recovered, records)``: what ``_Run.send`` returned and ``records`` of
+    the run's receivers just after it.
+    """
+    send = _Run.send
+    sent = []
+
+    def recording(self, constituents):
+        recovered = send(self, constituents)
+        sent.append((self.tx[-1], recovered, records(self.states)))
+        return recovered
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Run, "send", recording)
+        result = run_scheduler(name, mat)
+    return result, sent
+
+
+def assert_peeling_sound(mat, name):
+    """Run an XOR scheduler and check its own receivers after every repair:
+    each holds only what elimination over what it heard could give, and
+    every repair it keeps filed still lacks at least two constituents."""
+    n = mat.batch
+    result, sent = recorded_run(name, mat)
+    heard = [[] for _ in range(mat.receivers)]
+    repairs = iter(sent)
+    for packet in result.schedule.transmissions:
+        bits = constituents_to_bits(packet.constituents, n)
+        for i0, vectors in enumerate(heard):
+            if not (packet.original and mat.cells[i0, min(packet.constituents) - 1]):
+                vectors.append(bits)
+        if packet.original:
+            continue  # an original adds its own unit vector and nothing else
+        _, _, held = next(repairs)
+        for (recovery, _, filed), vectors in zip(held, heard):
+            known = dict(recovery).keys()
+            assert known <= gf2_decodable(vectors, n), (name, packet.slot)
+            assert all(len(cp.constituents - known) >= 2 for cp in filed), (name, packet.slot)
+    return result

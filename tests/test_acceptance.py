@@ -28,8 +28,7 @@ from ncretx.cli import main as cli_main
 from ncretx.gf import MUL_TABLE
 from ncretx.harness import payload_check, replication_seed, run_replication
 
-from conftest import WORKED_EXAMPLE_ROWS, replay
-from gf2_oracle import constituents_to_bits, gf2_decodable
+from conftest import WORKED_EXAMPLE_ROWS, assert_peeling_sound, replay
 
 
 def report(number: int, description: str):
@@ -196,7 +195,7 @@ def test_acceptance_8_invariants():
             _assert_strict_rule(mat, results[name])
         # peeling soundness vs elimination closure on small instances
         if m <= 6 and n <= 6:
-            _assert_peeling_sound(mat, results["benefit"])
+            assert_peeling_sound(mat, "benefit")  # the run's own receivers
         if trial % 100 == 0:
             payload_check(mat, "benefit", payload_len=9, seed=trial)
             payload_check(mat, "rlnc", payload_len=9, seed=trial)
@@ -217,16 +216,6 @@ def _assert_strict_rule(mat, result):
         if not packet.original:
             cols = [k - 1 for k in packet.constituents]
             assert (lacking[:, cols].sum(axis=1) <= 1).all()
-
-
-def _assert_peeling_sound(mat, result):
-    heard: list[list[int]] = [[] for _ in range(mat.receivers)]
-    for packet, _, states, _ in replay(mat, result.schedule.transmissions):
-        k = min(packet.constituents)
-        for i0, state in enumerate(states):
-            if not (packet.original and mat.cells[i0, k - 1]):
-                heard[i0].append(constituents_to_bits(packet.constituents, mat.batch))
-            assert state.recovery_slot.keys() <= gf2_decodable(heard[i0], mat.batch)
 
 
 @report(9, "byte-identical CSV from two identical simulate invocations")

@@ -12,6 +12,8 @@ from pathlib import Path
 # cli is not used here, but install patches it, so the snapshot must see it
 from ncretx import SCHEDULER_NAMES, cli, decoder, gf, harness, model, schedulers, theory  # noqa: F401
 
+from conftest import replay
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -67,3 +69,27 @@ def test_tracer_installs_runs_and_restores(worked_example):
     # one CDF per distinct loss rate, in each of the two floor computations
     assert counts["theory.q_distribution_calls"] == 2
     assert counts["theory.loss_cdf_calls"] == 4
+
+
+def test_tracer_counts_every_filing_on_a_matrix_that_buffers():
+    # only benefit files repairs: arq, greedy and sort-utility obey the
+    # strict rule, so no receiver ever misses two of a repair's packets.
+    # Here benefit's R4 and R5 file c2^c3, R4 files c1^c2, and c1 sets off
+    # two searches
+    mat = model.TransmissionMatrix.from_rows(
+        [[1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 1]])
+    filings = sum(bool(state.buffer) and state.buffer[-1] is packet
+                  for packet, _, states, _ in replay(mat, schedulers.benefit(mat)
+                                                     .schedule.transmissions)
+                  if not packet.original for state in states)
+    spans = load_spans()
+    tracer, patches = spans.Tracer(), spans.Patches()
+    tracer.install(patches)
+    try:
+        for name in SCHEDULER_NAMES:
+            schedulers.run_scheduler(name, mat, seed=1)
+    finally:
+        patches.restore()
+    assert filings >= 2
+    assert tracer.calls["decoder.receive"] == filings
+    assert tracer.counts["decoder.decode_search_calls"] >= 2

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ncretx import CodedPacket, ReceiverState
+from ncretx import CodedPacket, ReceiverState, TransmissionMatrix
+from ncretx.schedulers import _Run
 
 from gf2_oracle import ListScanReceiver, buffer, constituents_to_bits, gf2_decodable
 
@@ -19,8 +20,9 @@ def test_undecodable_packet_is_buffered():
     # worked example, slot 3: the receiver holding only c3, c4 cannot use c1^c2
     state = holding(3, 4)
     packet = CodedPacket(frozenset({1, 2}), 3)
-    assert state.receive(packet) == []
+    assert state.receive(packet) is None
     assert buffer(state) == [packet]
+    assert state.waiting == {1: [packet], 2: [packet]}
     assert packet.constituents - state.recovery_slot.keys() == {1, 2}
 
 
@@ -28,16 +30,22 @@ def test_one_unknown_decodes_immediately():
     # the receiver holding c2, c3 recovers c1 from c1^c2
     state = holding(2, 3)
     packet = CodedPacket(frozenset({1, 2}), 3)
-    assert state.receive(packet) == [1]
+    assert list(state.recover(1, packet)) == []
     assert state.recovery_slot[1] == 3
     assert state.source == {1: packet}  # c2, c3 arrived as originals
     assert buffer(state) == []
 
 
-def test_fully_known_packet_discarded():
-    state = holding(1, 2)
-    assert state.receive(CodedPacket(frozenset({1, 2}), 3)) == []
-    assert buffer(state) == []
+@pytest.mark.parametrize("held, unknowns", [((1, 2), 0), ((2, 3), 1)],
+                         ids=["nothing-new", "one-unknown"])
+def test_receive_rejects_a_repair_leaving_fewer_than_two_unknowns(held, unknowns):
+    # a repair with one unknown decodes now and one with none tells the
+    # receiver nothing; neither is filed, and the error names the repair
+    state = holding(*held)
+    with pytest.raises(ValueError, match=rf"c1\^c2 \(slot 3\) leaves {unknowns} unknown"):
+        state.receive(CodedPacket(frozenset({1, 2}), 3))
+    assert (state.waiting, state.source) == ({}, {})
+    assert list(state.recovery_slot) == list(held)
 
 
 def test_search_unlocks_buffered_packet_at_trigger_slot():
@@ -46,8 +54,7 @@ def test_search_unlocks_buffered_packet_at_trigger_slot():
     first = CodedPacket(frozenset({1, 2}), 3)
     second = CodedPacket(frozenset({2, 3, 4}), 6)
     state.receive(first)
-    got = state.receive(second)
-    assert sorted(got) == [1, 2]
+    assert state.recover(2, second) == [1]
     assert state.recovery_slot[1] == 6
     assert state.recovery_slot[2] == 6
     # c2 came straight out of the new packet, c1 out of the buffered one
@@ -82,10 +89,10 @@ def test_recovery_with_nothing_waiting_runs_no_search(monkeypatch):
                         lambda self, newly, slot: calls.append(newly) or search(self, newly, slot))
     state = holding(2, 3)
     state.receive(CodedPacket(frozenset({4, 5}), 4))  # filed under 4 and 5
-    assert state.receive(CodedPacket(frozenset({1, 2}), 5)) == [1]
+    assert list(state.recover(1, CodedPacket(frozenset({1, 2}), 5))) == []
     assert calls == []
     # a recovery with a repair filed under it still searches and peels
-    assert state.receive(CodedPacket(frozenset({3, 4}), 6)) == [4, 5]
+    assert state.recover(4, CodedPacket(frozenset({3, 4}), 6)) == [5]
     assert calls == [4]
     assert state.waiting == {}
 
@@ -93,7 +100,7 @@ def test_recovery_with_nothing_waiting_runs_no_search(monkeypatch):
 def test_have_is_a_read_only_view_of_recovery_slots():
     state = holding(2, 4)
     assert state.have == {2, 4}
-    state.receive(CodedPacket(frozenset({1, 2}), 3))
+    state.recover(1, CodedPacket(frozenset({1, 2}), 3))
     assert state.have == {1, 2, 4} == set(state.recovery_slot)
     with pytest.raises(AttributeError):
         state.have = set()
@@ -116,8 +123,7 @@ def test_chained_peel():
     state = ReceiverState()
     state.receive(CodedPacket(frozenset({1, 2}), 1))
     state.receive(CodedPacket(frozenset({2, 3}), 2))
-    got = state.receive(CodedPacket(frozenset({1}), 5))
-    assert sorted(got) == [1, 2, 3]
+    assert state.recover(1, CodedPacket(frozenset({1}), 5)) == [2, 3]
     assert all(state.recovery_slot[k] == 5 for k in (1, 2, 3))
     assert buffer(state) == []
 
@@ -129,34 +135,44 @@ def test_cascade_reduces_by_its_own_earlier_recoveries():
     first = CodedPacket(frozenset({1, 2}), 6)
     triple = CodedPacket(frozenset({1, 2, 3}), 8)
     for packet in (first, CodedPacket(frozenset({2, 3}), 7), triple):
-        assert state.receive(packet) == []
+        state.receive(packet)
     trigger = CodedPacket(frozenset({1, 4}), 9)
-    assert state.receive(trigger) == [1, 2, 3]
+    assert state.recover(1, trigger) == [2, 3]
     assert state.recovery_slot == {4: 1, 1: 9, 2: 9, 3: 9}
     assert state.source == {1: trigger, 2: first, 3: triple}
     assert buffer(state) == []
+
+
+def stream_run(rng, n: int, p_received: float):
+    """A run whose first receiver heard each original with probability
+    ``p_received``; a second, lossless receiver makes it a valid matrix and
+    never decodes.  Returns the run after the batch, and that receiver's
+    row of losses."""
+    row = (rng.random(n) >= p_received).astype(np.uint8)
+    run = _Run(TransmissionMatrix(np.stack([row, np.zeros(n, dtype=np.uint8)])))
+    run.send_batch()
+    return run, row
+
+
+def random_repair(rng, n: int, size: int) -> list[int]:
+    return [int(x) + 1 for x in rng.choice(n, size=size, replace=False)]
 
 
 def test_buffer_invariants_random_streams():
     rng = np.random.default_rng(21)
     for _ in range(300):
         n = int(rng.integers(2, 7))
-        state = ReceiverState()
-        for k in range(1, n + 1):
-            if rng.random() < 0.5:
-                state.receive_original(k, k)
-        heard = []
-        for slot in range(n + 1, n + 12):
-            size = int(rng.integers(1, n + 1))
-            ids = frozenset(int(x) + 1 for x in rng.choice(n, size=size, replace=False))
-            heard.append(CodedPacket(ids, slot))
-            state.receive(heard[-1])
+        run, _ = stream_run(rng, n, 0.5)
+        state = run.states[0]
+        for _ in range(11):
+            run.send(random_repair(rng, n, int(rng.integers(1, n + 1))))
             # the buffer holds repairs as heard, in arrival order, each still
             # lacking at least two constituents
             held = buffer(state)
             assert all(len(packet.constituents - state.recovery_slot.keys()) >= 2
                        for packet in held)
-            assert held == [packet for packet in heard if packet in held]
+            assert held == [packet for packet in run.tx if packet in held]
+        assert run.states[1].waiting == {} and run.states[1].source == {}
 
 
 def test_peeling_never_exceeds_elimination_closure():
@@ -165,23 +181,20 @@ def test_peeling_never_exceeds_elimination_closure():
     rng = np.random.default_rng(33)
     for _ in range(250):
         n = int(rng.integers(2, 7))
-        state = ReceiverState()
-        received_vectors = []
-        originals = [k for k in range(1, n + 1) if rng.random() < 0.4]
-        for k in originals:
-            state.receive_original(k, k)
-            received_vectors.append(constituents_to_bits({k}, n))
-        for slot in range(n + 1, n + 14):
-            size = int(rng.integers(1, n + 1))
-            ids = frozenset(int(x) + 1 for x in rng.choice(n, size=size, replace=False))
-            state.receive(CodedPacket(ids, slot))
+        run, row = stream_run(rng, n, 0.4)
+        state = run.states[0]
+        received_vectors = [constituents_to_bits({k}, n)
+                            for k in range(1, n + 1) if not row[k - 1]]
+        for _ in range(13):
+            ids = random_repair(rng, n, int(rng.integers(1, n + 1)))
+            run.send(ids)
             received_vectors.append(constituents_to_bits(ids, n))
             closure = gf2_decodable(received_vectors, n)
             assert state.recovery_slot.keys() <= closure
 
 
 def test_indexed_peeling_matches_the_list_scan_reference():
-    # differential: after every packet the index decoder and the list-scan
+    # differential: after every repair the run's receiver and the list-scan
     # reference hold the same recoveries in the same order, from the same
     # repairs, with the same repairs still undecoded.  Mostly pairs and
     # triples over few originals buffer long chains, so one repair often
@@ -190,17 +203,15 @@ def test_indexed_peeling_matches_the_list_scan_reference():
     deeper = 0
     for _ in range(400):
         n = int(rng.integers(3, 13))
-        state, reference = ReceiverState(), ListScanReceiver()
+        run, row = stream_run(rng, n, 0.2)
+        state, reference = run.states[0], ListScanReceiver()
         for k in range(1, n + 1):
-            if rng.random() < 0.2:
-                state.receive_original(k, k)
+            if not row[k - 1]:
                 reference.receive_original(k, k)
-        for slot in range(n + 1, 3 * n + 1):
+        for _ in range(2 * n):
             size = 1 if rng.random() < 0.1 else int(rng.integers(2, min(n, 3) + 1))
-            ids = frozenset(int(x) + 1 for x in rng.choice(n, size=size, replace=False))
-            packet = CodedPacket(ids, slot)
-            got = state.receive(packet)
-            assert got == reference.receive(packet)
+            got = run.send(random_repair(rng, n, size))
+            assert got == reference.receive(run.tx[-1])
             assert list(state.recovery_slot.items()) == list(reference.recovery_slot.items())
             assert state.source == reference.source
             assert buffer(state) == reference.buffer

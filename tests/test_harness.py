@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix, rlnc
+from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix, harness, rlnc
 from ncretx.cli import MAX_RANGE_VALUES, main as cli_main, parse_float_range, parse_int_range
 from ncretx.gf import Gf256Basis
 from ncretx.harness import (
@@ -80,6 +80,41 @@ def test_experiment_deterministic_and_worker_independent(tmp_path):
     run_experiment(small_config(c, workers=2))
     assert filecmp.cmp(a, b, shallow=False)
     assert filecmp.cmp(a, c, shallow=False)
+
+
+class InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records the pool size asked
+    for and maps in this process, so no worker is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, reps, size", [
+    (100_000, 4, 6, 4),     # bounded by the CPUs
+    (100_000, 64, 3, 3),    # bounded by the tasks
+    (None, 64, 12, 8),      # the default: one per CPU, at most 8
+    (100_000, 4, 1, None),  # one task runs in-process
+    (3, 1, 6, None),        # one CPU runs in-process
+])
+def test_pool_never_outgrows_the_tasks_or_cpus(tmp_path, monkeypatch, workers, cpus, reps, size):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    rows = run_experiment(small_config(tmp_path / "a.csv", workers=workers, replications=reps))
+    assert InProcessPool.sizes == ([] if size is None else [size])
+    assert rows == run_experiment(small_config(tmp_path / "b.csv", replications=reps))
 
 
 def test_aggregate_rows_cover_both_deviation_views(tmp_path):

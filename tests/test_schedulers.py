@@ -26,8 +26,8 @@ from ncretx import (
 )
 from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _BenefitRun, _Run
 
-from conftest import loss_matrices, random_matrix, replay
-from gf2_oracle import buffer, constituents_to_bits, gf2_decodable
+from conftest import (assert_peeling_sound, loss_matrices, random_matrix, recorded_run,
+                      records, replay)
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -520,25 +520,11 @@ def test_every_scheduler_keeps_the_run_invariants(mat, seed):
 @example(TransmissionMatrix.from_rows([[1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 1]]))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_peeling_stays_in_the_gf2_span_for_every_xor_scheduler(mat):
-    # replay each schedule through fresh receivers: after every transmission
-    # a receiver holds only what elimination over what it heard could give,
-    # and every buffered repair still lacks at least two constituents
-    n = mat.batch
+    # read off the run's own receivers after every repair, not a replay's
     for name in ("arq", "greedy", "sort-utility", "benefit"):
-        heard = [[] for _ in range(mat.receivers)]
-        schedule = run_scheduler(name, mat).schedule.transmissions
-        for packet, _, states, recovered in replay(mat, schedule):
-            k = min(packet.constituents)
-            for i0, state in enumerate(states):
-                if packet.original and mat.cells[i0, k - 1]:
-                    continue
-                heard[i0].append(constituents_to_bits(packet.constituents, n))
-                if not packet.original and recovered[i0]:
-                    # the span only grows, so only a recovery can leave it
-                    assert state.recovery_slot.keys() <= gf2_decodable(heard[i0], n)
-                assert all(len(cp.constituents - state.recovery_slot.keys()) >= 2
-                           for cp in buffer(state))
-        assert all(state.recovery_slot.keys() == set(range(1, n + 1)) for state in states)
+        result = assert_peeling_sound(mat, name)
+        assert all(state.recovery_slot.keys() == set(range(1, mat.batch + 1))
+                   for state in result.receivers), name
 
 
 # ---------------------------------------------------------------- delivery
@@ -578,46 +564,34 @@ def test_send_returns_recoveries_by_constituent_then_receiver():
     assert [state.source for state in run.states] == [{2: packet}, {1: packet}, {1: packet}]
 
 
-def records(states):
-    """What each receiver holds, in order: recovery slots, source slots and
-    the repairs waiting under each id."""
-    return [(list(state.recovery_slot.items()),
-             {k: cp.slot for k, cp in state.source.items()},
-             [(k, list(cps)) for k, cps in state.waiting.items()]) for state in states]
-
-
 @given(loss_matrices())
 # benefit: R4 buffers c2^c3 and c1^c2, then c1 peels c2, whose own search gives c3
 @example(TransmissionMatrix.from_rows([[1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 1]]))
 @example(TransmissionMatrix(np.ones((10, 40), dtype=np.uint8)))
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_mask_delivery_matches_a_replay_through_receive(mat):
-    # the run decodes from its loss masks; a replay of its schedule hands
-    # every repair to every receiver's ``receive``.  After each repair the
-    # two must agree on every receiver's records and on what it recovered
-    send, result_of = _Run.send, _Run.result
+def test_mask_delivery_matches_the_list_scan_replay(mat):
+    # the run decodes from its loss masks; a replay of its schedule through
+    # list-scan receivers shares no code with it.  After each repair the two
+    # must agree on every receiver's recoveries in order, their sources and
+    # its undecoded repairs, and on what the repair recovered
+    result_of = _Run.result
     for name in ("arq", "greedy", "sort-utility", "benefit"):
-        sent, finished = [], []
-
-        def recording(self, constituents):
-            recovered = send(self, constituents)
-            sent.append((Counter(recovered), records(self.states)))
-            return recovered
+        finished = []
 
         def finishing(self, *args, **kwargs):
             finished.append(list(self.missing))
             return result_of(self, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Run, "send", recording)
             mp.setattr(_Run, "result", finishing)
-            result = run_scheduler(name, mat)
+            result, sent = recorded_run(name, mat)
         assert finished == [[0] * mat.batch], name
         repairs = iter(sent)
         for packet, _, states, recovered in replay(mat, result.schedule.transmissions):
             if not packet.original:
-                got, held = next(repairs)
-                assert got == Counter(chain.from_iterable(recovered)), name
+                sent_packet, got, held = next(repairs)
+                assert sent_packet == packet, name
+                assert Counter(got) == Counter(chain.from_iterable(recovered)), name
                 assert held == records(states), name
         assert next(repairs, None) is None, name
         assert records(result.receivers) == records(states), name
