@@ -185,13 +185,15 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = figure_config(
-        args.name, out_dir, replications=args.reps, base_seed=args.seed,
+    settings = dict(
+        replications=args.reps, base_seed=args.seed,
         receiver_counts=parse_int_range(args.receivers) if args.receivers else None,
         loss_rates=parse_float_range(args.loss) if args.loss else None,
         workers=args.workers)
+    figure_config(args.name, None, **settings)  # a rejected run makes no directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = figure_config(args.name, out_dir, **settings)
     run_experiment(config)
     print(f"wrote {config.output_path}")
     return 0

@@ -21,7 +21,6 @@ import csv
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +32,12 @@ from .metrics import run_metrics, time_to_decode
 from .model import RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
 from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, floor_ratio
+
+# The most runs one sweep may make: replications (grid points times reps),
+# or grid points in a theory-only sweep.  fig2 at 10,000 reps makes 290,000.
+MAX_SWEEP_RUNS = 1_000_000
+# The most loss cells (M x N) one replication may sample; fig2's largest is 6,000.
+MAX_CELLS = 1_000_000
 
 CSV_COLUMNS = ("algorithm", "M", "N", "p", "replication", "seed",
                "retransmissions", "baseline_retransmissions", "ratio",
@@ -82,6 +87,16 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # before run_experiment builds a list per run or samples a matrix
+        runs = len(self.receiver_counts) * len(self.loss_rates)
+        if self.scheduler_names:
+            runs *= self.replications
+        if runs > MAX_SWEEP_RUNS:
+            raise ValueError(f"the sweep would make {runs} runs; at most {MAX_SWEEP_RUNS}")
+        cells = max(self.receiver_counts) * self.batch
+        if self.scheduler_names and cells > MAX_CELLS:
+            raise ValueError(f"{max(self.receiver_counts)} receivers x batch {self.batch} is "
+                             f"{cells} loss cells; at most {MAX_CELLS} per replication")
         if self.output_path is not None:  # before a sweep that may run for minutes
             out = Path(self.output_path)
             if not out.parent.is_dir():
@@ -161,6 +176,10 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     # never more processes than tasks or CPUs, whatever was asked for
     workers = min(config.workers or 8, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which costs every
+        # in-process run about as much as the rest of the start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_replication_task, tasks, chunksize=16))
     else:
@@ -252,14 +271,15 @@ FIGURE_PRESETS = {
 }
 
 
-def figure_config(name: str, out_dir: str | Path, replications: int = 1000,
+def figure_config(name: str, out_dir: str | Path | None, replications: int = 1000,
                   base_seed: int = 0, **overrides) -> ExperimentConfig:
     if name not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURE_PRESETS)}")
     preset = dict(FIGURE_PRESETS[name])
     preset.update({k: v for k, v in overrides.items() if v is not None})
+    out = None if out_dir is None else Path(out_dir) / f"{name}.csv"
     return ExperimentConfig(replications=replications, base_seed=base_seed,
-                            output_path=Path(out_dir) / f"{name}.csv", **preset)
+                            output_path=out, **preset)
 
 
 # ---------------------------------------------------------------- trace replay

@@ -315,31 +315,31 @@ def benefit(matrix: TransmissionMatrix,
     return _BenefitRun(matrix, initial_desired_benefit).execute()
 
 
-# Why a packet is not judged right now.  Each reason lasts until its own
-# event; a packet holds at most one, since only free packets are judged.
-_FREE = 0
-_HARD = 1         # a constituent would reach no receiver: until a set is sent
-_PROSPECTIVE = 2  # in the prospective set: until the set is sent or dropped
-_ANCHOR = 3       # anchored a prospective set: until the next scan cycle
-
-
 class _BenefitRun(_Run):
     """Sender-side state of one benefit run.
 
     ``prospective`` is the ordered list of packets waiting to be coded
     together (its head is the anchor), ``_summary`` its fold (see
-    ``_admit_first``), grown once per admission, ``desired_benefit`` the
+    ``_judge``), grown once per admission, ``desired_benefit`` the
     current requirement on how many receivers a coded repair must help now
-    or later, relaxed by one per scan cycle.  ``_wait[k-1]`` is why packet
-    k is not judged right now.  Packet k's utility ``cu`` is
+    or later, relaxed by one per scan cycle.  Packet k's utility ``cu`` is
     ``missing[k-1].bit_count()``, the receivers still lacking it.
     ``_by_cu[c]`` lists the sent packets (0-based ids) whose ``cu`` is c, in
     id order, for c >= 1; ``_by_cu[0]`` stays empty.  Read from the top
-    bucket down it is the scan's walk order, kept as ``cu`` falls.  Cycle 1
-    interleaves originals with repairs; cycles 2..M only rescan outstanding
-    packets.  Every admission, of a fresh original too, goes through the
-    scan's one walk (``_admit_first``).  Gates only ever look at the
-    ``missing`` masks of packets already sent.
+    bucket down it is the scan's walk order, kept as ``cu`` falls.
+
+    Each prospective set has one walk over that order (``_walk``), resumed
+    where it stopped after each admission, and ``_soft``, the packets it
+    rejected on the minimum-utility gate, in walk order, which are judged
+    again whenever the set grows.  ``_epoch`` counts the sets sent this
+    cycle, and packet k is not judged while ``_wait[k-1] >= _epoch``.  A
+    hard rejection and a prospective member are stamped with the current
+    epoch, so the next flush frees them.  An anchor is stamped ``n``, which
+    no epoch of its cycle reaches: each set sent has its own anchor, and an
+    anchor is never judged again in its cycle.  A new cycle clears every
+    stamp.  Cycle 1 interleaves originals with repairs; cycles 2..M only
+    rescan outstanding packets.  Gates only ever look at the ``missing``
+    masks of packets already sent.
     """
 
     def __init__(self, matrix: TransmissionMatrix,
@@ -355,16 +355,14 @@ class _BenefitRun(_Run):
         self.sent = 0
         self.cycle = 1
         self.desired_benefit = start
-        self._clear_prospective()
-        self._wait = [_FREE] * self.n
+        self._new_cycle()
 
     def execute(self) -> RunResult:
         self._scan()
         while any(self.missing) and self.desired_benefit > 1:
             self.cycle += 1
             self.desired_benefit -= 1
-            self._clear_prospective()
-            self._wait = [_FREE] * self.n
+            self._new_cycle()
             self._scan()
         # No straggler sweep: a cycle at desired benefit 1 drains every
         # outstanding packet.  A lone free packet passes all three gates and a
@@ -376,53 +374,83 @@ class _BenefitRun(_Run):
         return self.result("benefit", audit=self.audit)
 
     def _scan(self) -> None:
-        """One scan cycle: admit outstanding packets to the prospective set,
-        flush passing sets and, while the batch lasts, send the next
-        original, which joins the set or is repaired uncoded at once."""
+        """One scan cycle: grow the prospective set along its walk and flush
+        it once it passes; when it can do neither and the batch lasts, send
+        originals until one joins the set.  The walk goes on only after an
+        admission: an original that does not join changes no verdict the
+        walk has reached, and a flush starts a new set and walk."""
         while True:
-            # highest utility first, equal utilities lower id first; no cu
-            # moves during a walk, so the buckets can be read lazily
-            if self._admit_first(chain.from_iterable(reversed(self._by_cu))):
+            if self._admit_first() or self._flush_passing():
                 continue
-            if self._flush_passing():
-                continue
-            if self.sent == self.n:
-                return
-            self.sent += 1
-            k = self.sent
-            self.send_original(k)
-            c = self.missing[k - 1].bit_count()
-            if c:
-                # k - 1 is the largest id sent, so its bucket stays in order
-                self._by_cu[c].append(k - 1)
-            if c >= self.desired_benefit:
-                # missed by enough receivers on its own: repair it uncoded
-                # right away, no coding partner search.  A fresh original
-                # sits in no buffer and no prospective set, so this leaves
-                # the coding state untouched.
-                self._transmit_repair([k], (c, c, c))
-            # else the next walk judges k: sending k moved no other mask or
-            # mark and not the prospective set, so that walk skips what
-            # the failed walk before it skipped and judges k against its set
+            while True:
+                if self.sent == self.n:
+                    return
+                if self._admit_original():
+                    break
 
-    def _admit_first(self, order: Iterable[int]) -> bool:
+    def _admit_first(self) -> bool:
+        """Resume the prospective set's walk; True if a packet was admitted.
+
+        It is called on a new set and after each admission, so the set's
+        soft rejections are first judged again, in walk order, against the
+        grown set; then the walk goes on from where it stopped.  This judges
+        every packet exactly as a walk restarted from the top bucket would.
+        No ``cu`` moves between admissions, which send nothing, so the walk
+        order stands.  A packet still waiting stays skipped.  A hard
+        rejection stays hard as the set grows, because ``ones`` only grows
+        and each member's decoders only shrink.  So of the packets before
+        the walk's place, only the soft rejections can have a new verdict.
+        """
+        again, self._soft = self._soft, []
+        rest = iter(again)
+        if self._judge(rest, self._soft):
+            self._soft += rest  # in walk order; the next call judges them
+            return True
+        return self._judge(self._walk, self._soft)
+
+    def _admit_original(self) -> bool:
+        """Send the next original; True if it joined the prospective set.
+
+        Sending it moved no other packet's mask and not the set, so every
+        other packet would be judged as before, and the original is judged
+        alone.  One that every receiver got is done.  One missed by at least
+        the desired benefit is repaired uncoded at once, with no coding
+        partner search; it sits in no buffer and no set, so this leaves the
+        coding state untouched.  One rejected on the minimum-utility gate
+        takes its walk-order place among the soft rejections.
+        """
+        self.sent += 1
+        k = self.sent
+        self.send_original(k)
+        c = self.missing[k - 1].bit_count()
+        if not c:
+            return False
+        # k - 1 is the largest id sent, so its bucket stays in order
+        self._by_cu[c].append(k - 1)
+        if c >= self.desired_benefit:
+            self._transmit_repair([k], (c, c, c))
+            return False
+        soft: list[int] = []
+        if self._judge((k - 1,), soft):
+            return True
+        if soft:  # after each soft rejection of cu >= c, as the largest id
+            insort(self._soft, k - 1, key=lambda k0: -self.missing[k0].bit_count())
+        return False
+
+    def _judge(self, order: Iterable[int], soft: list[int]) -> bool:
         """Judge the packets of ``order`` (0-based ids, each with cu >= 1)
-        against the prospective set; mark each rejected one and admit the
-        first that passes.  True if one was admitted.
+        against the prospective set until one passes, and admit it.  True if
+        one was admitted.  A waiting packet is skipped, a hard rejection is
+        stamped, and a soft one is appended to ``soft``.
 
-        A packet is judged while it has no reason to wait (``_wait``).  No
-        packet with cu == M is ever outstanding in cycle 1: cu never rises,
-        and a fresh original with cu at or above the desired benefit (at
-        most M) is repaired uncoded at once.
-        Judging the whole list in one walk is exact: while the prospective
-        set and ``missing`` stay unchanged, a rejection only sets that
-        packet's own ``_wait``, so the next packet the scan would pick
-        is the next one in this order and is judged against the same set.
+        No packet with cu == M is ever outstanding in cycle 1: cu never
+        rises, and a fresh original with cu at or above the desired benefit
+        (at most M) is repaired uncoded at once.
 
         The set's summary ``(ones, decoders, minimum, decodes_own)`` holds
         the receivers missing any constituent, those missing exactly one
         (they decode now), the minimum utility, and per constituent the
-        receivers that decode it now; it is unpacked once per walk.  A
+        receivers that decode it now; it is unpacked once per call.  A
         receiver decodes the grown set now if it missed exactly one old
         constituent and not the newcomer, or only the newcomer.  So an old
         constituent stays decodable iff the newcomer's ``col`` leaves one of
@@ -430,10 +458,10 @@ class _BenefitRun(_Run):
         misses it alone.  A newcomer that passes both is admitted when the
         grown set's decoders number at least its minimum utility.
         """
-        wait, mark_hard, missing = self._wait, self._hard.append, self.missing
+        wait, epoch, missing = self._wait, self._epoch, self.missing
         ones, decoders, minimum, decodes_own = self._summary
         for k0 in order:
-            if wait[k0] != _FREE:
+            if wait[k0] >= epoch:
                 continue
             col = missing[k0]
             fresh = col & ~ones  # the receivers that would miss only the newcomer
@@ -446,8 +474,7 @@ class _BenefitRun(_Run):
             if hard:
                 # some constituent would reach no receiver immediately; growing
                 # the set only loses decoders, so wait until a set is sent
-                wait[k0] = _HARD
-                mark_hard(k0)
+                wait[k0] = epoch
                 continue
             grown = (decoders & ~col) | fresh
             least = col.bit_count()
@@ -461,15 +488,12 @@ class _BenefitRun(_Run):
                 # equals a fresh fold of the grown set.
                 self._summary = (ones | col, grown, least,
                                  [own & ~col for own in decodes_own] + [fresh])
-                wait[k0] = _PROSPECTIVE if self.prospective else _ANCHOR
+                wait[k0] = epoch if self.prospective else self.n
                 self.prospective.append(k0 + 1)
                 return True
-            # else coding would not beat retransmitting the weakest constituent
-            # uncoded.  No mark: it would last only until the set changes, and
-            # the only walk that could reuse it follows a failed walk, a failed
-            # flush and a fresh original in cycle 1.  Sending that original
-            # moves no mask and no set member, so that
-            # walk rejects this packet again the same way.
+            # else coding would not beat retransmitting the weakest
+            # constituent uncoded, until the set grows
+            soft.append(k0)
         return False
 
     # -- transmission plumbing --
@@ -501,17 +525,25 @@ class _BenefitRun(_Run):
             return False
         self._transmit_repair(self.prospective,
                               (decoders.bit_count(), minimum, ones.bit_count()))
-        for k0 in self._hard + [k - 1 for k in self.prospective[1:]]:
-            self._wait[k0] = _FREE  # all marks since the last flush; anchors stay
+        self._epoch += 1  # frees the members and the hard rejections; anchors stay
         self._clear_prospective()
         return True
 
     def _clear_prospective(self) -> None:
-        """Start an empty prospective set, its fold, and the list of packets
-        (0-based ids) marked ``_HARD`` since, which the next flush frees."""
+        """Start an empty prospective set, its fold, its soft rejections and
+        its walk from the top bucket.  The walk reads the buckets lazily: no
+        ``cu`` moves while it is under way, and it has ended before an
+        original is sent."""
         self.prospective: list[int] = []
-        self._hard: list[int] = []
         self._summary: tuple[int, int, int, list[int]] = (0, 0, self.m, [])
+        self._soft: list[int] = []
+        self._walk = chain.from_iterable(reversed(self._by_cu))
+
+    def _new_cycle(self) -> None:
+        """Clear every stamp and start an empty prospective set."""
+        self._wait = [-1] * self.n
+        self._epoch = 0
+        self._clear_prospective()
 
 
 # ---------------------------------------------------------------- dispatch

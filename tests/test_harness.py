@@ -1,5 +1,6 @@
 """Experiment engine, trace narration, payload round trips, CLI surface."""
 
+import concurrent.futures
 import csv
 import filecmp
 import multiprocessing
@@ -109,12 +110,26 @@ class InProcessPool:
     (3, 1, 6, None),        # one CPU runs in-process
 ])
 def test_pool_never_outgrows_the_tasks_or_cpus(tmp_path, monkeypatch, workers, cpus, reps, size):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "sizes", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     rows = run_experiment(small_config(tmp_path / "a.csv", workers=workers, replications=reps))
     assert InProcessPool.sizes == ([] if size is None else [size])
     assert rows == run_experiment(small_config(tmp_path / "b.csv", replications=reps))
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's modules (multiprocessing, socket, subprocess, logging) cost
+    # every in-process run as much as the rest of the start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ncretx.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout == "False\n"
 
 
 def test_aggregate_rows_cover_both_deviation_views(tmp_path):
@@ -476,6 +491,73 @@ def test_cli_figure_small(tmp_path):
     assert cli_main(["figure", "fig5", "--out", str(tmp_path), "--reps", "2",
                      "--loss", "0.3", "--workers", "1"]) == 0
     assert (tmp_path / "fig5.csv").exists()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--receivers", "1"], "need at least 2 receivers"),
+    (["--workers", "0"], "workers must be >= 1"),
+    (["--reps", "100000"], "the sweep would make 1900000 runs; at most 1000000"),
+])
+def test_cli_figure_rejected_makes_no_directory(tmp_path, capsys, extra, message):
+    rc = cli_main(["figure", "fig4", "--out", str(tmp_path / "new" / "a" / "b")] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_paper_presets_pass_the_sweep_bounds_at_10000_reps():
+    for name in FIGURE_PRESETS:
+        figure_config(name, None, replications=10_000)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(receiver_counts=list(range(2, 12)), loss_rates=[0.1, 0.2], replications=50_001),
+     "the sweep would make 1000020 runs; at most 1000000"),
+    (dict(replications=10**18), f"the sweep would make {10**18} runs; at most 1000000"),
+    # a theory-only sweep makes one run per grid point, whatever the reps
+    (dict(algorithms=["theory"], receiver_counts=list(range(2, 1002)),
+          loss_rates=[i / 1000 for i in range(1001)]),
+     "the sweep would make 1001000 runs; at most 1000000"),
+    (dict(receiver_counts=[3, 1000], batch=1001),
+     "1000 receivers x batch 1001 is 1001000 loss cells; at most 1000000 per replication"),
+    (dict(batch=10**15),
+     f"3 receivers x batch {10**15} is {3 * 10**15} loss cells; at most 1000000 per replication"),
+])
+def test_config_bounds_the_sweep_and_the_batch(tmp_path, overrides, message):
+    # refused in the config: no task list, matrix or pool of that size exists
+    with pytest.raises(ValueError) as info:
+        small_config(tmp_path / "x.csv", **overrides)
+    assert str(info.value) == message
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_bounds_admit_their_limits():
+    small_config(None, receiver_counts=list(range(2, 12)), loss_rates=[0.1, 0.2],
+                 replications=50_000)
+    small_config(None, receiver_counts=[3, 1000], batch=1000)
+    # theory reads no matrix and no replication
+    small_config(None, algorithms=["theory"], batch=10**7, replications=10**18)
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--receivers", "2..11", "--loss", "0.1,0.2", "--batch", "5", "--reps", "50001"],
+     "the sweep would make 1000020 runs; at most 1000000"),
+    (["--receivers", "1000", "--loss", "0.5", "--batch", "1001", "--reps", "1"],
+     "1000 receivers x batch 1001 is 1001000 loss cells; at most 1000000 per replication"),
+])
+def test_cli_refuses_an_unbounded_sweep_before_any_run(tmp_path, capsys, monkeypatch,
+                                                       extra, message):
+    import ncretx.cli as C
+
+    def no_sweep(config):
+        raise AssertionError("a sweep ran past the bounds")
+
+    monkeypatch.setattr(C, "run_experiment", no_sweep)
+    rc = cli_main(["simulate", "--algorithms", "arq", "--workers", "2",
+                   "--out", str(tmp_path / "x.csv")] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("receivers,loss", [("3", "0.1..0.5:0"), ("5..2", "0.5"),

@@ -24,7 +24,7 @@ from ncretx import (
     sample_matrix,
     sort_by_utility,
 )
-from ncretx.schedulers import _ANCHOR, _FREE, _HARD, _PROSPECTIVE, _BenefitRun, _Run
+from ncretx.schedulers import BenefitAudit, _BenefitRun, _Run
 
 from conftest import (assert_peeling_sound, loss_matrices, random_matrix, recorded_run,
                       records, replay)
@@ -354,18 +354,29 @@ def assert_benefit_state_consistent(run):
     cu = [col.bit_count() for col in run.missing]
     assert list(chain.from_iterable(reversed(run._by_cu))) == \
         [k0 for k0 in sorted(range(run.sent), key=cu.__getitem__, reverse=True) if cu[k0]]
-    pros = run.prospective
-    wait = np.array(run._wait)
+    pros, wait, epoch = run.prospective, run._wait, run._epoch
+    anchors = [k0 for k0, stamp in enumerate(wait) if stamp >= run.n]
+    stamped = [k0 for k0, stamp in enumerate(wait) if epoch <= stamp < run.n]
+    # an anchor outlasts its cycle: every set sent this cycle, and the
+    # current one, has its own anchor, so no epoch of the cycle reaches n
+    assert len(anchors) == epoch + bool(pros)
     if pros:
-        assert wait[pros[0] - 1] == _ANCHOR
-    assert (np.flatnonzero(wait == _PROSPECTIVE) + 1).tolist() == sorted(pros[1:])
+        assert pros[0] - 1 in anchors
+    # members and hard rejections carry the current epoch, the next flush's
+    assert all(wait[k0] == epoch for k0 in stamped)
+    assert {k - 1 for k in pros[1:]} <= set(stamped)
     assert run._summary == direct_fold(run.missing, run.m, pros)
-    # a hard rejection still holds against the current set: some constituent
-    # would reach no receiver immediately
-    for k0 in np.flatnonzero(wait == _HARD).tolist():
-        assert direct_gates(run.missing, run.m, pros + [k0 + 1]) is None
-    # the flush frees exactly the listed hard marks
-    assert sorted(run._hard) == np.flatnonzero(wait == _HARD).tolist()
+    # a stamped non-member is still hard against the current set: some
+    # constituent would reach no receiver immediately
+    for k0 in stamped:
+        if k0 + 1 not in pros:
+            assert direct_gates(run.missing, run.m, pros + [k0 + 1]) is None
+    # after a flush, only anchors wait: nothing is hard against an empty set
+    if not pros:
+        assert stamped == []
+    # the soft rejections wait for nothing, are outstanding, and keep walk order
+    assert all(wait[k0] < epoch and cu[k0] for k0 in run._soft)
+    assert run._soft == sorted(run._soft, key=lambda k0: (-cu[k0], k0))
 
 
 @given(benefit_runs())
@@ -374,10 +385,10 @@ def assert_benefit_state_consistent(run):
 @example((TransmissionMatrix(np.zeros((12, 40), dtype=np.uint8)), 1))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_benefit_incremental_state_matches_recomputation(run_input):
-    # every transmission is followed by a walk or, for an original repaired
-    # at once, by that repair, so checking on entry to both checks the state
-    # after each transmission; checking on entry to a walk also sees the
-    # marks the walk before it left
+    # every transmission is followed by a walk, an original, a repair of a
+    # fresh original, or the run's end, so checking on entry to the three
+    # and at the end checks the state after each transmission; checking on
+    # entry to a walk also sees the marks the walk before it left
     mat, start = run_input
     checked_slots = set()
 
@@ -389,51 +400,73 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_admit_first", "_transmit_repair"):
+        for name in ("_admit_first", "_admit_original", "_transmit_repair"):
             mp.setattr(_BenefitRun, name, checking(getattr(_BenefitRun, name)))
-        result = benefit(mat, start)
+        run = _BenefitRun(mat, start)
+        result = run.execute()
+    assert_benefit_state_consistent(run)
+    checked_slots.add(len(run.tx))
     assert checked_slots >= set(range(1, len(result.schedule.transmissions) + 1))
     assert not any(a.forced for a in result.audit)
 
 
-class OneCandidatePerCall(_BenefitRun):
-    """Reference benefit scan: each call judges the single next free packet
-    of ``order`` (highest utility, lowest id), with the gates read by a
-    direct fold over the whole candidate set.  It marks a rejection itself
-    and admits through the real walk, which must agree that the packet
-    passes; either way it returns True, so the scan calls again.  It keeps
-    the cycle-1 cap (cu < M) that the real walk omits, so every example also
-    checks that the cap never decides.  It also caches a rejection by the
-    decode-benefit gate (``_soft``) until the prospective set gains a member
-    or is sent, which the real walk does not, so every example also checks
-    that re-judging such a packet never decides differently.  Each repair's
-    audited gates are read by a direct fold too."""
+def reference_benefit(mat, start):
+    """Reference benefit scan that shares only the run record (``_Run``)
+    with the scheduler.
 
-    def _admit_first(self, order):
-        top = self.m if self.cycle == 1 else self.m + 1
-        cu = [col.bit_count() for col in self.missing]
-        free = sorted(k0 for k0 in order if 1 <= cu[k0] < top
-                      and self._wait[k0] == _FREE and k0 not in self._soft)
-        if not free:
-            return False
-        k0 = max(free, key=cu.__getitem__)  # max keeps the lowest id of a tie
-        gates = direct_gates(self.missing, self.m, self.prospective + [k0 + 1])
-        if gates is None:
-            self._wait[k0] = _HARD
-            self._hard.append(k0)
-        elif gates[0] < gates[1]:
-            self._soft.add(k0)
-        else:
-            assert super()._admit_first([k0])
-            self._soft = set()
-        return True
+    Each step judges the single next free packet (highest utility, lowest
+    id) by a direct fold over the whole candidate set, and after every
+    admission the next step starts again from the top.  It keeps the
+    cycle-1 cap (cu < M) that the scheduler omits, so every example also
+    checks that the cap never decides.  It caches a rejection by the
+    decode-benefit gate (``soft``) until the prospective set gains a member
+    or is sent, so every example also checks that judging such a packet
+    again before then never decides differently.  Each repair's audited
+    gates are read by a direct fold too."""
+    run = _Run(mat)
+    m, n = mat.receivers, mat.batch
+    desired = m if start is None else start
+    audit, sent, cycle = [], 0, 1
 
-    def _transmit_repair(self, ids, gates):
-        super()._transmit_repair(ids, direct_gates(self.missing, self.m, ids))
+    def repair(ids):
+        gates = direct_gates(run.missing, m, ids)
+        run.send(ids)
+        audit.append(BenefitAudit(len(run.tx), tuple(ids), cycle, desired, *gates))
 
-    def _clear_prospective(self):
-        super()._clear_prospective()
-        self._soft = set()
+    while True:
+        pros, anchors, hard, soft = [], set(), set(), set()
+        while True:
+            top = m if cycle == 1 else m + 1
+            cu = [col.bit_count() for col in run.missing]
+            free = [k0 for k0 in range(sent) if 1 <= cu[k0] < top and k0 + 1 not in pros
+                    and k0 not in anchors and k0 not in hard and k0 not in soft]
+            if free:
+                k0 = min(free, key=lambda k0: (-cu[k0], k0))
+                gates = direct_gates(run.missing, m, pros + [k0 + 1])
+                if gates is None:
+                    hard.add(k0)
+                elif gates[0] < gates[1]:
+                    soft.add(k0)
+                else:
+                    if not pros:
+                        anchors.add(k0)
+                    pros.append(k0 + 1)
+                    soft = set()
+                continue
+            if pros and direct_gates(run.missing, m, pros)[2] >= desired:
+                repair(pros)
+                pros, hard, soft = [], set(), set()
+                continue
+            if sent == n:
+                break
+            sent += 1
+            run.send_original(sent)
+            if run.missing[sent - 1].bit_count() >= desired:
+                repair([sent])
+        if not any(run.missing) or desired == 1:
+            return run.result("benefit", audit=audit)
+        cycle += 1
+        desired -= 1
 
 
 @given(loss_matrices(max_receivers=12))
@@ -441,11 +474,15 @@ class OneCandidatePerCall(_BenefitRun):
 @example(TransmissionMatrix(np.ones((12, 40), dtype=np.uint8)))
 @example(TransmissionMatrix(np.zeros((12, 40), dtype=np.uint8)))
 @example(sample_matrix(ChannelParams.homogeneous(30, 0.5, seed=8), 100))
+# c2 (cu 4), then c3 (cu 5) fail the minimum-utility gate as they are sent;
+# once c4 joins c1, c3 must be judged again before c2, by utility
+@example(TransmissionMatrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 1],
+                                       [0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 0]]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_benefit_bulk_rejection_matches_one_candidate_per_call(mat):
     for start in (None, 1, math.ceil(mat.receivers / 2)):
         result = benefit(mat, start)
-        reference = OneCandidatePerCall(mat, start).execute()
+        reference = reference_benefit(mat, start)
         assert [(cp.slot, cp.constituents, cp.original)
                 for cp in result.schedule.transmissions] == \
                [(cp.slot, cp.constituents, cp.original)
