@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 from .harness import (
     ExperimentConfig,
     FIGURE_PRESETS,
+    MAX_SWEEP_RUNS,
     check_unique,
     figure_config,
     load_matrix,
@@ -34,6 +36,9 @@ from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_rati
 # the most values one range may expand to; a longer one is refused before
 # any list is built
 MAX_RANGE_VALUES = 1_000_000
+# the most rows `theory` may write, N + 3 per grid point: one point at the
+# largest batch fits, and the file stays below about 1 GB
+MAX_THEORY_ROWS = 20_000_000
 
 
 def _items(text: str, convert):
@@ -166,13 +171,20 @@ def _cmd_theory(args) -> int:
     loss_rates = parse_float_range(args.loss)
     check_unique("receiver count", receiver_counts)
     check_unique("loss rate", loss_rates)
-    # every point is validated before the output file is created
-    grid = [(m, p, TheoryParams.homogeneous(m, batch, p))
-            for m in receiver_counts for p in loss_rates]
+    # every bound and value is checked before the output file is created
+    points = len(receiver_counts) * len(loss_rates)
+    if points > MAX_SWEEP_RUNS:
+        raise ValueError(f"the theory grid has {points} points; at most {MAX_SWEEP_RUNS}")
+    for p in loss_rates:  # the batch, each rate and the smallest M
+        TheoryParams.homogeneous(min(receiver_counts), batch, p)
+    if points * (batch + 3) > MAX_THEORY_ROWS:
+        raise ValueError(f"the theory would write {points * (batch + 3)} rows; "
+                         f"at most {MAX_THEORY_ROWS}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "N", "p", "j", "Q_j"])
-        for m, p, params in grid:
+        for m, p in itertools.product(receiver_counts, loss_rates):
+            params = TheoryParams.homogeneous(m, batch, p)
             q = q_distribution(params)
             for j, qj in enumerate(q):
                 writer.writerow([m, batch, f"{p:.10g}", j, f"{qj:.12g}"])

@@ -97,6 +97,8 @@ class ExperimentConfig:
         if self.scheduler_names and cells > MAX_CELLS:
             raise ValueError(f"{max(self.receiver_counts)} receivers x batch {self.batch} is "
                              f"{cells} loss cells; at most {MAX_CELLS} per replication")
+        if self.wants_theory:
+            TheoryParams.homogeneous(2, self.batch, 0.5)  # raises on a batch above its cap
         if self.output_path is not None:  # before a sweep that may run for minutes
             out = Path(self.output_path)
             if not out.parent.is_dir():
@@ -152,7 +154,7 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
                 "seed": seed, "retransmissions": m.retransmissions,
                 "baseline_retransmissions": m.baseline_retransmissions,
                 "ratio": m.ratio, "ttd_mean": m.ttd_mean, "ttd_std": m.ttd_std,
-                "ttd_samples": m.ttd_samples,
+                "ttd_sums": m.ttd_sums,
             })
     except IntegrityError as exc:  # a broken run names itself; add its seed for replay
         raise IntegrityError(f"{exc} (seed {seed})") from exc
@@ -160,18 +162,16 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
 
 
 def _replication_task(args) -> list[dict]:
-    names, receivers, loss, batch, seed = args
-    return run_replication(names, receivers, loss, batch, seed)
+    return run_replication(*args)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Execute the sweep; returns the CSV rows and writes them if asked to."""
     grid = [(m, p) for m in config.receiver_counts for p in config.loss_rates]
-    tasks = []
-    if config.scheduler_names:  # theory rows read no replication
-        tasks = [(config.scheduler_names, m, p, config.batch,
-                  replication_seed(config.base_seed, m, p, config.batch, r))
-                 for (m, p) in grid for r in range(config.replications)]
+    reps = config.replications if config.scheduler_names else 0  # theory rows read no run
+    tasks = [(config.scheduler_names, m, p, config.batch,
+              replication_seed(config.base_seed, m, p, config.batch, r))
+             for (m, p) in grid for r in range(reps)]
 
     # never more processes than tasks or CPUs, whatever was asked for
     workers = min(config.workers or 8, len(tasks), os.cpu_count() or 1)
@@ -181,50 +181,48 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(_replication_task, tasks, chunksize=16))
+            rows = _sweep_rows(config, grid, pool.map(_replication_task, tasks, chunksize=16))
     else:
-        per_task = [_replication_task(t) for t in tasks]
-
-    rows: list[dict] = []
-    reps = config.replications
-    for gi, (m, p) in enumerate(grid):
-        chunk = per_task[gi * reps:(gi + 1) * reps]
-        for r, task_rows in enumerate(chunk):
-            for row in task_rows:
-                out = dict(row)
-                out.pop("ttd_samples")
-                out["replication"] = r
-                rows.append(out)
-        rows.extend(_aggregate_rows(config, m, p, chunk))
-        if config.wants_theory:
-            rows.append(_theory_row(m, p, config.batch))
+        rows = _sweep_rows(config, grid, map(_replication_task, tasks))
     if config.output_path is not None:
         write_csv(rows, config.output_path)
     return rows
 
 
-def _aggregate_rows(config: ExperimentConfig, receivers: int, loss: float,
-                    chunk: list[list[dict]]) -> list[dict]:
-    out = []
-    for idx, name in enumerate(config.scheduler_names):
-        runs = [task_rows[idx] for task_rows in chunk]
-        means = [r["ttd_mean"] for r in runs if not math.isnan(r["ttd_mean"])]
-        pooled = [s for r in runs for s in r["ttd_samples"]]
-        base = {
-            "algorithm": name, "M": receivers, "N": config.batch, "p": loss,
-            "seed": "",
-            "retransmissions": np.mean([r["retransmissions"] for r in runs]),
-            "baseline_retransmissions":
-                np.mean([r["baseline_retransmissions"] for r in runs]),
-            "ratio": np.mean([r["ratio"] for r in runs]),
-        }
-        out.append(dict(base, replication="mean",
-                        ttd_mean=np.mean(means) if means else math.nan,
-                        ttd_std=np.std(means) if means else math.nan))
-        out.append(dict(base, replication="pooled",
-                        ttd_mean=np.mean(pooled) if pooled else math.nan,
-                        ttd_std=np.std(pooled) if pooled else math.nan))
-    return out
+def _sweep_rows(config: ExperimentConfig, grid: list[tuple], results) -> list[dict]:
+    """All rows, from the replications' rows as they arrive in task order: each
+    grid point is aggregated once its last replication is in, from exact sums."""
+    names, rows = config.scheduler_names, []
+    for m, p in grid:
+        start, sums = len(rows), []
+        for r, task_rows in zip(range(config.replications), results):
+            for row in task_rows:
+                row["replication"] = r
+                sums.append(row.pop("ttd_sums"))
+            rows.extend(task_rows)
+        point = rows[start:]
+        for idx, name in enumerate(names):
+            runs = point[idx::len(names)]
+            means = [r["ttd_mean"] for r in runs if not math.isnan(r["ttd_mean"])]
+            n, total, squares = map(sum, zip(*sums[idx::len(names)]))
+            base = {
+                "algorithm": name, "M": m, "N": config.batch, "p": p, "seed": "",
+                "retransmissions": np.mean([r["retransmissions"] for r in runs]),
+                "baseline_retransmissions":
+                    np.mean([r["baseline_retransmissions"] for r in runs]),
+                "ratio": np.mean([r["ratio"] for r in runs]),
+            }
+            rows.append(dict(base, replication="mean",
+                             ttd_mean=np.mean(means) if means else math.nan,
+                             ttd_std=np.std(means) if means else math.nan))
+            # each is one correctly rounded division of exact ints
+            rows.append(dict(base, replication="pooled",
+                             ttd_mean=total / n if n else math.nan,
+                             ttd_std=math.sqrt((n * squares - total * total) / (n * n))
+                             if n else math.nan))
+        if config.wants_theory:
+            rows.append(_theory_row(m, p, config.batch))
+    return rows
 
 
 def _theory_row(receivers: int, loss: float, batch: int) -> dict:

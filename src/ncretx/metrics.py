@@ -22,6 +22,7 @@ class TtdStats:
     samples: list[int]  # one per originally-lost cell, (receiver, packet) order
     mean: float
     std: float
+    sums: tuple[int, int, int]  # count, sum and sum of squares of the samples
 
 
 @dataclass
@@ -32,6 +33,7 @@ class RunMetrics:
     ttd_samples: list[int]
     ttd_mean: float
     ttd_std: float
+    ttd_sums: tuple[int, int, int]
 
 
 def retransmission_ratio(run: Schedule, baseline: Schedule) -> float:
@@ -43,7 +45,8 @@ def retransmission_ratio(run: Schedule, baseline: Schedule) -> float:
 
 def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
                    receivers) -> TtdStats:
-    """Slot deltas from lost original to recovery, per cell, with mean/std.
+    """Slot deltas from lost original to recovery, per cell, with mean/std
+    and the exact count, sum and sum of squares that pool runs together.
 
     Raises IntegrityError if any originally-lost cell was never recovered
     (full recovery is guaranteed by every scheduler, so this only fires on
@@ -58,13 +61,15 @@ def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
         if slot is None:
             raise IntegrityError(f"receiver {i0 + 1} never recovered packet {k0 + 1}")
         samples.append(slot - sent[k0])
+    values = np.array(samples, dtype=np.int64)  # one conversion for every statistic
     if samples:
-        mean = float(np.mean(samples))
-        std = float(np.std(samples))
+        mean, std = float(values.mean()), float(values.std())
     else:
-        mean = math.nan
-        std = math.nan
-    return TtdStats(samples, mean, std)
+        mean = std = math.nan
+    sums = (len(samples), int(values.sum()), int(values @ values))
+    if samples and int(np.abs(values).max()) ** 2 * len(samples) >= 2**63:  # int64 could wrap
+        sums = (len(samples), sum(samples), sum(s * s for s in samples))
+    return TtdStats(samples, mean, std, sums)
 
 
 def run_metrics(result: RunResult, baseline: RunResult) -> RunMetrics:
@@ -77,4 +82,5 @@ def run_metrics(result: RunResult, baseline: RunResult) -> RunMetrics:
         ttd_samples=ttd.samples,
         ttd_mean=ttd.mean,
         ttd_std=ttd.std,
+        ttd_sums=ttd.sums,
     )

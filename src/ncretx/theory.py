@@ -22,6 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The largest batch the floor is computed for: loss_cdf holds a few arrays
+# of batch + 1 floats, about 80 MB each at this size.
+MAX_BATCH = 10**7
+
 
 @dataclass(frozen=True)
 class TheoryParams:
@@ -32,6 +36,8 @@ class TheoryParams:
     def __post_init__(self) -> None:
         if self.receivers < 1 or self.batch < 1:
             raise ValueError("receivers and batch must be >= 1")
+        if self.batch > MAX_BATCH:
+            raise ValueError(f"theory batch {self.batch} is above {MAX_BATCH}")
         if len(self.loss_probabilities) != self.receivers:
             raise ValueError("need one loss probability per receiver")
         for p in self.loss_probabilities:

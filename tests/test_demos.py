@@ -1,10 +1,10 @@
 """Smoke test: the demos run to completion against the current API.
 
-Demos 01 and 05 take about 0.3 s each and read the schedule and payload
-API directly.  Demo 02 (about 1.7 s) exercises the theory module and the
-loss-count sampler; demo 04 (about 5 s) drives benefit and sort-utility
-through ``run_replication``.  Demo 03 sweeps benefit and sort-utility over
-many receiver counts at N=200 and takes about 43 s, so it is left out.
+Demos 01 and 05 take about 0.2 s each and read the schedule and payload
+API directly.  Demo 02 (about 0.2 s) exercises the theory module and the
+loss-count sampler.  Demos 03 (about 2 s, N=200 over six receiver counts)
+and 04 (about 1 s) drive benefit and sort-utility through
+``run_replication`` and read its rows.
 """
 
 import os
@@ -18,7 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_worked_example.py", "02_repair_floor.py",
-                                  "04_decode_delay.py", "05_payload_roundtrip.py"])
+                                  "03_ratio_sweep.py", "04_decode_delay.py",
+                                  "05_payload_roundtrip.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -70,6 +70,7 @@ def test_experiment_rows_and_schema(tmp_path):
         assert tuple(header) == CSV_COLUMNS
         body = list(reader)
     assert len(body) == len(rows)
+    assert all(row.keys() == set(CSV_COLUMNS) for row in rows)
     ratios = [float(r[8]) for r in body if r[4].isdigit() and r[0] != "arq"]
     assert all(0.0 <= x <= 1.0 for x in ratios)
 
@@ -118,6 +119,59 @@ def test_pool_never_outgrows_the_tasks_or_cpus(tmp_path, monkeypatch, workers, c
     assert rows == run_experiment(small_config(tmp_path / "b.csv", replications=reps))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_grid_point_is_aggregated_before_the_next_one_runs(tmp_path, monkeypatch,
+                                                                workers):
+    # pooled through InProcessPool, whose map is as lazy as the in-process one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    calls = []
+    replicate, theory_row = harness.run_replication, harness._theory_row
+
+    def run(names, m, p, batch, seed):
+        calls.append(("run", (m, p)))
+        return replicate(names, m, p, batch, seed)
+
+    def theory(m, p, batch):
+        calls.append(("theory", (m, p)))
+        return theory_row(m, p, batch)
+
+    monkeypatch.setattr(harness, "run_replication", run)
+    monkeypatch.setattr(harness, "_theory_row", theory)
+    rows = run_experiment(small_config(tmp_path / "o.csv", workers=workers, replications=3,
+                                       receiver_counts=[3, 4], loss_rates=[0.2, 0.5]))
+    grid = [(m, p) for m in (3, 4) for p in (0.2, 0.5)]
+    assert calls == [call for point in grid
+                     for call in [("run", point)] * 3 + [("theory", point)]]
+    assert InProcessPool.sizes == ([2] if workers == 2 else [])
+    # each point's 3 x 3 replication rows, 3 x 2 aggregates and theory row
+    assert [(r["M"], r["p"]) for r in rows] == [point for point in grid for _ in range(16)]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_sweep_memory_does_not_grow_with_the_reps(tmp_path):
+    # a replication's time-to-decode samples are gone once its row is made.
+    # The child's peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts
+    # at the RSS of the pytest process it was forked from.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "from ncretx.cli import main\n"
+              "main(['figure', 'fig2', '--receivers', '10', '--workers', '1',\n"
+              "      '--reps', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print([line.split()[1] for line in open('/proc/self/status')\n"
+              "       if line.startswith('VmHWM:')][0])\n")
+    peak_kb = []
+    for reps in ("10", "160"):
+        child = subprocess.run([sys.executable, "-c", script, reps, str(tmp_path / reps)],
+                               capture_output=True, text=True, env=env, timeout=300)
+        assert child.returncode == 0, child.stderr[-2000:]
+        peak_kb.append(int(child.stdout.split()[-1]))
+    assert peak_kb[1] - peak_kb[0] < 2048
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # the pool's modules (multiprocessing, socket, subprocess, logging) cost
     # every in-process run as much as the rest of the start-up
@@ -133,10 +187,24 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_aggregate_rows_cover_both_deviation_views(tmp_path):
-    rows = run_experiment(small_config(tmp_path / "r.csv"))
+    from ncretx import ChannelParams, run_metrics, run_scheduler, sample_matrix
+
+    config = small_config(tmp_path / "r.csv")
+    rows = run_experiment(config)
     kinds = {(r["algorithm"], r["replication"]) for r in rows
              if r["replication"] in ("mean", "pooled")}
     assert ("benefit", "mean") in kinds and ("benefit", "pooled") in kinds
+    # the pooled row, from each run's exact sums, against numpy over the samples
+    for name in config.scheduler_names:
+        samples = []
+        for r in range(config.replications):
+            seed = replication_seed(11, 3, 0.4, 15, r)
+            matrix = sample_matrix(ChannelParams.homogeneous(3, 0.4, seed), 15)
+            base = run_scheduler("arq", matrix)
+            samples += run_metrics(run_scheduler(name, matrix, seed=seed), base).ttd_samples
+        pooled, = [r for r in rows if (r["algorithm"], r["replication"]) == (name, "pooled")]
+        assert pooled["ttd_mean"] == np.mean(samples)
+        assert pooled["ttd_std"] == pytest.approx(np.std(samples), rel=1e-12)
 
 
 def test_theory_row_matches_module(tmp_path):
@@ -522,6 +590,7 @@ def test_paper_presets_pass_the_sweep_bounds_at_10000_reps():
      "1000 receivers x batch 1001 is 1001000 loss cells; at most 1000000 per replication"),
     (dict(batch=10**15),
      f"3 receivers x batch {10**15} is {3 * 10**15} loss cells; at most 1000000 per replication"),
+    (dict(algorithms=["theory"], batch=10**7 + 1), "theory batch 10000001 is above 10000000"),
 ])
 def test_config_bounds_the_sweep_and_the_batch(tmp_path, overrides, message):
     # refused in the config: no task list, matrix or pool of that size exists
@@ -555,6 +624,34 @@ def test_cli_refuses_an_unbounded_sweep_before_any_run(tmp_path, capsys, monkeyp
     monkeypatch.setattr(C, "run_experiment", no_sweep)
     rc = cli_main(["simulate", "--algorithms", "arq", "--workers", "2",
                    "--out", str(tmp_path / "x.csv")] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    (["simulate", "--algorithms", "theory", "--receivers", "3", "--loss", "0.5",
+      "--batch", str(10**15)], f"theory batch {10**15} is above 10000000"),
+    (["theory", "--receivers", "3", "--loss", "0.5", "--batch", "10000001"],
+     "theory batch 10000001 is above 10000000"),
+    (["theory", "--receivers", "2..1001", "--loss", "0..1:0.001", "--batch", "1"],
+     "the theory grid has 1001000 points; at most 1000000"),
+    (["theory", "--receivers", "2..1001", "--loss", "0.001..1:0.001", "--batch", "18"],
+     "the theory would write 21000000 rows; at most 20000000"),
+    (["theory", "--receivers", "2,3", "--loss", "0.5", "--batch", "10000000"],
+     "the theory would write 20000006 rows; at most 20000000"),
+])
+def test_cli_refuses_unbounded_theory_before_any_floor(tmp_path, capsys, monkeypatch,
+                                                      command, message):
+    import ncretx.cli as C
+    import ncretx.harness as H
+
+    def no_floor(*args):
+        raise AssertionError("a floor was computed past the bounds")
+
+    monkeypatch.setattr(C, "q_distribution", no_floor)
+    monkeypatch.setattr(H, "_theory_row", no_floor)
+    rc = cli_main(command + ["--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()

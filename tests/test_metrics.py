@@ -85,6 +85,16 @@ def test_ttd_empty_when_nothing_lost():
     stats = time_to_decode(result.losses, result.original_slot, result.receivers)
     assert stats.samples == []
     assert math.isnan(stats.mean)
+    assert stats.sums == (0, 0, 0)
+
+
+def test_ttd_sums_stay_exact_past_int64():
+    # a square of 2**40 slots overflows int64 many times over
+    state = ReceiverState()
+    state.recovery_slot.update({1: 2**40 + 1, 2: 2**40 + 7})
+    stats = time_to_decode(np.array([[1, 1]]), np.array([1, 2]), [state])
+    assert stats.samples == [2**40, 2**40 + 5]
+    assert stats.sums == (2, 2**41 + 5, 2**80 + (2**40 + 5) ** 2)
 
 
 def test_ttd_samples_always_positive():
@@ -109,9 +119,10 @@ def row_walk_time_to_decode(losses, original_slot, receivers) -> TtdStats:
                 raise IntegrityError(
                     f"receiver {i0 + 1} never recovered packet {k0 + 1}")
             samples.append(int(slot) - int(original_slot[k0]))
+    sums = (len(samples), sum(samples), sum(s * s for s in samples))
     if samples:
-        return TtdStats(samples, float(np.mean(samples)), float(np.std(samples)))
-    return TtdStats(samples, math.nan, math.nan)
+        return TtdStats(samples, float(np.mean(samples)), float(np.std(samples)), sums)
+    return TtdStats(samples, math.nan, math.nan, sums)
 
 
 def raised(fn, *args) -> str:
@@ -130,7 +141,8 @@ def test_ttd_matches_the_row_walk_reference():
             args = (result.losses, result.original_slot, result.receivers)
             got, want = time_to_decode(*args), row_walk_time_to_decode(*args)
             assert got.samples == want.samples
-            assert all(type(s) is int for s in got.samples)
+            assert got.sums == want.sums
+            assert all(type(s) is int for s in got.samples + list(got.sums))
             if want.samples:
                 assert (got.mean, got.std) == (want.mean, want.std)
             else:
