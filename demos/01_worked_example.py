@@ -26,8 +26,7 @@ def main() -> None:
     for name in SCHEDULER_NAMES:
         result = run_scheduler(name, MATRIX, seed=1)
         m = run_metrics(result, baseline)
-        repairs = " ".join(
-            str(cp) for cp in result.schedule.transmissions if not cp.original)
+        repairs = " ".join(str(cp) for cp in result.schedule.repairs)
         print(f"{name:>12}: {m.retransmissions} repairs "
               f"(ratio {m.ratio:.2f} vs plain ARQ), "
               f"mean time to decode {m.ttd_mean:.2f} slots")

@@ -177,6 +177,7 @@ def _cmd_theory(args) -> int:
         raise ValueError(f"the theory grid has {points} points; at most {MAX_SWEEP_RUNS}")
     for p in loss_rates:  # the batch, each rate and the smallest M
         TheoryParams.homogeneous(min(receiver_counts), batch, p)
+    TheoryParams.homogeneous(max(receiver_counts), batch, loss_rates[0])  # the largest M
     if points * (batch + 3) > MAX_THEORY_ROWS:
         raise ValueError(f"the theory would write {points * (batch + 3)} rows; "
                          f"at most {MAX_THEORY_ROWS}")

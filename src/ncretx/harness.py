@@ -97,8 +97,8 @@ class ExperimentConfig:
         if self.scheduler_names and cells > MAX_CELLS:
             raise ValueError(f"{max(self.receiver_counts)} receivers x batch {self.batch} is "
                              f"{cells} loss cells; at most {MAX_CELLS} per replication")
-        if self.wants_theory:
-            TheoryParams.homogeneous(2, self.batch, 0.5)  # raises on a batch above its cap
+        if self.wants_theory:  # raises on a batch or a receiver count above its cap
+            TheoryParams.homogeneous(max(self.receiver_counts), self.batch, 0.5)
         if self.output_path is not None:  # before a sweep that may run for minutes
             out = Path(self.output_path)
             if not out.parent.is_dir():
@@ -300,15 +300,16 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
     emit(f"matrix: {matrix.receivers} receivers x {matrix.batch} packets, "
          f"{int(matrix.cells.sum())} lost cells; algorithm: {algorithm}")
     events = _decode_events(result)
-    for packet in result.schedule.transmissions:
-        if packet.original:
-            head = str(packet)
-        elif result.algorithm == "rlnc":
+    heads = {slot: f"c{k}" for k, slot in enumerate(result.original_slot.tolist(), 1)}
+    for packet in result.schedule.repairs:
+        if result.algorithm == "rlnc":
             head = f"random linear repair over {len(packet.constituents)} packets"
         else:
-            head = f"{packet} [repair]" if packet.is_uncoded else f"{packet} [coded repair]"
-        line = f"slot {packet.slot}: {head}"
-        what = events.get(packet.slot)
+            head = f"{packet} [{'repair' if len(packet.constituents) == 1 else 'coded repair'}]"
+        heads[packet.slot] = head
+    for slot, head in sorted(heads.items()):
+        line = f"slot {slot}: {head}"
+        what = events.get(slot)
         if what:
             line += " | " + "; ".join(what)
         emit(line)
@@ -419,7 +420,7 @@ def _check_rlnc_recoveries(result: RunResult, payloads: np.ndarray) -> None:
     original must be credited at its own slot, and each lost packet at the
     slot of the repair that completed the system.
     """
-    repairs = [packet for packet in result.schedule.transmissions if not packet.original]
+    repairs = result.schedule.repairs
     drawn = np.array(result.coefficients or [], dtype=np.uint8).reshape(-1, len(payloads))
     wires = mat_mul(drawn, payloads)
     for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):

@@ -22,25 +22,15 @@ class IntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class CodedPacket:
-    """One transmission: the XOR of a set of original packets.
-
-    A single-element constituent set denotes an uncoded (re)transmission.
-    ``slot`` is the 1-based index of the time slot the packet went out in.
-    ``original`` marks a packet's first transmission over the lossy channel;
-    every other transmission is a lossless repair.
-    """
+    """One repair, sent losslessly in the 1-based time slot ``slot``: the XOR
+    of the original packets in ``constituents``, uncoded if there is one."""
 
     constituents: frozenset[int]
     slot: int
-    original: bool = False
 
     def __post_init__(self) -> None:
         if not self.constituents:
             raise ValueError("coded packet needs at least one constituent")
-
-    @property
-    def is_uncoded(self) -> bool:
-        return len(self.constituents) == 1
 
     def __str__(self) -> str:
         return "^".join(f"c{k}" for k in sorted(self.constituents))

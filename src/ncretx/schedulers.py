@@ -1,9 +1,8 @@
 """Retransmission schedulers for single-hop multicast over a lossy batch.
 
 Five algorithms share one contract: take a sampled loss realization and
-produce the complete transmission schedule (originals plus repairs) along
-with each receiver's decoding state, ending with every packet recovered
-everywhere.
+produce the repair schedule and the slot of each original, along with each
+receiver's decoding state, ending with every packet recovered everywhere.
 
   arq           one uncoded multicast retransmission per lost packet
   greedy        XOR sets grown in arrival order under the strict rule that
@@ -40,13 +39,13 @@ SCHEDULER_NAMES = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
 @dataclass
 class Schedule:
-    """All transmissions of a run: the N originals and the repairs."""
+    """A run's repairs in slot order; ``RunResult.original_slot`` has the originals."""
 
-    transmissions: list[CodedPacket]
+    repairs: list[CodedPacket]
 
-    @cached_property  # counted once: a finished run's record does not change
+    @property
     def retransmission_count(self) -> int:
-        return sum(not packet.original for packet in self.transmissions)
+        return len(self.repairs)
 
 
 @dataclass
@@ -80,7 +79,7 @@ class _Run:
     ``losses`` is a read-only copy of the sampled matrix's cells.
     ``missing[k-1]`` is an int with bit i-1 set while receiver i still lacks
     packet k: it starts as packet k's loss column and has each recovery
-    cleared as it happens.  A transmission's slot is its position in ``tx``.
+    cleared as it happens.  ``slot`` is the last slot used, by an original or a repair.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
@@ -91,28 +90,27 @@ class _Run:
         self.missing = [int.from_bytes(raw[at:at + width], "little")
                         for at in range(0, len(raw), width)]
         self.states = [ReceiverState() for _ in range(matrix.receivers)]
-        self.tx: list[CodedPacket] = []
+        self.repairs: list[CodedPacket] = []
+        self.slot = 0
         self.original_slot = np.zeros(matrix.batch, dtype=np.int64)
 
     def send_batch(self) -> None:
         """Send the originals of packets 1..N in slots 1..N."""
-        n = self.losses.shape[1]
-        self.tx.extend(CodedPacket(frozenset((k,)), k, original=True)
-                       for k in range(1, n + 1))
+        self.slot = n = self.losses.shape[1]
         self.original_slot[:] = np.arange(1, n + 1)
         _init_states(self.states, self.losses)
 
     def send_original(self, k: int) -> None:
         """Send packet k's original in the next slot to every receiver that
         did not lose it."""
-        packet = self.append((k,), original=True)
-        self.original_slot[k - 1] = packet.slot
+        self.slot += 1
+        self.original_slot[k - 1] = self.slot
         # no repair holds k before its original, so missing[k-1] is its loss column
         got = ~self.missing[k - 1] & ((1 << len(self.states)) - 1)
         while got:
             bit = got & -got
             got ^= bit
-            self.states[bit.bit_length() - 1].receive_original(k, packet.slot)
+            self.states[bit.bit_length() - 1].receive_original(k, self.slot)
 
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
@@ -159,16 +157,17 @@ class _Run:
             states[bit.bit_length() - 1].receive(packet)
         return recovered
 
-    def append(self, constituents, original: bool = False) -> CodedPacket:
-        """Record a transmission in the next slot."""
-        packet = CodedPacket(frozenset(constituents), len(self.tx) + 1, original)
-        self.tx.append(packet)
+    def append(self, constituents) -> CodedPacket:
+        """Record a repair in the next slot."""
+        self.slot += 1
+        packet = CodedPacket(frozenset(constituents), self.slot)
+        self.repairs.append(packet)
         return packet
 
     def result(self, algorithm: str, **extra) -> RunResult:
         if any(self.missing):
             raise IntegrityError(f"{algorithm} finished with unrecovered cells")
-        return RunResult(algorithm, Schedule(self.tx), self.states,
+        return RunResult(algorithm, Schedule(self.repairs), self.states,
                          self.original_slot, self.losses, **extra)
 
 
@@ -508,7 +507,7 @@ class _BenefitRun(_Run):
             if c:
                 insort(by_cu[c], k - 1)
         self.audit.append(BenefitAudit(
-            len(self.tx), tuple(ids), self.cycle, self.desired_benefit, *gates))
+            self.slot, tuple(ids), self.cycle, self.desired_benefit, *gates))
 
     # -- gate machinery --
 

@@ -25,6 +25,17 @@ import numpy as np
 # The largest batch the floor is computed for: loss_cdf holds a few arrays
 # of batch + 1 floats, about 80 MB each at this size.
 MAX_BATCH = 10**7
+# The most receivers, one loss probability each: harness.MAX_CELLS at N = 1.
+MAX_RECEIVERS = 10**6
+
+
+def _check_size(receivers: int, batch: int) -> None:
+    if receivers < 1 or batch < 1:
+        raise ValueError("receivers and batch must be >= 1")
+    if batch > MAX_BATCH:
+        raise ValueError(f"theory batch {batch} is above {MAX_BATCH}")
+    if receivers > MAX_RECEIVERS:
+        raise ValueError(f"theory receiver count {receivers} is above {MAX_RECEIVERS}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +45,7 @@ class TheoryParams:
     loss_probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.receivers < 1 or self.batch < 1:
-            raise ValueError("receivers and batch must be >= 1")
-        if self.batch > MAX_BATCH:
-            raise ValueError(f"theory batch {self.batch} is above {MAX_BATCH}")
+        _check_size(self.receivers, self.batch)
         if len(self.loss_probabilities) != self.receivers:
             raise ValueError("need one loss probability per receiver")
         for p in self.loss_probabilities:
@@ -46,6 +54,7 @@ class TheoryParams:
 
     @classmethod
     def homogeneous(cls, receivers: int, batch: int, p: float) -> "TheoryParams":
+        _check_size(receivers, batch)  # before a tuple of one float per receiver
         return cls(receivers, batch, (float(p),) * receivers)
 
 

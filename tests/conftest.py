@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ncretx import TransmissionMatrix, run_scheduler
+from ncretx import CodedPacket, TransmissionMatrix, run_scheduler
 from ncretx.schedulers import _Run
 
 from gf2_oracle import ListScanReceiver, buffer, constituents_to_bits, gf2_decodable
@@ -55,30 +55,41 @@ def loss_matrices(draw, max_receivers=10, max_batch=40):
     return TransmissionMatrix(cells.astype(np.uint8))
 
 
-def replay(mat, transmissions):
-    """Deliver a schedule to fresh list-scan receivers (``ListScanReceiver``,
-    which shares no code with the package's decoder): an original reaches
-    the receivers that did not lose it, a repair reaches every receiver.
+def slot_order(result):
+    """A run's transmissions in slot order, rebuilt from its two records:
+    ``(True, c_k)`` for packet k's original, an uncoded packet in the slot
+    ``original_slot`` gives it, and ``(False, repair)`` for each repair."""
+    sent = [(True, CodedPacket(frozenset((k,)), slot))
+            for k, slot in enumerate(result.original_slot.tolist(), 1)]
+    sent += [(False, packet) for packet in result.schedule.repairs]
+    return sorted(sent, key=lambda entry: entry[1].slot)
 
-    Yields ``(packet, lacking, states, recovered)`` once each packet is
-    delivered.  ``lacking`` is the grid as the packet found it: the loss
+
+def replay(mat, result, states=None):
+    """Deliver a run to list-scan receivers (``ListScanReceiver``, which
+    shares no code with the package's decoder), in slot order: an original
+    reaches the receivers that did not lose it, a repair reaches every
+    receiver.  The receivers are new ones, one per row of ``mat``, unless
+    ``states`` passes them in, to be read after a run that may have no
+    repair.
+
+    Yields ``(packet, lacking, states, recovered)`` once each repair is
+    delivered.  ``lacking`` is the grid as the repair found it: the loss
     cells, less those recovered from earlier repairs.  ``states`` are the
-    receivers after the packet, and ``recovered[i0]`` lists what receiver
+    receivers after the repair, and ``recovered[i0]`` lists what receiver
     i0 recovered from it.  At the end nothing may be left lacking.
     """
     lacking = mat.cells.copy()
-    states = [ListScanReceiver() for _ in range(mat.receivers)]
-    for packet in transmissions:
-        k = min(packet.constituents)
-        recovered = []
-        for i0, state in enumerate(states):
-            if not packet.original:
-                recovered.append(state.receive(packet))
-            elif mat.cells[i0, k - 1]:
-                recovered.append([])
-            else:
-                state.receive_original(k, packet.slot)
-                recovered.append([k])
+    if states is None:
+        states = [ListScanReceiver() for _ in range(mat.receivers)]
+    for original, packet in slot_order(result):
+        if original:
+            (k,) = packet.constituents
+            for i0, state in enumerate(states):
+                if not mat.cells[i0, k - 1]:
+                    state.receive_original(k, packet.slot)
+            continue
+        recovered = [state.receive(packet) for state in states]
         yield packet, lacking, states, recovered
         for i0, ks in enumerate(recovered):
             for kk in ks:
@@ -108,7 +119,7 @@ def recorded_run(name, mat):
 
     def recording(self, constituents):
         recovered = send(self, constituents)
-        sent.append((self.tx[-1], recovered, records(self.states)))
+        sent.append((self.repairs[-1], recovered, records(self.states)))
         return recovered
 
     with pytest.MonkeyPatch.context() as mp:
@@ -125,12 +136,12 @@ def assert_peeling_sound(mat, name):
     result, sent = recorded_run(name, mat)
     heard = [[] for _ in range(mat.receivers)]
     repairs = iter(sent)
-    for packet in result.schedule.transmissions:
+    for original, packet in slot_order(result):
         bits = constituents_to_bits(packet.constituents, n)
         for i0, vectors in enumerate(heard):
-            if not (packet.original and mat.cells[i0, min(packet.constituents) - 1]):
+            if not (original and mat.cells[i0, min(packet.constituents) - 1]):
                 vectors.append(bits)
-        if packet.original:
+        if original:
             continue  # an original adds its own unit vector and nothing else
         _, _, held = next(repairs)
         for (recovery, _, filed), vectors in zip(held, heard):

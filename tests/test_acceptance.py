@@ -28,7 +28,7 @@ from ncretx.cli import main as cli_main
 from ncretx.gf import MUL_TABLE
 from ncretx.harness import payload_check, replication_seed, run_replication
 
-from conftest import WORKED_EXAMPLE_ROWS, assert_peeling_sound, replay
+from conftest import WORKED_EXAMPLE_ROWS, assert_peeling_sound, replay, slot_order
 
 
 def report(number: int, description: str):
@@ -55,7 +55,7 @@ def worked_example() -> TransmissionMatrix:
 def test_acceptance_1_sort_utility_golden():
     mat = worked_example()
     result = run_scheduler("sort-utility", mat)
-    repairs = [set(cp.constituents) for cp in result.schedule.transmissions[5:]]
+    repairs = [set(cp.constituents) for cp in result.schedule.repairs]
     assert repairs == [{2}, {1, 3}, {4}, {5}]
     assert result.schedule.retransmission_count == 4
     metrics = run_metrics(result, run_scheduler("arq", mat))
@@ -67,7 +67,7 @@ def test_acceptance_1_sort_utility_golden():
 def test_acceptance_2_benefit_golden():
     mat = worked_example()
     result = run_scheduler("benefit", mat)
-    sched = [str(cp) for cp in result.schedule.transmissions]
+    sched = [str(cp) for _, cp in slot_order(result)]
     assert sched == ["c1", "c2", "c1^c2", "c3", "c4", "c2^c3^c4", "c5", "c5"]
     assert result.schedule.retransmission_count == 3
     metrics = run_metrics(result, run_scheduler("arq", mat))
@@ -212,10 +212,9 @@ def test_acceptance_8_invariants():
 
 
 def _assert_strict_rule(mat, result):
-    for packet, lacking, _, _ in replay(mat, result.schedule.transmissions):
-        if not packet.original:
-            cols = [k - 1 for k in packet.constituents]
-            assert (lacking[:, cols].sum(axis=1) <= 1).all()
+    for packet, lacking, _, _ in replay(mat, result):
+        cols = [k - 1 for k in packet.constituents]
+        assert (lacking[:, cols].sum(axis=1) <= 1).all()
 
 
 @report(9, "byte-identical CSV from two identical simulate invocations")

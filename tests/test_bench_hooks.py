@@ -79,9 +79,8 @@ def test_tracer_counts_every_filing_on_a_matrix_that_buffers():
     mat = model.TransmissionMatrix.from_rows(
         [[1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 1]])
     filings = sum(bool(state.buffer) and state.buffer[-1] is packet
-                  for packet, _, states, _ in replay(mat, schedulers.benefit(mat)
-                                                     .schedule.transmissions)
-                  if not packet.original for state in states)
+                  for packet, _, states, _ in replay(mat, schedulers.benefit(mat))
+                  for state in states)
     spans = load_spans()
     tracer, patches = spans.Tracer(), spans.Patches()
     tracer.install(patches)

@@ -49,8 +49,10 @@ def test_original_slots_are_batch_positions():
         assert result.original_slot.tolist() == [1, 2, 3, 4, 5, 6]
     # benefit interleaves repairs with the batch; it records where each original went
     result = run_scheduler("benefit", mat)
-    originals = [cp.slot for cp in result.schedule.transmissions if cp.original]
-    assert result.original_slot.tolist() == originals
+    # in id order, in the slots its repairs leave free
+    repair_slots = {cp.slot for cp in result.schedule.repairs}
+    free = [s for s in range(1, 6 + len(repair_slots) + 1) if s not in repair_slots]
+    assert result.original_slot.tolist() == free
 
 
 def test_empirical_loss_rate_converges():

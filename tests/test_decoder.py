@@ -171,7 +171,7 @@ def test_buffer_invariants_random_streams():
             held = buffer(state)
             assert all(len(packet.constituents - state.recovery_slot.keys()) >= 2
                        for packet in held)
-            assert held == [packet for packet in run.tx if packet in held]
+            assert held == [packet for packet in run.repairs if packet in held]
         assert run.states[1].waiting == {} and run.states[1].source == {}
 
 
@@ -211,7 +211,7 @@ def test_indexed_peeling_matches_the_list_scan_reference():
         for _ in range(2 * n):
             size = 1 if rng.random() < 0.1 else int(rng.integers(2, min(n, 3) + 1))
             got = run.send(random_repair(rng, n, size))
-            assert got == reference.receive(run.tx[-1])
+            assert got == reference.receive(run.repairs[-1])
             assert list(state.recovery_slot.items()) == list(reference.recovery_slot.items())
             assert state.source == reference.source
             assert buffer(state) == reference.buffer

@@ -1,18 +1,22 @@
 """Experiment engine, trace narration, payload round trips, CLI surface."""
 
 import concurrent.futures
+import contextlib
 import csv
 import filecmp
+import io
 import multiprocessing
 import os
+import random
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ncretx import SCHEDULER_NAMES, CodedPacket, IntegrityError, TransmissionMatrix, harness, rlnc
@@ -32,7 +36,7 @@ from ncretx.harness import (
     trace_run,
 )
 
-from conftest import loss_matrices, random_matrix
+from conftest import DATA_DIR, loss_matrices, random_matrix
 
 
 def small_config(out, **kw):
@@ -361,8 +365,8 @@ def test_payload_mismatch_on_a_wrong_source(worked_example, monkeypatch, receive
         if slot is None:
             del source[packet]
         else:
-            earlier = result.schedule.transmissions[slot - 1]
-            assert not earlier.original and packet not in earlier.constituents
+            (earlier,) = [cp for cp in result.schedule.repairs if cp.slot == slot]
+            assert packet not in earlier.constituents
             source[packet] = earlier
         return result
 
@@ -606,6 +610,7 @@ def test_config_bounds_admit_their_limits():
     small_config(None, receiver_counts=[3, 1000], batch=1000)
     # theory reads no matrix and no replication
     small_config(None, algorithms=["theory"], batch=10**7, replications=10**18)
+    small_config(None, algorithms=["theory"], receiver_counts=[2, 10**6])
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -640,6 +645,10 @@ def test_cli_refuses_an_unbounded_sweep_before_any_run(tmp_path, capsys, monkeyp
      "the theory would write 21000000 rows; at most 20000000"),
     (["theory", "--receivers", "2,3", "--loss", "0.5", "--batch", "10000000"],
      "the theory would write 20000006 rows; at most 20000000"),
+    (["theory", "--receivers", "3,1000001", "--loss", "0.5", "--batch", "1"],
+     "theory receiver count 1000001 is above 1000000"),
+    (["simulate", "--algorithms", "theory", "--receivers", "1000001", "--loss", "0.5",
+      "--batch", "1"], "theory receiver count 1000001 is above 1000000"),
 ])
 def test_cli_refuses_unbounded_theory_before_any_floor(tmp_path, capsys, monkeypatch,
                                                       command, message):
@@ -772,6 +781,84 @@ def test_cli_usage_error_exits_1(capsys):
     assert cli_main(["simulate", "--algorithms", "arq"]) == 1
     assert capsys.readouterr().err == (
         "error: the following arguments are required: --receivers, --loss, --batch, --out\n")
+
+
+# the four subcommands' real option names; valid values for each option; and
+# a pool of values for any of them: valid, malformed and out of range.  No
+# admitted batch is above 10^3: each larger number in the pool is above 10^7,
+# which every subcommand refuses as a batch or a receiver count
+CLI_OPTIONS = {
+    "simulate": ("--algorithms", "--receivers", "--loss", "--batch", "--reps", "--seed",
+                 "--workers", "--out"),
+    "theory": ("--receivers", "--batch", "--loss", "--out"),
+    "figure": ("--out", "--reps", "--seed", "--receivers", "--loss", "--workers"),
+    "trace": ("--matrix", "--algorithm", "--seed"),
+}
+CLI_VALID = {
+    "--algorithms": ("arq", "benefit,sort-utility,theory", "theory"),
+    "--receivers": ("3", "2..4", "1000"), "--loss": ("0.5", "0.2,0.4", "0.1..0.3:0.1"),
+    "--batch": ("1", "20", "1000"), "--reps": ("1", "20"), "--seed": ("0", "3"),
+    "--workers": ("1", "2"), "--out": ("out.csv", "figs"),
+    "--matrix": (str(DATA_DIR / "worked_example.txt"),), "--algorithm": ("arq", "rlnc"),
+}
+CLI_VALUES = (
+    "arq", "rlnc", "fig4", "3", "2..4", "0.5", "20", "out.csv",
+    "", "x", "2..", "0.1..0.5", "1,,2", "0.1..0.3:0.1:2", "nan", "1e999", "arq,arq", "3,3",
+    "0", "-3", "1.5", "10000001", "1000000000", "99999999999999999999", "missing/out.csv",
+    "-h",
+)
+CLI_JUNK = ("--bogus", "-x", "junk", "--", "=")
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv: a subcommand, now and then a junk token instead, then each
+    of its options in any order.  Most argvs have one odd option, with a
+    pool value, bare or left out, and the others valid; now and then loose
+    values or junk go in between."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    command = rnd.choice(sorted(CLI_OPTIONS) * 4 + list(CLI_JUNK))
+    argv = [command]
+    if command == "figure":
+        argv.append(rnd.choice(("fig4", "fig5") * 8 + CLI_VALUES))
+    options = rnd.sample(CLI_OPTIONS.get(command, ()), len(CLI_OPTIONS.get(command, ())))
+    odd = options[:rnd.choice((0, 1, 1, 1, 2))]
+    for option in options:
+        how = rnd.choice(("pool",) * 4 + ("bare", "left out")) if option in odd else "valid"
+        if how == "valid":
+            argv += [option, rnd.choice(CLI_VALID[option])]
+        elif how == "pool":
+            argv += [option, rnd.choice(CLI_VALUES)]
+        elif how == "bare":
+            argv.append(option)
+    for _ in range(rnd.choice((0, 0, 0, 1, 2))):
+        argv.insert(rnd.randint(1, len(argv)), rnd.choice(CLI_VALUES + CLI_JUNK))
+    return argv
+
+
+@given(cli_argvs())
+@example(["theory", "--receivers", "1000001", "--loss", "0.5", "--batch", "1", "--out", "x"])
+@example(["theory", "--receivers", "3", "--loss", "0.5", "--batch", "1", "--out", "missing/x"])
+@example(["simulate", "-h"])
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_exits_with_a_status_and_at_most_one_line(tmp_path, monkeypatch, argv):
+    import ncretx.cli as C
+
+    monkeypatch.setattr(C, "run_experiment", lambda config: [])  # no sweep, no pool
+    monkeypatch.setattr(C, "trace_run", lambda *args, **kwargs: None)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=tmp_path) as here:
+        monkeypatch.chdir(here)  # what one example writes, the next does not see
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                status = cli_main(argv)
+            except SystemExit as exc:  # -h
+                status = exc.code
+        monkeypatch.chdir(tmp_path)
+    assert status in (0, 1, 2), argv
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def drop_repairs_holding_c1(monkeypatch, coded_only=False):

@@ -20,7 +20,7 @@ from ncretx import (SCHEDULER_NAMES, ChannelParams, baseline_arq, benefit, greed
 from ncretx.cli import main as cli_main
 from ncretx.harness import load_matrix, trace_run
 
-from conftest import DATA_DIR, random_matrix
+from conftest import DATA_DIR, random_matrix, slot_order
 
 SIMULATE = ["simulate", "--algorithms", ",".join(SCHEDULER_NAMES) + ",theory",
             "--receivers", "3,12", "--loss", "0.3,0.6", "--batch", "20",
@@ -97,9 +97,10 @@ def test_trace_locked(which, name):
 
 
 def sent_record(result) -> str:
-    """Every transmission with its kind and sorted constituents."""
-    return " ".join(("o" if cp.original else "r") + ",".join(map(str, sorted(cp.constituents)))
-                    for cp in result.schedule.transmissions)
+    """Every transmission in slot order with its kind and sorted
+    constituents, rebuilt from ``original_slot`` and the repairs."""
+    return " ".join(("o" if original else "r") + ",".join(map(str, sorted(cp.constituents)))
+                    for original, cp in slot_order(result))
 
 
 def held_record(result) -> str:

@@ -113,7 +113,8 @@ def test_default_original_slots_are_batch_order(worked_example):
         result = run_scheduler(name, worked_example)
         assert result.original_slot.tolist() == [1, 2, 3, 4, 5]
     result = run_scheduler("benefit", worked_example)
-    originals = {next(iter(cp.constituents)): cp.slot
-                 for cp in result.schedule.transmissions if cp.original}
-    assert result.original_slot.tolist() == [originals[k] for k in range(1, 6)]
+    # in id order, in the slots its repairs leave free
+    repair_slots = {cp.slot for cp in result.schedule.repairs}
+    assert result.original_slot.tolist() == \
+        [s for s in range(1, 5 + len(repair_slots) + 1) if s not in repair_slots]
 

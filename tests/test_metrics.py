@@ -1,6 +1,7 @@
 """Retransmission ratio and time-to-decode accounting."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ from conftest import random_matrix, replay
 
 
 def _sched(count: int) -> Schedule:
-    return Schedule([CodedPacket(frozenset({1}), 1, original=True)]
-                    + [CodedPacket(frozenset({1}), slot) for slot in range(2, count + 2)])
+    return Schedule([CodedPacket(frozenset({1}), slot) for slot in range(2, count + 2)])
 
 
 def test_ratio_worked_example_values(worked_example):
@@ -61,15 +61,13 @@ def test_ttd_worked_example_sort(worked_example):
 def test_ttd_replay_of_worked_example_schedule(worked_example):
     # drive the published schedule through fresh receivers by hand and check
     # the sample multiset falls out of the decoder alone
-    transmissions = [
-        CodedPacket(frozenset({1}), 1, True), CodedPacket(frozenset({2}), 2, True),
-        CodedPacket(frozenset({1, 2}), 3), CodedPacket(frozenset({3}), 4, True),
-        CodedPacket(frozenset({4}), 5, True), CodedPacket(frozenset({2, 3, 4}), 6),
-        CodedPacket(frozenset({5}), 7, True), CodedPacket(frozenset({5}), 8),
-    ]
-    for _, _, states, _ in replay(worked_example, transmissions):
+    original_slot = np.array([1, 2, 4, 5, 7])
+    repairs = [CodedPacket(frozenset({1, 2}), 3), CodedPacket(frozenset({2, 3, 4}), 6),
+               CodedPacket(frozenset({5}), 8)]
+    run = SimpleNamespace(original_slot=original_slot, schedule=Schedule(repairs))
+    for _, _, states, _ in replay(worked_example, run):
         pass
-    stats = time_to_decode(worked_example.cells, np.array([1, 2, 4, 5, 7]), states)
+    stats = time_to_decode(worked_example.cells, original_slot, states)
     assert sorted(stats.samples) == [1, 1, 1, 1, 1, 1, 2, 2, 4, 5]
 
 

@@ -26,14 +26,16 @@ from ncretx import (
 )
 from ncretx.schedulers import BenefitAudit, _BenefitRun, _Run
 
+from gf2_oracle import ListScanReceiver
+
 from conftest import (assert_peeling_sound, loss_matrices, random_matrix, recorded_run,
-                      records, replay)
+                      records, replay, slot_order)
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
 
-def constituent_sets(result, start=0):
-    return [set(cp.constituents) for cp in result.schedule.transmissions[start:]]
+def constituent_sets(result):
+    return [set(cp.constituents) for cp in result.schedule.repairs]
 
 
 # ---------------------------------------------------------------- arq
@@ -42,7 +44,7 @@ def constituent_sets(result, start=0):
 def test_arq_worked_example(worked_example):
     result = baseline_arq(worked_example)
     assert result.schedule.retransmission_count == 5
-    assert constituent_sets(result, start=5) == [{1}, {2}, {3}, {4}, {5}]
+    assert constituent_sets(result) == [{1}, {2}, {3}, {4}, {5}]
 
 
 def test_arq_nothing_lost():
@@ -60,7 +62,7 @@ def test_arq_one_receiver_missing_everything():
 
 def test_greedy_first_set_on_worked_example(worked_example):
     result = greedy_nc(worked_example)
-    repairs = constituent_sets(result, start=5)
+    repairs = constituent_sets(result)
     assert repairs[0] == {1, 3}
     assert result.schedule.retransmission_count == 4
 
@@ -68,14 +70,14 @@ def test_greedy_first_set_on_worked_example(worked_example):
 def test_greedy_disjoint_losses_single_repair():
     mat = TransmissionMatrix.from_rows([[1, 0], [0, 1]])
     result = greedy_nc(mat)
-    assert constituent_sets(result, start=2) == [{1, 2}]
+    assert constituent_sets(result) == [{1, 2}]
 
 
 def test_greedy_saturated_receiver_forces_uncoded():
     mat = TransmissionMatrix.from_rows([[1, 1, 1], [0, 0, 0]])
     result = greedy_nc(mat)
     assert result.schedule.retransmission_count == 3
-    assert all(cp.is_uncoded for cp in result.schedule.transmissions[3:])
+    assert all(len(cp.constituents) == 1 for cp in result.schedule.repairs)
 
 
 # ---------------------------------------------------------------- sort-utility
@@ -83,7 +85,7 @@ def test_greedy_saturated_receiver_forces_uncoded():
 
 def test_sort_utility_worked_example(worked_example):
     result = sort_by_utility(worked_example)
-    assert constituent_sets(result, start=5) == [{2}, {1, 3}, {4}, {5}]
+    assert constituent_sets(result) == [{2}, {1, 3}, {4}, {5}]
     assert result.schedule.retransmission_count == 4
     metrics = run_metrics(result, baseline_arq(worked_example))
     assert metrics.ttd_mean == pytest.approx(4.4, abs=1e-12)
@@ -114,9 +116,7 @@ def test_strict_rule_holds_for_every_repair(worked_example):
         orders = {greedy_nc: range(mat.batch),
                   sort_by_utility: np.argsort(-mat.cells.sum(axis=0), kind="stable").tolist()}
         for scheduler, order in orders.items():
-            for packet, lacking, _, _ in replay(mat, scheduler(mat).schedule.transmissions):
-                if packet.original:
-                    continue
+            for packet, lacking, _, _ in replay(mat, scheduler(mat)):
                 cols = [k - 1 for k in packet.constituents]
                 assert (lacking[:, cols].sum(axis=1) <= 1).all()
                 assert set(packet.constituents) == grown_set(lacking, order)
@@ -151,7 +151,7 @@ def test_rlnc_rarely_needs_extra_repairs():
 
 def test_rlnc_recovery_slots_at_full_rank(worked_example):
     result = rlnc(worked_example, seed=1)
-    done = result.schedule.transmissions[-1].slot
+    done = result.schedule.repairs[-1].slot
     # max-loss receivers reach full rank only at the end
     assert result.receivers[0].recovery_slot[1] == done
 
@@ -234,7 +234,10 @@ def test_rlnc_matches_full_width_oracle(mat, seed):
     assert len(result.coefficients) == len(coefficients)
     assert all(np.array_equal(a, b) for a, b in zip(result.coefficients, coefficients))
     assert result.schedule.retransmission_count == len(coefficients)
-    assert len(result.schedule.transmissions) == mat.batch + len(coefficients)
+    # the batch first, then one repair per coefficient vector
+    assert result.original_slot.tolist() == list(range(1, mat.batch + 1))
+    assert [cp.slot for cp in result.schedule.repairs] == \
+        list(range(mat.batch + 1, mat.batch + len(coefficients) + 1))
     assert [state.recovery_slot for state in result.receivers] == recovery
 
 
@@ -246,7 +249,7 @@ GOLDEN = ["c1", "c2", "c1^c2", "c3", "c4", "c2^c3^c4", "c5", "c5"]
 
 def test_benefit_worked_example_schedule(worked_example):
     result = benefit(worked_example)
-    assert [str(cp) for cp in result.schedule.transmissions] == GOLDEN
+    assert [str(cp) for _, cp in slot_order(result)] == GOLDEN
     assert result.schedule.retransmission_count == 3
 
 
@@ -271,11 +274,11 @@ def test_benefit_lossless_run_is_just_the_batch():
     mat = sample_matrix(ChannelParams.homogeneous(4, 0.0, seed=1), 12)
     result = benefit(mat)
     assert result.schedule.retransmission_count == 0
-    assert [cp.slot for cp in result.schedule.transmissions] == list(range(1, 13))
+    assert result.original_slot.tolist() == list(range(1, 13))
 
 
 def test_benefit_interleaves_repairs(worked_example):
-    slots = {str(cp): cp.slot for cp in benefit(worked_example).schedule.transmissions[:6]}
+    slots = {str(cp): cp.slot for cp in benefit(worked_example).schedule.repairs}
     assert slots["c1^c2"] == 3  # repair before the batch has finished
     assert benefit(worked_example).original_slot.tolist() == [1, 2, 4, 5, 7]
 
@@ -288,9 +291,7 @@ def test_benefit_audit_matches_independent_replay(worked_example):
     for mat, start in runs:
         result = benefit(mat, start)
         audit = {a.slot: a for a in result.audit}
-        for packet, lacking, _, _ in replay(mat, result.schedule.transmissions):
-            if packet.original:
-                continue
+        for packet, lacking, _, _ in replay(mat, result):
             entry = audit[packet.slot]
             assert set(entry.constituents) == set(packet.constituents)
             ru = lacking[:, [k - 1 for k in entry.constituents]].sum(axis=1)
@@ -395,7 +396,7 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
     def checking(method):
         def wrapper(self, *args, **kwargs):
             assert_benefit_state_consistent(self)
-            checked_slots.add(len(self.tx))
+            checked_slots.add(self.slot)
             return method(self, *args, **kwargs)
         return wrapper
 
@@ -405,8 +406,8 @@ def test_benefit_incremental_state_matches_recomputation(run_input):
         run = _BenefitRun(mat, start)
         result = run.execute()
     assert_benefit_state_consistent(run)
-    checked_slots.add(len(run.tx))
-    assert checked_slots >= set(range(1, len(result.schedule.transmissions) + 1))
+    checked_slots.add(run.slot)
+    assert checked_slots >= set(range(1, mat.batch + result.schedule.retransmission_count + 1))
     assert not any(a.forced for a in result.audit)
 
 
@@ -431,7 +432,7 @@ def reference_benefit(mat, start):
     def repair(ids):
         gates = direct_gates(run.missing, m, ids)
         run.send(ids)
-        audit.append(BenefitAudit(len(run.tx), tuple(ids), cycle, desired, *gates))
+        audit.append(BenefitAudit(run.slot, tuple(ids), cycle, desired, *gates))
 
     while True:
         pros, anchors, hard, soft = [], set(), set(), set()
@@ -483,10 +484,9 @@ def test_benefit_bulk_rejection_matches_one_candidate_per_call(mat):
     for start in (None, 1, math.ceil(mat.receivers / 2)):
         result = benefit(mat, start)
         reference = reference_benefit(mat, start)
-        assert [(cp.slot, cp.constituents, cp.original)
-                for cp in result.schedule.transmissions] == \
-               [(cp.slot, cp.constituents, cp.original)
-                for cp in reference.schedule.transmissions]
+        assert result.original_slot.tolist() == reference.original_slot.tolist()
+        assert [(cp.slot, cp.constituents) for cp in result.schedule.repairs] == \
+               [(cp.slot, cp.constituents) for cp in reference.schedule.repairs]
         assert result.audit == reference.audit
         for state, ref in zip(result.receivers, reference.receivers):
             assert list(state.recovery_slot.items()) == list(ref.recovery_slot.items())
@@ -521,8 +521,7 @@ def test_every_scheduler_keeps_the_run_invariants(mat, seed):
     base = baseline_arq(mat).schedule.retransmission_count
     for name in ALL:
         result = run_scheduler(name, mat, seed=seed)
-        transmissions = result.schedule.transmissions
-        repairs = [cp for cp in transmissions if not cp.original]
+        repairs = result.schedule.repairs
         retx = result.schedule.retransmission_count
         assert retx == len(repairs)
         # full recovery, the per-receiver floor, and coded XOR never above arq
@@ -531,18 +530,18 @@ def test_every_scheduler_keeps_the_run_invariants(mat, seed):
         assert retx >= floor
         if name in ("greedy", "sort-utility", "benefit"):
             assert retx <= base
-        # schedule structure: dense slots, each packet's original exactly once,
-        # uncoded, in the slot the run records for it, and before every
-        # repair that holds the packet (the decoder relies on this)
-        assert [cp.slot for cp in transmissions] == list(range(1, len(transmissions) + 1))
-        originals = [cp for cp in transmissions if cp.original]
-        assert all(cp.is_uncoded for cp in originals)
-        assert sorted(next(iter(cp.constituents)) for cp in originals) == \
-            list(range(1, mat.batch + 1))
-        assert {next(iter(cp.constituents)): cp.slot for cp in originals} == \
-            {k: int(result.original_slot[k - 1]) for k in range(1, mat.batch + 1)}
-        assert all(result.original_slot[k - 1] < cp.slot
-                   for cp in repairs for k in cp.constituents)
+        # schedule shape: one slot per original, disjoint from the repairs'
+        # slots, which increase; together they are exactly 1..last.  Each
+        # original goes out before every repair that holds it (the decoder
+        # relies on this)
+        original_slots = result.original_slot.tolist()
+        repair_slots = [cp.slot for cp in repairs]
+        assert len(original_slots) == mat.batch
+        assert repair_slots == sorted(set(repair_slots))
+        assert not set(original_slots) & set(repair_slots)
+        assert sorted(original_slots + repair_slots) == \
+            list(range(1, mat.batch + len(repairs) + 1))
+        assert all(original_slots[k - 1] < cp.slot for cp in repairs for k in cp.constituents)
         if name in ("greedy", "sort-utility"):
             # strict rule: before each repair, every receiver lacks at most
             # one of its constituents
@@ -592,9 +591,9 @@ def test_send_decodes_buffers_and_skips_by_the_loss_masks():
     run = _Run(TransmissionMatrix.from_rows([[1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 0, 0]]))
     run.send_batch()
     assert run.send([1, 3]) == []
-    first = run.tx[-1]
+    first = run.repairs[-1]
     assert run.send([1, 2]) == [1, 3]  # c1 by R1, then what R1's peeling unlocked
-    second = run.tx[-1]
+    second = run.repairs[-1]
     assert (first.slot, second.slot) == (5, 6)
     assert run.missing == [0b010, 0b010, 0b010, 0]
     r1, r2, r3 = run.states
@@ -615,7 +614,7 @@ def test_send_returns_recoveries_by_constituent_then_receiver():
     run.send_batch()
     assert run.send([1, 2]) == [1, 1, 2]
     assert run.missing == [0, 0]
-    packet = run.tx[-1]
+    packet = run.repairs[-1]
     assert [state.source for state in run.states] == [{2: packet}, {1: packet}, {1: packet}]
 
 
@@ -642,12 +641,12 @@ def test_mask_delivery_matches_the_list_scan_replay(mat):
             result, sent = recorded_run(name, mat)
         assert finished == [[0] * mat.batch], name
         repairs = iter(sent)
-        for packet, _, states, recovered in replay(mat, result.schedule.transmissions):
-            if not packet.original:
-                sent_packet, got, held = next(repairs)
-                assert sent_packet == packet, name
-                assert Counter(got) == Counter(chain.from_iterable(recovered)), name
-                assert held == records(states), name
+        states = [ListScanReceiver() for _ in range(mat.receivers)]
+        for packet, _, _, recovered in replay(mat, result, states):
+            sent_packet, got, held = next(repairs)
+            assert sent_packet == packet, name
+            assert Counter(got) == Counter(chain.from_iterable(recovered)), name
+            assert held == records(states), name
         assert next(repairs, None) is None, name
         assert records(result.receivers) == records(states), name
 
@@ -714,16 +713,12 @@ def test_full_recovery_and_repair_floor_everywhere():
             assert all(state.recovery_slot.keys() == set(range(1, mat.batch + 1))
                        for state in result.receivers)
             assert result.schedule.retransmission_count >= floor
-            # schedule structure: dense slots, each original exactly once,
-            # marked as such and sent in the slot the run records for it
-            slots = [cp.slot for cp in result.schedule.transmissions]
+            # schedule structure: one slot per original, and together with
+            # the repairs' slots they fill 1..last densely
+            assert len(result.original_slot) == mat.batch
+            slots = sorted(result.original_slot.tolist()
+                           + [cp.slot for cp in result.schedule.repairs])
             assert slots == list(range(1, len(slots) + 1))
-            originals = {next(iter(cp.constituents)): cp.slot
-                         for cp in result.schedule.transmissions if cp.original}
-            assert sum(cp.original for cp in result.schedule.transmissions) == mat.batch
-            assert originals == {k: int(result.original_slot[k - 1])
-                                 for k in range(1, mat.batch + 1)}
-            assert all(cp.is_uncoded for cp in result.schedule.transmissions if cp.original)
 
 
 def test_coded_schedulers_never_exceed_arq():
@@ -758,8 +753,7 @@ def test_counts_read_once_equal_a_fresh_count():
         mat = random_matrix(rng)
         for name in ALL:
             result = run_scheduler(name, mat, seed=t)
-            assert result.schedule.retransmission_count == \
-                sum(not packet.original for packet in result.schedule.transmissions)
+            assert result.schedule.retransmission_count == len(result.schedule.repairs)
             assert result.max_receiver_losses == int(mat.cells.sum(axis=1).max())
 
 
@@ -768,8 +762,9 @@ def test_identical_inputs_identical_schedules(worked_example):
     for name in ALL:
         a = run_scheduler(name, mat, seed=7)
         b = run_scheduler(name, mat, seed=7)
-        assert [(cp.slot, cp.constituents) for cp in a.schedule.transmissions] == \
-               [(cp.slot, cp.constituents) for cp in b.schedule.transmissions]
+        assert a.original_slot.tolist() == b.original_slot.tolist()
+        assert [(cp.slot, cp.constituents) for cp in a.schedule.repairs] == \
+               [(cp.slot, cp.constituents) for cp in b.schedule.repairs]
 
 
 def test_input_matrix_never_mutated(worked_example):
