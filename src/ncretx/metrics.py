@@ -61,15 +61,19 @@ def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
         if slot is None:
             raise IntegrityError(f"receiver {i0 + 1} never recovered packet {k0 + 1}")
         samples.append(slot - sent[k0])
+    n = len(samples)
     values = np.array(samples, dtype=np.int64)  # one conversion for every statistic
-    if samples:
-        mean, std = float(values.mean()), float(values.std())
-    else:
-        mean = std = math.nan
-    sums = (len(samples), int(values.sum()), int(values @ values))
-    if samples and int(np.abs(values).max()) ** 2 * len(samples) >= 2**63:  # int64 could wrap
-        sums = (len(samples), sum(samples), sum(s * s for s in samples))
-    return TtdStats(samples, mean, std, sums)
+    sums = (n, int(values.sum()), int(values @ values))
+    if not n:
+        return TtdStats(samples, math.nan, math.nan, sums)
+    if int(values.max()) ** 2 * n >= 2**63:  # int64 could wrap; every sample is >= 1
+        sums = (n, sum(samples), sum(s * s for s in samples))
+    # np.mean's and np.std's values, without their dispatch: S1 / n is the
+    # mean while S1 is exact in a float64, and the deviation sums the same
+    # squares with the same pairwise reduction
+    mean = sums[1] / n if sums[1] < 2**53 else float(values.mean())
+    deviations = values - mean
+    return TtdStats(samples, mean, math.sqrt(np.add.reduce(deviations * deviations) / n), sums)
 
 
 def run_metrics(result: RunResult, baseline: RunResult) -> RunMetrics:

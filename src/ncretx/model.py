@@ -9,6 +9,8 @@ throughout the public API, matching the usual c_1..c_N / R_1..R_M naming.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,26 +40,45 @@ class CodedPacket:
 
 @dataclass
 class TransmissionMatrix:
-    """M x N grid of loss outcomes.
+    """M x N grid of loss outcomes, read-only.
 
     ``cells[i-1, k-1]`` is 1 if receiver i lost packet k's original
-    transmission and has not recovered it yet, else 0.  Utilities are always
-    recomputed from the grid; there are no cached counters to go stale.
+    transmission, else 0.  What every run starts from is computed from the
+    grid once, on first use: ``loss_masks`` and ``received_slots``.
     """
 
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        self.cells = np.array(self.cells, dtype=np.uint8)  # a copy: never the caller's array
-        if self.cells.ndim != 2:
+        cells = np.array(self.cells, dtype=np.uint8)  # a copy: never the caller's array
+        if cells.ndim != 2:
             raise ValueError("cells must be a 2-d array")
-        m, n = self.cells.shape
+        m, n = cells.shape
         if m < 2:
             raise ValueError(f"need at least 2 receivers, got {m}")
         if n < 1:
             raise ValueError(f"need at least 1 packet, got {n}")
-        if not np.all((self.cells == LOST) | (self.cells == RECEIVED)):
+        if cells.max() > LOST:  # uint8: nothing below RECEIVED
             raise ValueError("cells must contain only 0 (received) or 1 (lost)")
+        cells.flags.writeable = False
+        self.cells = cells
+
+    @cached_property
+    def loss_masks(self) -> tuple[int, ...]:
+        """Packet k's loss column as an int: bit i-1 is set if receiver i
+        lost it."""
+        packed = np.packbits(self.cells.T, axis=1, bitorder="little")
+        width, raw = packed.shape[1], packed.tobytes()
+        return tuple(int.from_bytes(raw[at:at + width], "little")
+                     for at in range(0, len(raw), width))
+
+    @cached_property
+    def received_slots(self) -> tuple[MappingProxyType[int, int], ...]:
+        """Per receiver, a read-only view of the ``recovery_slot`` the batch
+        leaves it: packet k in slot k for each k it did not lose.  A run
+        starts from a ``copy()``, which is a dict."""
+        return tuple(MappingProxyType({k: k for k, lost in enumerate(row, 1) if not lost})
+                     for row in self.cells.tolist())
 
     @property
     def receivers(self) -> int:
@@ -85,8 +106,15 @@ class TransmissionMatrix:
         return int(self.cells[:, self._col(k)].sum())
 
     def mark_received(self, i: int, k: int) -> None:
-        """Flip cell (i, k) to received.  Idempotent."""
-        self.cells[self._row(i), self._col(k)] = RECEIVED
+        """Flip cell (i, k) to received.  Idempotent.  The grid stays
+        read-only: an edited copy replaces it, and what was computed from
+        the old one is dropped."""
+        cells = self.cells.copy()
+        cells[self._row(i), self._col(k)] = RECEIVED
+        cells.flags.writeable = False
+        self.cells = cells
+        for name in ("loss_masks", "received_slots"):
+            vars(self).pop(name, None)
 
     # -- text format: first line "M N", then M rows of N space-separated 0/1 --
 

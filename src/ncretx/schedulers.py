@@ -66,29 +66,27 @@ class RunResult:
 # ---------------------------------------------------------------- run record
 
 
-def _init_states(states: list[ReceiverState], losses: np.ndarray) -> None:
+def _init_states(states: list[ReceiverState], matrix: TransmissionMatrix) -> None:
     """Hand each fresh receiver the originals it did not lose, packet k in
-    slot k: one record built whole, not a ``receive_original`` per cell."""
-    for state, row in zip(states, losses.tolist()):
-        state.recovery_slot = {k: k for k, lost in enumerate(row, 1) if not lost}
+    slot k: a copy of the matrix's record, built by the first run on the
+    matrix, not a ``receive_original`` per cell."""
+    for state, slots in zip(states, matrix.received_slots):
+        state.recovery_slot = slots.copy()
 
 
 class _Run:
     """The record of one run: what was sent, when, and who recovered what.
 
-    ``losses`` is a read-only copy of the sampled matrix's cells.
+    ``losses`` is the sampled matrix's read-only cells, shared, not copied.
     ``missing[k-1]`` is an int with bit i-1 set while receiver i still lacks
     packet k: it starts as packet k's loss column and has each recovery
     cleared as it happens.  ``slot`` is the last slot used, by an original or a repair.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
-        self.losses = matrix.cells.copy()
-        self.losses.flags.writeable = False
-        packed = np.packbits(self.losses.T, axis=1, bitorder="little")
-        width, raw = packed.shape[1], packed.tobytes()
-        self.missing = [int.from_bytes(raw[at:at + width], "little")
-                        for at in range(0, len(raw), width)]
+        self.matrix = matrix
+        self.losses = matrix.cells
+        self.missing = list(matrix.loss_masks)
         self.states = [ReceiverState() for _ in range(matrix.receivers)]
         self.repairs: list[CodedPacket] = []
         self.slot = 0
@@ -98,7 +96,7 @@ class _Run:
         """Send the originals of packets 1..N in slots 1..N."""
         self.slot = n = self.losses.shape[1]
         self.original_slot[:] = np.arange(1, n + 1)
-        _init_states(self.states, self.losses)
+        _init_states(self.states, self.matrix)
 
     def send_original(self, k: int) -> None:
         """Send packet k's original in the next slot to every receiver that
@@ -549,7 +547,7 @@ class _BenefitRun(_Run):
 
 
 def run_scheduler(name: str, matrix: TransmissionMatrix, seed: int = 0) -> RunResult:
-    """Run one scheduler by its public name on (a copy of) the given matrix."""
+    """Run one scheduler by its public name on the given matrix, which it reads only."""
     if name == "arq":
         return baseline_arq(matrix)
     if name == "greedy":

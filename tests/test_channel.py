@@ -1,9 +1,26 @@
-"""Bernoulli loss sampling: determinism, row independence, statistics."""
+"""Bernoulli loss sampling: determinism, row independence, statistics, and
+the derived row streams against NumPy's own seeding."""
+
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncretx import ChannelParams, run_scheduler, sample_loss_counts, sample_matrix
+from ncretx.channel import _row_states
+
+
+def numpy_row_rng(seed: int, i: int) -> np.random.Generator:
+    """Row i's stream as NumPy builds it: the reference the channel derives."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def reference_matrix(params: ChannelParams, batch: int) -> np.ndarray:
+    return np.array([numpy_row_rng(params.seed, i).random(batch) < p
+                     for i, p in enumerate(params.loss_probabilities, start=1)],
+                    dtype=np.uint8)
 
 
 def test_no_loss_channel_all_received():
@@ -85,3 +102,51 @@ def test_invalid_probability_rejected(bad):
 def test_single_receiver_rejected():
     with pytest.raises(ValueError):
         ChannelParams((0.5,), seed=0)
+
+
+ROW_STATE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 3]
+
+
+def test_derived_row_state_matches_numpy():
+    rows = tuple(range(1, 65)) + (10**6,)
+    draw = random.Random(25)
+    seeds = ROW_STATE_SEEDS + [draw.getrandbits(64) for _ in range(1000)]
+    for seed in seeds:
+        derived = list(_row_states(seed, rows))
+        assert len(derived) == len(rows)
+        for i, state in zip(rows, derived):
+            expected = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            assert state == expected.state, (seed, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**300)),
+       probabilities=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12),
+       batch=st.integers(1, 60))
+def test_sample_matrix_matches_numpy_row_streams(seed, probabilities, batch):
+    params = ChannelParams(tuple(probabilities), seed=seed)
+    assert np.array_equal(sample_matrix(params, batch).cells, reference_matrix(params, batch))
+
+
+@pytest.mark.parametrize("seed", ROW_STATE_SEEDS[:5])
+def test_loss_counts_replication_zero_is_sample_matrix(seed):
+    params = ChannelParams((0.1, 0.5, 0.5, 0.9), seed=seed)
+    counts = sample_loss_counts(params, 30, 7)
+    assert counts[0].tolist() == sample_matrix(params, 30).cells.sum(axis=1).tolist()
+    # and every replication is the next block of the same row stream
+    for i, p in enumerate(params.loss_probabilities, start=1):
+        draws = numpy_row_rng(seed, i).random((7, 30)) < p
+        assert counts[:, i - 1].tolist() == draws.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", None, -1])
+def test_non_integer_or_negative_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ChannelParams.homogeneous(3, 0.5, seed=seed)
+
+
+def test_numpy_integer_seed_is_the_equal_int():
+    params = ChannelParams.homogeneous(4, 0.5, seed=np.int64(9))
+    assert type(params.seed) is int and params.seed == 9
+    assert np.array_equal(sample_matrix(params, 40).cells,
+                          sample_matrix(ChannelParams.homogeneous(4, 0.5, seed=9), 40).cells)

@@ -176,18 +176,28 @@ def test_sweep_memory_does_not_grow_with_the_reps(tmp_path):
     assert peak_kb[1] - peak_kb[0] < 2048
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # the pool's modules (multiprocessing, socket, subprocess, logging) cost
-    # every in-process run as much as the rest of the start-up
+def loaded_by_importing_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import ncretx.cli``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ncretx.cli; print('concurrent.futures.process' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, ncretx.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr[-2000:]
-    assert child.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[child.stdout]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's modules (multiprocessing, socket, subprocess, logging) cost
+    # every in-process run as much as the rest of the start-up
+    assert not loaded_by_importing_the_cli("concurrent.futures.process")
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy.random takes about 13 ms to import, half the package's start-up;
+    # the channel makes its one generator on first use
+    assert not loaded_by_importing_the_cli("numpy.random")
 
 
 def test_aggregate_rows_cover_both_deviation_views(tmp_path):

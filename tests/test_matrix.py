@@ -69,6 +69,26 @@ def test_matrix_does_not_alias_the_callers_array():
     assert mat.cells[0, 0] == 0
 
 
+def test_cells_are_read_only(worked_example):
+    assert not worked_example.cells.flags.writeable
+    with pytest.raises(ValueError):
+        worked_example.cells[0, 0] = 0
+
+
+def test_run_records_follow_the_cells(worked_example):
+    # packet 1 is lost by receivers 1 and 4; receiver 2 holds packets 1, 3 and 5
+    assert worked_example.loss_masks == (0b1001, 0b0111, 0b0100, 0b1010, 0b1001)
+    assert worked_example.received_slots[1] == {1: 1, 3: 3, 5: 5}
+    with pytest.raises(TypeError):
+        worked_example.received_slots[1][2] = 2  # every run starts from this record
+    before = worked_example.cells
+    worked_example.mark_received(1, 1)
+    assert before[0, 0] == 1  # an earlier read keeps the grid it read
+    assert not worked_example.cells.flags.writeable
+    assert worked_example.loss_masks[0] == 0b1000
+    assert worked_example.received_slots[0] == {1: 1, 3: 3, 4: 4}
+
+
 def test_lost_cell_count_monotone_under_marks(worked_example):
     rng = np.random.default_rng(0)
     last = int(worked_example.cells.sum())

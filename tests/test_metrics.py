@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncretx import (
     CodedPacket,
@@ -93,6 +95,20 @@ def test_ttd_sums_stay_exact_past_int64():
     stats = time_to_decode(np.array([[1, 1]]), np.array([1, 2]), [state])
     assert stats.samples == [2**40, 2**40 + 5]
     assert stats.sums == (2, 2**41 + 5, 2**80 + (2**40 + 5) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 60), st.integers(1, 2**50)), min_size=1, max_size=400))
+def test_ttd_mean_and_std_are_numpys(samples):
+    # the samples of one receiver whose originals all went out in slot 0
+    state = ReceiverState()
+    state.recovery_slot.update(enumerate(samples, start=1))
+    n = len(samples)
+    stats = time_to_decode(np.ones((1, n), dtype=np.uint8), np.zeros(n, dtype=np.int64), [state])
+    assert stats.samples == samples
+    values = np.array(samples, dtype=np.int64)
+    assert (stats.mean, stats.std) == (float(np.mean(values)), float(np.std(values)))
+    assert stats.sums == (n, sum(samples), sum(s * s for s in samples))
 
 
 def test_ttd_samples_always_positive():
