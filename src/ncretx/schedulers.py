@@ -68,8 +68,8 @@ class RunResult:
 
 def _init_states(states: list[ReceiverState], matrix: TransmissionMatrix) -> None:
     """Hand each fresh receiver the originals it did not lose, packet k in
-    slot k: a copy of the matrix's record, built by the first run on the
-    matrix, not a ``receive_original`` per cell."""
+    slot k: a copy of the matrix's record, which is built once per matrix,
+    not a ``receive_original`` per cell."""
     for state, slots in zip(states, matrix.received_slots):
         state.recovery_slot = slots.copy()
 
