@@ -122,15 +122,14 @@ def replication_seed(base_seed: int, receivers: int, loss: float, batch: int,
     return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "big")
 
 
-def _check_run(result: RunResult, baseline: RunResult) -> None:
+def _check_run(result: RunResult, baseline: RunResult, matrix: TransmissionMatrix) -> None:
     retx = result.schedule.retransmission_count
-    batch = result.losses.shape[1]
-    if any(len(state.recovery_slot) < batch for state in result.receivers):
+    if any(len(state.recovery_slot) < matrix.batch for state in result.receivers):
         raise IntegrityError(f"{result.algorithm}: unrecovered cells")
-    if retx < result.max_receiver_losses:
+    if retx < matrix.max_receiver_losses:
         raise IntegrityError(
             f"{result.algorithm}: {retx} repairs below the per-receiver floor "
-            f"{result.max_receiver_losses}")
+            f"{matrix.max_receiver_losses}")
     if result.algorithm != "rlnc" and retx > baseline.schedule.retransmission_count:
         raise IntegrityError(
             f"{result.algorithm}: {retx} repairs exceed the ARQ baseline "
@@ -147,7 +146,7 @@ def run_replication(scheduler_names: list[str], receivers: int, loss: float,
         rows = []
         for name in scheduler_names:
             result = baseline if name == "arq" else run_scheduler(name, matrix, seed=seed)
-            _check_run(result, baseline)
+            _check_run(result, baseline, matrix)
             m = run_metrics(result, baseline)
             rows.append({
                 "algorithm": name, "M": receivers, "N": batch, "p": loss,

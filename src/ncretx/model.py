@@ -38,13 +38,14 @@ class CodedPacket:
         return "^".join(f"c{k}" for k in sorted(self.constituents))
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: a generated __eq__ compares arrays
 class TransmissionMatrix:
     """M x N grid of loss outcomes, read-only.
 
     ``cells[i-1, k-1]`` is 1 if receiver i lost packet k's original
-    transmission, else 0.  What every run starts from is computed from the
-    grid once, on first use: ``loss_masks`` and ``received_slots``.
+    transmission, else 0.  What runs start from and are checked against is
+    built once, on first use: ``loss_masks``, ``received_slots`` and
+    ``max_receiver_losses``.
     """
 
     cells: np.ndarray
@@ -80,6 +81,11 @@ class TransmissionMatrix:
         return tuple(MappingProxyType({k: k for k, lost in enumerate(row, 1) if not lost})
                      for row in self.cells.tolist())
 
+    @cached_property
+    def max_receiver_losses(self) -> int:
+        """max_i L_i, the repair floor: the most originals one receiver lost."""
+        return int(self.cells.sum(axis=1).max())
+
     @property
     def receivers(self) -> int:
         return self.cells.shape[0]
@@ -113,7 +119,7 @@ class TransmissionMatrix:
         cells[self._row(i), self._col(k)] = RECEIVED
         cells.flags.writeable = False
         self.cells = cells
-        for name in ("loss_masks", "received_slots"):
+        for name in ("loss_masks", "received_slots", "max_receiver_losses"):
             vars(self).pop(name, None)
 
     # -- text format: first line "M N", then M rows of N space-separated 0/1 --

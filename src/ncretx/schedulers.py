@@ -25,7 +25,6 @@ from bisect import insort
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -57,10 +56,6 @@ class RunResult:
     losses: np.ndarray          # the loss cells the run started from
     coefficients: list[np.ndarray] | None = None  # rlnc coding vectors, one per repair
     audit: list["BenefitAudit"] | None = None     # benefit gate log, one per repair
-
-    @cached_property
-    def max_receiver_losses(self) -> int:
-        return int(self.losses.sum(axis=1).max())
 
 
 # ---------------------------------------------------------------- run record

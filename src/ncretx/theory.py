@@ -10,14 +10,15 @@ the schedulers are measured against:
     Q_j           P[max_i L_i = j], a telescoping product difference
     E[max_i L_i]  sum_j j * Q_j, the expected minimum repair count
 
-Each distinct loss rate's CDF is one running log-sum-exp over its log pmf:
-the floor costs O(N * M), and batches up to 10^4 stay stable.
+The floor is symmetric in the receivers, so the rates are held as (rate,
+count) pairs.  Each distinct rate's CDF is one running log-sum-exp over its
+log pmf: the floor costs O(N) per distinct rate, whatever M, and batches up
+to 10^4 stay stable.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,37 +26,37 @@ import numpy as np
 # The largest batch the floor is computed for: loss_cdf holds a few arrays
 # of batch + 1 floats, about 80 MB each at this size.
 MAX_BATCH = 10**7
-# The most receivers, one loss probability each: harness.MAX_CELLS at N = 1.
+# The most receivers: harness.MAX_CELLS at N = 1.  M is a count: it costs no memory.
 MAX_RECEIVERS = 10**6
-
-
-def _check_size(receivers: int, batch: int) -> None:
-    if receivers < 1 or batch < 1:
-        raise ValueError("receivers and batch must be >= 1")
-    if batch > MAX_BATCH:
-        raise ValueError(f"theory batch {batch} is above {MAX_BATCH}")
-    if receivers > MAX_RECEIVERS:
-        raise ValueError(f"theory receiver count {receivers} is above {MAX_RECEIVERS}")
 
 
 @dataclass(frozen=True)
 class TheoryParams:
-    receivers: int
+    """A batch of N packets; ``rates`` pairs each loss rate with its receiver count."""
+
     batch: int
-    loss_probabilities: tuple[float, ...]
+    rates: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
-        _check_size(self.receivers, self.batch)
-        if len(self.loss_probabilities) != self.receivers:
-            raise ValueError("need one loss probability per receiver")
-        for p in self.loss_probabilities:
+        if self.receivers < 1 or self.batch < 1:
+            raise ValueError("receivers and batch must be >= 1")
+        if self.batch > MAX_BATCH:
+            raise ValueError(f"theory batch {self.batch} is above {MAX_BATCH}")
+        if self.receivers > MAX_RECEIVERS:
+            raise ValueError(f"theory receiver count {self.receivers} is above {MAX_RECEIVERS}")
+        for p, count in self.rates:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"loss probability {p} outside [0, 1]")
+            if count < 1:
+                raise ValueError(f"loss probability {p} has receiver count {count}; need >= 1")
+
+    @property
+    def receivers(self) -> int:
+        return sum(count for _, count in self.rates)
 
     @classmethod
     def homogeneous(cls, receivers: int, batch: int, p: float) -> "TheoryParams":
-        _check_size(receivers, batch)  # before a tuple of one float per receiver
-        return cls(receivers, batch, (float(p),) * receivers)
+        return cls(batch, ((float(p), receivers),))
 
 
 def loss_cdf(batch: int, p: float) -> np.ndarray:
@@ -79,7 +80,7 @@ def loss_cdf(batch: int, p: float) -> np.ndarray:
 def q_distribution(params: TheoryParams) -> np.ndarray:
     """Q_j for j = 0..N as an array (sums to 1)."""
     joint = np.ones(params.batch + 1)
-    for p, count in Counter(params.loss_probabilities).items():
+    for p, count in params.rates:
         joint *= loss_cdf(params.batch, p) ** count
     return np.diff(joint, prepend=0.0)
 
@@ -98,11 +99,9 @@ def expected_baseline_retx(params: TheoryParams) -> float:
     """Expected repair count for plain one-per-lost-packet ARQ.
 
     A packet needs a (single, lossless) retransmission iff at least one
-    receiver lost it, so the mean is N * (1 - prod_i (1 - p_i)).
+    receiver lost it, so the mean is N * (1 - prod_p (1 - p)^count).
     """
-    survive = 1.0
-    for p in params.loss_probabilities:
-        survive *= 1.0 - p
+    survive = math.prod((1.0 - p) ** count for p, count in params.rates)
     return params.batch * (1.0 - survive)
 
 

@@ -47,7 +47,7 @@ def test_tracer_installs_runs_and_restores(worked_example):
         for name in SCHEDULER_NAMES:
             schedulers.run_scheduler(name, worked_example, seed=1)
         harness.payload_check(worked_example, "rlnc", payload_len=8, seed=1)
-        params = theory.TheoryParams(3, 20, (0.3, 0.3, 0.6))
+        params = theory.TheoryParams(20, ((0.3, 2), (0.6, 1)))
         theory.expected_min_retx(params)
         theory.theory_ratio(params)
     finally:

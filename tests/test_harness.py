@@ -264,10 +264,10 @@ def test_check_run_requires_every_receiver_to_hold_the_batch(worked_example):
 
     base = run_scheduler("arq", worked_example)
     result = run_scheduler("benefit", worked_example)
-    _check_run(result, base)
+    _check_run(result, base, worked_example)
     del result.receivers[3].recovery_slot[5]
     with pytest.raises(IntegrityError, match="benefit: unrecovered cells"):
-        _check_run(result, base)
+        _check_run(result, base, worked_example)
 
 
 def test_figure_presets_match_reported_parameters():

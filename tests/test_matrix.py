@@ -79,6 +79,7 @@ def test_run_records_follow_the_cells(worked_example):
     # packet 1 is lost by receivers 1 and 4; receiver 2 holds packets 1, 3 and 5
     assert worked_example.loss_masks == (0b1001, 0b0111, 0b0100, 0b1010, 0b1001)
     assert worked_example.received_slots[1] == {1: 1, 3: 3, 5: 5}
+    assert worked_example.max_receiver_losses == 3  # receivers 1 and 4
     with pytest.raises(TypeError):
         worked_example.received_slots[1][2] = 2  # every run starts from this record
     before = worked_example.cells
@@ -87,6 +88,17 @@ def test_run_records_follow_the_cells(worked_example):
     assert not worked_example.cells.flags.writeable
     assert worked_example.loss_masks[0] == 0b1000
     assert worked_example.received_slots[0] == {1: 1, 3: 3, 4: 4}
+    assert worked_example.max_receiver_losses == 3
+    worked_example.mark_received(4, 1)
+    assert worked_example.max_receiver_losses == 2
+
+
+def test_matrices_compare_as_objects():
+    a = TransmissionMatrix.from_rows([[1, 0], [0, 1]])
+    b = TransmissionMatrix.from_rows([[1, 0], [0, 1]])
+    assert (a == b) is False  # a bool, not an array comparison that raises
+    assert (a != b) is True
+    assert a == a
 
 
 def test_lost_cell_count_monotone_under_marks(worked_example):

@@ -135,7 +135,7 @@ def test_rlnc_repair_floor():
     for t in range(40):
         mat = random_matrix(rng)
         result = rlnc(mat, seed=t)
-        assert result.schedule.retransmission_count >= result.max_receiver_losses
+        assert result.schedule.retransmission_count >= mat.max_receiver_losses
 
 
 def test_rlnc_rarely_needs_extra_repairs():
@@ -754,7 +754,7 @@ def test_counts_read_once_equal_a_fresh_count():
         for name in ALL:
             result = run_scheduler(name, mat, seed=t)
             assert result.schedule.retransmission_count == len(result.schedule.repairs)
-            assert result.max_receiver_losses == int(mat.cells.sum(axis=1).max())
+            assert mat.max_receiver_losses == int(mat.cells.sum(axis=1).max())
 
 
 def test_identical_inputs_identical_schedules(worked_example):

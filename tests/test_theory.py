@@ -17,6 +17,7 @@ from ncretx import (
     sample_loss_counts,
     theory_ratio,
 )
+from ncretx.theory import MAX_RECEIVERS
 
 
 def cdf_fraction_oracle(n: int, p: Fraction, j: int) -> Fraction:
@@ -111,14 +112,41 @@ def test_single_receiver_q_is_binomial_pmf():
         assert abs(q[j] - pmf) < 1e-12
 
 
-@pytest.mark.parametrize("rates", [(0.0, 0.2, 0.5, 0.5, 1.0), (0.0, 0.2, 0.5, 0.5, 0.7)])
+@pytest.mark.parametrize("rates", [
+    ((0.0, 1), (0.2, 1), (0.5, 2), (1.0, 1)),
+    ((0.0, 1), (0.2, 1), (0.5, 2), (0.7, 1)),
+    ((0.5, 1), (0.2, 1), (0.5, 1), (0.7, 3)),  # 0.5 split across two pairs
+])
 def test_q_mixed_rates_against_exact_fractions(rates):
     n = 30
-    joint = [math.prod(cdf_fraction_oracle(n, Fraction(p), j) for p in rates)
+    joint = [math.prod(cdf_fraction_oracle(n, Fraction(p), j) ** count for p, count in rates)
              for j in range(n + 1)]
     exact = [joint[0]] + [b - a for a, b in zip(joint, joint[1:])]
-    got = q_distribution(TheoryParams(len(rates), n, rates))
+    got = q_distribution(TheoryParams(n, rates))
     assert np.max(np.abs(got - np.array([float(x) for x in exact]))) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.3])
+def test_floor_and_baseline_at_the_receiver_cap(p):
+    # at M = 10^6 the floor is sum_{j<N} (1 - P[L <= j]^M), and a packet is
+    # repaired unless no receiver lost it: P[L <= 0]^M for a batch of one
+    n, m = 50, MAX_RECEIVERS
+    params = TheoryParams.homogeneous(m, n, p)
+    assert params.receivers == m
+    floor = math.fsum(1.0 - c ** m for c in loss_cdf(n, p)[:-1].tolist())
+    assert expected_min_retx(params) == pytest.approx(floor, rel=1e-9)
+    assert expected_baseline_retx(params) == pytest.approx(
+        n * (1.0 - loss_cdf(1, p)[0] ** m), rel=1e-9)
+
+
+@pytest.mark.parametrize("rates, message", [
+    (((0.5, 3), (0.2, 0)), "loss probability 0.2 has receiver count 0"),
+    (((0.5, MAX_RECEIVERS), (0.2, 1)),
+     f"theory receiver count {MAX_RECEIVERS + 1} is above {MAX_RECEIVERS}"),
+])
+def test_rates_must_count_each_receiver_within_the_cap(rates, message):
+    with pytest.raises(ValueError, match=message):
+        TheoryParams(10, rates)
 
 
 def test_expected_min_trivial_cases():
@@ -178,6 +206,6 @@ def test_q_never_negative():
 
 
 def test_heterogeneous_rates_supported():
-    params = TheoryParams(2, 3, (0.0, 0.7))
+    params = TheoryParams(3, ((0.0, 1), (0.7, 1)))
     # max L is just the lossy receiver's binomial
     assert abs(expected_min_retx(params) - 3 * 0.7) < 1e-12
