@@ -22,8 +22,6 @@ from pathlib import Path
 from .harness import (
     ExperimentConfig,
     FIGURE_PRESETS,
-    MAX_SWEEP_RUNS,
-    check_unique,
     figure_config,
     load_matrix,
     run_experiment,
@@ -166,25 +164,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    batch = args.batch
-    receiver_counts = parse_int_range(args.receivers)
-    loss_rates = parse_float_range(args.loss)
-    check_unique("receiver count", receiver_counts)
-    check_unique("loss rate", loss_rates)
-    # every bound and value is checked before the output file is created
-    points = len(receiver_counts) * len(loss_rates)
-    if points > MAX_SWEEP_RUNS:
-        raise ValueError(f"the theory grid has {points} points; at most {MAX_SWEEP_RUNS}")
-    for p in loss_rates:  # the batch, each rate and the smallest M
-        TheoryParams.homogeneous(min(receiver_counts), batch, p)
-    TheoryParams.homogeneous(max(receiver_counts), batch, loss_rates[0])  # the largest M
-    if points * (batch + 3) > MAX_THEORY_ROWS:
-        raise ValueError(f"the theory would write {points * (batch + 3)} rows; "
-                         f"at most {MAX_THEORY_ROWS}")
+    config = ExperimentConfig(
+        algorithms=["theory"], receiver_counts=parse_int_range(args.receivers),
+        loss_rates=parse_float_range(args.loss), batch=args.batch, output_path=args.out)
+    # the config checks every value and --out; the rows, too, before the file opens
+    batch = config.batch
+    rows = len(config.receiver_counts) * len(config.loss_rates) * (batch + 3)
+    if rows > MAX_THEORY_ROWS:
+        raise ValueError(f"the theory would write {rows} rows; at most {MAX_THEORY_ROWS}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "N", "p", "j", "Q_j"])
-        for m, p in itertools.product(receiver_counts, loss_rates):
+        for m, p in itertools.product(config.receiver_counts, config.loss_rates):
             params = TheoryParams.homogeneous(m, batch, p)
             q = q_distribution(params)
             for j, qj in enumerate(q):

@@ -19,6 +19,7 @@ to 10^4 stay stable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,13 @@ class TheoryParams:
     rates: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
+        try:  # plain ints, whatever integer type came in
+            object.__setattr__(self, "batch", operator.index(self.batch))
+            object.__setattr__(self, "rates", tuple((p, operator.index(count))
+                                                    for p, count in self.rates))
+        except TypeError:
+            raise ValueError(f"theory batch and receiver counts must be integers: "
+                             f"batch {self.batch!r}, rates {self.rates!r}") from None
         if self.receivers < 1 or self.batch < 1:
             raise ValueError("receivers and batch must be >= 1")
         if self.batch > MAX_BATCH:

@@ -8,6 +8,7 @@ import io
 import multiprocessing
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -650,7 +651,7 @@ def test_cli_refuses_an_unbounded_sweep_before_any_run(tmp_path, capsys, monkeyp
     (["theory", "--receivers", "3", "--loss", "0.5", "--batch", "10000001"],
      "theory batch 10000001 is above 10000000"),
     (["theory", "--receivers", "2..1001", "--loss", "0..1:0.001", "--batch", "1"],
-     "the theory grid has 1001000 points; at most 1000000"),
+     "the sweep would make 1001000 runs; at most 1000000"),
     (["theory", "--receivers", "2..1001", "--loss", "0.001..1:0.001", "--batch", "18"],
      "the theory would write 21000000 rows; at most 20000000"),
     (["theory", "--receivers", "2,3", "--loss", "0.5", "--batch", "10000000"],
@@ -708,9 +709,13 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     assert not (tmp_path / "fig" / "fig5.csv").exists()
 
 
+# an --out that no sweep command may write, and how each is refused
+UNWRITABLE_OUTS = [("missing/x.csv", "output directory {tmp}/missing does not exist"),
+                   ("existing", "output path {tmp}/existing is a directory")]
+
+
 @pytest.mark.parametrize("out,message,loss", [
-    ("missing/x.csv", "output directory {tmp}/missing does not exist", "0.5"),
-    ("existing", "output path {tmp}/existing is a directory", "0.5"),
+    *((out, message, "0.5") for out, message in UNWRITABLE_OUTS),
     ("x.csv", "loss probability 1.5 outside [0, 1]", "0.5,1.5"),
     ("x.csv", "float range '0.1..0.3:1e-12' needs a step of at least 1e-10",
      "0.1..0.3:1e-12"),
@@ -733,6 +738,24 @@ def test_cli_simulate_rejects_unwritable_out_before_any_run(tmp_path, capsys, mo
     assert not (tmp_path / "missing").exists()
     assert not any((tmp_path / "existing").iterdir())
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("out,message", UNWRITABLE_OUTS)
+def test_cli_theory_rejects_unwritable_out_before_any_floor(tmp_path, capsys, monkeypatch,
+                                                           out, message):
+    import ncretx.cli as C
+
+    def no_floor(*args):
+        raise AssertionError("a floor was computed before the output path was checked")
+
+    monkeypatch.setattr(C, "q_distribution", no_floor)
+    (tmp_path / "existing").mkdir()
+    rc = cli_main(["theory", "--receivers", "3", "--loss", "0.5", "--batch", "5",
+                   "--out", str(tmp_path / out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
+    assert not (tmp_path / "missing").exists()
+    assert not any((tmp_path / "existing").iterdir())
 
 
 @pytest.mark.parametrize("receivers,loss,part", [("3", "0..1:1e-10", "0..1:1e-10"),
@@ -820,6 +843,17 @@ CLI_VALUES = (
 CLI_JUNK = ("--bogus", "-x", "junk", "--", "=")
 
 
+def run_cli(argv) -> tuple[int, str]:
+    """The exit status and the stderr text of one CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            status = cli_main(argv)
+        except SystemExit as exc:  # -h
+            status = exc.code
+    return status, err.getvalue()
+
+
 @st.composite
 def cli_argvs(draw):
     """An argv: a subcommand, now and then a junk token instead, then each
@@ -857,18 +891,69 @@ def test_cli_fuzz_exits_with_a_status_and_at_most_one_line(tmp_path, monkeypatch
 
     monkeypatch.setattr(C, "run_experiment", lambda config: [])  # no sweep, no pool
     monkeypatch.setattr(C, "trace_run", lambda *args, **kwargs: None)
-    err = io.StringIO()
     with tempfile.TemporaryDirectory(dir=tmp_path) as here:
         monkeypatch.chdir(here)  # what one example writes, the next does not see
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                status = cli_main(argv)
-            except SystemExit as exc:  # -h
-                status = exc.code
+        status, err = run_cli(argv)
         monkeypatch.chdir(tmp_path)
     assert status in (0, 1, 2), argv
-    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    assert err.count("\n") <= 1, (argv, err)
+    assert "Traceback" not in err, argv
+
+
+# for each option of `theory`, a pool of values beyond CLI_VALID: out of
+# range, malformed, repeated, or unwritable for --out
+FLOOR_POOLS = {
+    "--receivers": ("1", "1,3") + CLI_VALUES,
+    "--loss": ("0", "1", "0.5,0.50") + CLI_VALUES,
+    "--batch": ("10000000",) + CLI_VALUES,
+    "--out": ("missing/x.csv", "existing") + CLI_VALUES,
+}
+
+
+@st.composite
+def floor_argvs(draw):
+    """The options of `theory`, in any order, each valid or from its pool."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    argv = []
+    for option in rnd.sample(sorted(FLOOR_POOLS), len(FLOOR_POOLS)):
+        pool = CLI_VALID[option] if rnd.random() < 0.6 else FLOOR_POOLS[option]
+        argv += [option, rnd.choice(pool)]
+    return argv
+
+
+@given(floor_argvs())
+@example(["--receivers", "1", "--loss", "0.5", "--batch", "5", "--out", "x.csv"])
+@example(["--receivers", "3", "--loss", "0.5", "--batch", "0", "--out", "x.csv"])
+@example(["--receivers", "3", "--loss", "0.5", "--batch", "5", "--out", "missing/x.csv"])
+@example(["--receivers", "3", "--loss", "0.5", "--batch", "5", "--out", "existing"])
+@example(["--receivers", "2,3", "--loss", "0.5", "--batch", "10000000", "--out", "x.csv"])
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_theory_refuses_what_simulate_refuses_with_its_line(tmp_path, monkeypatch, argv):
+    # `theory` and `simulate --algorithms theory` compute the same floor over
+    # the same grid: theory refuses more only where its rows pass their cap
+    import ncretx.cli as C
+
+    monkeypatch.setattr(C, "run_experiment", lambda config: [])  # no sweep, no pool
+    monkeypatch.setattr(C, "q_distribution", lambda params: np.ones(1))  # no floor
+    with tempfile.TemporaryDirectory(dir=tmp_path) as here:
+        monkeypatch.chdir(here)
+        os.mkdir("existing")
+        simulated = run_cli(["simulate", "--algorithms", "theory"] + argv)
+        status, err = run_cli(["theory"] + argv)
+        left = sorted(os.listdir()), os.listdir("existing")
+        monkeypatch.chdir(tmp_path)
+    assert simulated[0] in (0, 1), (argv, simulated)
+    if simulated[0] == 1:
+        assert (status, err) == simulated, argv
+    elif status:
+        assert status == 1 and re.fullmatch(
+            rf"error: the theory would write \d+ rows; at most {C.MAX_THEORY_ROWS}\n", err), \
+            (argv, err)
+    else:
+        assert err == "", argv
+    if status:  # a refused command leaves no file
+        assert left == (["existing"], []), (argv, left)
 
 
 def drop_repairs_holding_c1(monkeypatch, coded_only=False):
@@ -961,11 +1046,14 @@ def test_cli_trace_stops_a_scheduler_whose_repairs_are_dropped(worked_example_pa
     assert_one_violation_line(child.stderr, f"{algorithm} finished with unrecovered cells")
 
 
-@pytest.mark.parametrize("algorithms", ["arq", "theory"])
-def test_cli_rejects_single_receiver(tmp_path, capsys, algorithms):
-    rc = cli_main(["simulate", "--algorithms", algorithms, "--receivers", "1",
-                   "--loss", "0.5", "--batch", "5", "--reps", "1",
-                   "--out", str(tmp_path / "x.csv")])
+@pytest.mark.parametrize("command", [
+    pytest.param(["simulate", "--algorithms", "arq", "--reps", "1"], id="arq"),
+    pytest.param(["simulate", "--algorithms", "theory", "--reps", "1"], id="theory"),
+    pytest.param(["theory"], id="theory-command"),
+])
+def test_cli_rejects_single_receiver(tmp_path, capsys, command):
+    rc = cli_main(command + ["--receivers", "1", "--loss", "0.5", "--batch", "5",
+                             "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert capsys.readouterr().err == "error: need at least 2 receivers\n"
     assert not (tmp_path / "x.csv").exists()

@@ -149,6 +149,17 @@ def test_rates_must_count_each_receiver_within_the_cap(rates, message):
         TheoryParams(10, rates)
 
 
+def test_counts_and_batch_must_be_integers():
+    # a fractional count would read as 2.5 receivers; a fractional batch
+    # would fail later, inside numpy
+    for batch, rates in [(10, ((0.5, 2.5),)), (2.5, ((0.5, 2),))]:
+        with pytest.raises(ValueError, match="theory batch and receiver counts must be integers"):
+            TheoryParams(batch, rates)
+    params = TheoryParams(np.int64(10), ((0.5, np.int64(3)),))
+    assert params == TheoryParams(10, ((0.5, 3),))
+    assert type(params.batch) is int and type(params.rates[0][1]) is int
+
+
 def test_expected_min_trivial_cases():
     assert expected_min_retx(TheoryParams.homogeneous(4, 9, 0.0)) == 0.0
     single = TheoryParams.homogeneous(1, 40, 0.3)
