@@ -29,15 +29,13 @@ import numpy as np
 from .channel import ChannelParams, sample_matrix
 from .gf import Gf256Basis, mat_mul, solve
 from .metrics import run_metrics, time_to_decode
-from .model import RECEIVED, IntegrityError, TransmissionMatrix
+from .model import MAX_CELLS, RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
 from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, floor_ratio
 
 # The most runs one sweep may make: replications (grid points times reps),
 # or grid points in a theory-only sweep.  fig2 at 10,000 reps makes 290,000.
 MAX_SWEEP_RUNS = 1_000_000
-# The most loss cells (M x N) one replication may sample; fig2's largest is 6,000.
-MAX_CELLS = 1_000_000
 
 CSV_COLUMNS = ("algorithm", "M", "N", "p", "replication", "seed",
                "retransmissions", "baseline_retransmissions", "ratio",
@@ -298,44 +296,32 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
     ttd = time_to_decode(result.losses, result.original_slot, result.receivers)
     emit(f"matrix: {matrix.receivers} receivers x {matrix.batch} packets, "
          f"{int(matrix.cells.sum())} lost cells; algorithm: {algorithm}")
-    events = _decode_events(result)
-    heads = {slot: f"c{k}" for k, slot in enumerate(result.original_slot.tolist(), 1)}
+    # one table, slot -> head then notes: each original's losses, then the
+    # decodes, which land on the slot of the repair that completed them
+    table: dict[int, list[str]] = {}
+    for k, (slot, column) in enumerate(zip(result.original_slot.tolist(), result.losses.T), 1):
+        missed = ", ".join(f"R{i0 + 1}" for i0 in np.flatnonzero(column).tolist())
+        table[slot] = [f"c{k}"] + ([f"lost at {missed}"] if missed else [])
     for packet in result.schedule.repairs:
         if result.algorithm == "rlnc":
             head = f"random linear repair over {len(packet.constituents)} packets"
         else:
             head = f"{packet} [{'repair' if len(packet.constituents) == 1 else 'coded repair'}]"
-        heads[packet.slot] = head
-    for slot, head in sorted(heads.items()):
-        line = f"slot {slot}: {head}"
-        what = events.get(slot)
-        if what:
-            line += " | " + "; ".join(what)
-        emit(line)
+        table[packet.slot] = [head]
+    verb = "inverts and decodes" if result.algorithm == "rlnc" else "decodes"
+    for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
+        by_slot: dict[int, list[int]] = {}
+        for k in (np.flatnonzero(row) + 1).tolist():
+            by_slot.setdefault(state.recovery_slot[k], []).append(k)
+        for slot, ks in by_slot.items():
+            table[slot].append(f"R{i} {verb} " + ", ".join(f"c{k}" for k in ks))
+    for slot, (head, *notes) in sorted(table.items()):
+        emit(f"slot {slot}: {head}" + (" | " + "; ".join(notes) if notes else ""))
     tail = f"retransmissions={result.schedule.retransmission_count}"
     if ttd.samples:
         tail += f" ttd_mean={ttd.mean:.6g}"
     emit(tail)
     return result
-
-
-def _decode_events(result: RunResult) -> dict[int, list[str]]:
-    events: dict[int, list[str]] = {}
-    verb = "inverts and decodes" if result.algorithm == "rlnc" else "decodes"
-    for i, (row, state) in enumerate(zip(result.losses, result.receivers), start=1):
-        recovered = state.recovery_slot
-        by_slot: dict[int, list[int]] = {}
-        for k in (np.flatnonzero(row) + 1).tolist():
-            by_slot.setdefault(recovered[k], []).append(k)
-        for slot, ks in by_slot.items():
-            events.setdefault(slot, []).append(
-                f"R{i} {verb} " + ", ".join(f"c{k}" for k in ks))
-    for k0, column in enumerate(result.losses.T):
-        missed = np.flatnonzero(column).tolist()
-        if missed:
-            events.setdefault(int(result.original_slot[k0]), []).insert(
-                0, "lost at " + ", ".join(f"R{i0 + 1}" for i0 in missed))
-    return events
 
 
 # ---------------------------------------------------------------- payload check

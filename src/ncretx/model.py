@@ -16,6 +16,9 @@ import numpy as np
 
 RECEIVED = 0
 LOST = 1
+# The most loss cells (M x N) a matrix file or one replication may hold;
+# fig2's largest is 6,000.
+MAX_CELLS = 1_000_000
 
 
 class IntegrityError(RuntimeError):
@@ -130,18 +133,20 @@ class TransmissionMatrix:
 
     @classmethod
     def parse(cls, text: str) -> "TransmissionMatrix":
-        lines = [ln for ln in text.splitlines()]
-        stripped = [(no, ln.strip()) for no, ln in enumerate(lines, start=1) if ln.strip()]
+        stripped = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
+                    if ln.strip()]
         if not stripped:
             raise ValueError("line 1: empty matrix file")
         no, header = stripped[0]
-        parts = header.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {no}: expected header 'M N', got {header!r}")
         try:
-            m, n = int(parts[0]), int(parts[1])
+            m, n = map(int, header.split())  # also a ValueError on other than two fields
         except ValueError:
             raise ValueError(f"line {no}: expected header 'M N', got {header!r}") from None
+        # checked before any row is read: a run's memory grows with M x N
+        if m < 2 or n < 1:
+            raise ValueError(f"line {no}: need at least 2 receivers and 1 packet, got {m} x {n}")
+        if m * n > MAX_CELLS:
+            raise ValueError(f"line {no}: {m} x {n} is {m * n} loss cells; at most {MAX_CELLS}")
         body = stripped[1:]
         if len(body) != m:
             raise ValueError(f"expected {m} matrix rows, found {len(body)}")

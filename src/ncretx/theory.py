@@ -27,7 +27,7 @@ import numpy as np
 # The largest batch the floor is computed for: loss_cdf holds a few arrays
 # of batch + 1 floats, about 80 MB each at this size.
 MAX_BATCH = 10**7
-# The most receivers: harness.MAX_CELLS at N = 1.  M is a count: it costs no memory.
+# The most receivers: model.MAX_CELLS at N = 1.  M is a count: it costs no memory.
 MAX_RECEIVERS = 10**6
 
 

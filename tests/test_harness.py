@@ -310,6 +310,52 @@ def test_trace_lossless(capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "retransmissions=0"
 
 
+@given(loss_matrices(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_trace_renders_the_run_record(mat, seed):
+    """Read every scheduler's narration back against its run record: each
+    slot once and in order, each original with exactly its losses, each
+    repair's head, and each lost cell decoded once, at its recovery slot."""
+    lost_cells = [(i0 + 1, k0 + 1) for i0, k0 in zip(*np.nonzero(mat.cells))]
+    for name in SCHEDULER_NAMES:
+        lines = []
+        result = trace_run(mat, name, seed=seed, emit=lines.append)
+        assert lines[0].startswith(f"matrix: {mat.receivers} receivers x {mat.batch} packets")
+        assert lines[-1].startswith(f"retransmissions={result.schedule.retransmission_count}")
+        slots = lines[1:-1]
+        assert len(slots) == mat.batch + result.schedule.retransmission_count
+        originals = {slot: k for k, slot in enumerate(result.original_slot.tolist(), 1)}
+        repairs = {packet.slot: packet for packet in result.schedule.repairs}
+        verb = "inverts and decodes" if name == "rlnc" else "decodes"
+        decoded = []
+        for slot, line in enumerate(slots, 1):
+            assert line.startswith(f"slot {slot}: ")
+            head, *rest = line.removeprefix(f"slot {slot}: ").split(" | ")
+            notes = rest[0].split("; ") if rest else []
+            if slot in originals:
+                k = originals[slot]
+                assert head == f"c{k}"
+                missed = ", ".join(f"R{i}" for i, lost in enumerate(mat.cells[:, k - 1], 1)
+                                   if lost)
+                if missed:
+                    assert notes.pop(0) == f"lost at {missed}"
+            elif name == "rlnc":
+                size = len(repairs[slot].constituents)
+                assert head == f"random linear repair over {size} packets"
+            else:
+                kind = "repair" if len(repairs[slot].constituents) == 1 else "coded repair"
+                assert head == f"{repairs[slot]} [{kind}]"
+            receivers = []
+            for note in notes:
+                match = re.fullmatch(rf"R(\d+) {verb} (c\d+(?:, c\d+)*)", note)
+                assert match, note
+                receivers.append(int(match[1]))
+                decoded += [(int(match[1]), int(c[1:]), slot) for c in match[2].split(", ")]
+            assert receivers == sorted(set(receivers))
+        assert sorted(decoded) == sorted(
+            (i, k, result.receivers[i - 1].recovery_slot[k]) for i, k in lost_cells)
+
+
 def test_load_matrix_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n0 1\n0 2\n")
@@ -568,6 +614,20 @@ def test_cli_trace_names_an_undecodable_matrix_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read matrix file {bad}: ") and err.count("\n") == 1
     assert "codec can't decode" in err
+
+
+@pytest.mark.parametrize("header,message", [
+    ("0 3", "line 1: need at least 2 receivers and 1 packet, got 0 x 3"),
+    ("-1 3", "line 1: need at least 2 receivers and 1 packet, got -1 x 3"),
+    ("2 0", "line 1: need at least 2 receivers and 1 packet, got 2 x 0"),
+    ("1001 1000", "line 1: 1001 x 1000 is 1001000 loss cells; at most 1000000"),
+    ("1000 1000", "expected 1000 matrix rows, found 0"),  # exactly MAX_CELLS: on to the rows
+])
+def test_cli_trace_checks_the_header_before_any_row(tmp_path, capsys, header, message):
+    rowless = tmp_path / "m.txt"
+    rowless.write_text(header + "\n")
+    assert cli_main(["trace", "--matrix", str(rowless), "--algorithm", "arq"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_figure_small(tmp_path):
