@@ -191,8 +191,8 @@ def _cmd_theory(args) -> int:
 def _cmd_figure(args) -> int:
     settings = dict(
         replications=args.reps, base_seed=args.seed,
-        receiver_counts=parse_int_range(args.receivers) if args.receivers else None,
-        loss_rates=parse_float_range(args.loss) if args.loss else None,
+        receiver_counts=None if args.receivers is None else parse_int_range(args.receivers),
+        loss_rates=None if args.loss is None else parse_float_range(args.loss),
         workers=args.workers)
     figure_config(args.name, None, **settings)  # a rejected run makes no directory
     out_dir = Path(args.out)

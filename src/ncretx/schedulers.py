@@ -278,8 +278,7 @@ class BenefitAudit:
     forced: bool = False  # always False; kept because perfbench reads it
 
 
-def benefit(matrix: TransmissionMatrix,
-            initial_desired_benefit: int | None = None) -> RunResult:
+def benefit(matrix: TransmissionMatrix) -> RunResult:
     """Utility-driven scheduler that may send repairs not everyone can decode yet.
 
     The sender keeps an ordered list of prospective coding packets (its head
@@ -295,16 +294,15 @@ def benefit(matrix: TransmissionMatrix,
         smallest utility among the constituents (otherwise retransmitting
         that weakest packet uncoded would have been just as good);
       * the number of receivers helped now or later must reach the current
-        desired benefit.
+        desired benefit, which starts at M.
 
     Only the last gate failing stores the candidate as the new prospective
     list, which is sent once it reaches the desired benefit: its first two
     gates cannot move while it waits.  Each scan cycle after the batch
     relaxes the desired benefit by one, down to 1; a cycle at 1 leaves
     nothing missing.
-    Lowering the initial desired benefit trades bandwidth for latency.
     """
-    return _BenefitRun(matrix, initial_desired_benefit).execute()
+    return _BenefitRun(matrix).execute()
 
 
 class _BenefitRun(_Run):
@@ -314,7 +312,7 @@ class _BenefitRun(_Run):
     together (its head is the anchor), ``_summary`` its fold (see
     ``_judge``), grown once per admission, ``desired_benefit`` the
     current requirement on how many receivers a coded repair must help now
-    or later, relaxed by one per scan cycle.  Packet k's utility ``cu`` is
+    or later, M + 1 - c in scan cycle c.  Packet k's utility ``cu`` is
     ``missing[k-1].bit_count()``, the receivers still lacking it.
     ``_by_cu[c]`` lists the sent packets (0-based ids) whose ``cu`` is c, in
     id order, for c >= 1; ``_by_cu[0]`` stays empty.  Read from the top
@@ -334,25 +332,19 @@ class _BenefitRun(_Run):
     masks of packets already sent.
     """
 
-    def __init__(self, matrix: TransmissionMatrix,
-                 initial_desired_benefit: int | None):
+    def __init__(self, matrix: TransmissionMatrix):
         self.m = matrix.receivers
         self.n = matrix.batch
-        start = self.m if initial_desired_benefit is None else initial_desired_benefit
-        if not 1 <= start <= self.m:
-            raise ValueError(f"initial desired benefit {start} outside 1..{self.m}")
         super().__init__(matrix)
         self._by_cu: list[list[int]] = [[] for _ in range(self.m + 1)]
         self.audit: list[BenefitAudit] = []
         self.sent = 0
-        self.cycle = 1
-        self.desired_benefit = start
+        self.desired_benefit = self.m
         self._new_cycle()
 
     def execute(self) -> RunResult:
         self._scan()
         while any(self.missing) and self.desired_benefit > 1:
-            self.cycle += 1
             self.desired_benefit -= 1
             self._new_cycle()
             self._scan()
@@ -361,7 +353,6 @@ class _BenefitRun(_Run):
         # prospective set always flushes, so the cycle leaves every non-anchor
         # at cu == 0; each anchor's set went out before any later anchor's, so
         # backwards through the anchors every buffered XOR peels to its anchor.
-        # Started at 1, cycle 1 repairs each lost original uncoded at once.
         # result() raises IntegrityError should a cell still be lost.
         return self.result("benefit", audit=self.audit)
 
@@ -435,9 +426,9 @@ class _BenefitRun(_Run):
         one was admitted.  A waiting packet is skipped, a hard rejection is
         stamped, and a soft one is appended to ``soft``.
 
-        No packet with cu == M is ever outstanding in cycle 1: cu never
-        rises, and a fresh original with cu at or above the desired benefit
-        (at most M) is repaired uncoded at once.
+        No packet with cu == M is ever outstanding: the desired benefit is M
+        throughout cycle 1, so such an original is repaired uncoded at once,
+        and cu never rises.
 
         The set's summary ``(ones, decoders, minimum, decodes_own)`` holds
         the receivers missing any constituent, those missing exactly one
@@ -499,8 +490,8 @@ class _BenefitRun(_Run):
             by_cu[c + times].remove(k - 1)
             if c:
                 insort(by_cu[c], k - 1)
-        self.audit.append(BenefitAudit(
-            self.slot, tuple(ids), self.cycle, self.desired_benefit, *gates))
+        self.audit.append(BenefitAudit(self.slot, tuple(ids), self.m + 1 - self.desired_benefit,
+                                       self.desired_benefit, *gates))
 
     # -- gate machinery --
 

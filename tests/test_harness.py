@@ -757,6 +757,10 @@ def test_cli_rejects_zero_step_and_empty_ranges(tmp_path, capsys, receivers, los
     (["simulate", "--algorithms", "arq", "--workers", "0"], "workers must be >= 1"),
     (["simulate", "--algorithms", "arq", "--workers", "-2"], "workers must be >= 1"),
     (["figure", "fig5", "--reps", "1", "--workers", "0"], "workers must be >= 1"),
+    # an empty override is refused as simulate refuses it, not read as absent
+    (["figure", "fig2", "--receivers", "", "--reps", "2"],
+     "bad item '' in '': expected an integer"),
+    (["figure", "fig5", "--loss", "", "--reps", "2"], "bad item '' in '': expected a number"),
 ])
 def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, message):
     out = tmp_path / ("x.csv" if command[0] == "simulate" else "fig")
@@ -765,8 +769,7 @@ def test_cli_rejects_no_algorithms_and_bad_workers(tmp_path, capsys, command, me
     rc = cli_main(command + extra + ["--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "x.csv").exists()
-    assert not (tmp_path / "fig" / "fig5.csv").exists()
+    assert not out.exists()
 
 
 # an --out that no sweep command may write, and how each is refused
