@@ -17,7 +17,7 @@ from ncretx import (
     expected_baseline_retx,
     expected_min_retx,
     q_distribution,
-    sample_loss_counts,
+    sample_matrix,
     theory_ratio,
 )
 
@@ -34,9 +34,9 @@ def main() -> None:
     analytic = expected_min_retx(params)
     print(f"\nexpected minimum repairs  E[max_i L_i] = {analytic:.4f}")
 
-    counts = sample_loss_counts(ChannelParams.homogeneous(4, 0.3, seed=7),
-                                batch=10, replications=200_000)
-    simulated = counts.max(axis=1).mean()
+    # one 4 x 2,000,000 draw, cut into 200k batches of 10 packets
+    cells = sample_matrix(ChannelParams.homogeneous(4, 0.3, seed=7), 10 * 200_000).cells
+    simulated = cells.reshape(4, -1, 10).sum(axis=2).max(axis=0).mean()
     print(f"simulated over 200k batches              = {simulated:.4f}")
 
     print(f"\nexpected plain-ARQ repairs = {expected_baseline_retx(params):.4f}")

@@ -5,7 +5,7 @@ to M receivers over independent Bernoulli loss channels, together with the
 closed-form lower bound on how few repair transmissions any scheme needs.
 """
 
-from .channel import ChannelParams, sample_loss_counts, sample_matrix
+from .channel import ChannelParams, sample_matrix
 from .decoder import ReceiverState
 from .metrics import RunMetrics, retransmission_ratio, run_metrics, time_to_decode
 from .model import LOST, RECEIVED, CodedPacket, IntegrityError, TransmissionMatrix
@@ -37,8 +37,7 @@ __all__ = [
     "baseline_arq", "benefit", "expected_baseline_retx",
     "expected_min_retx", "greedy_nc", "loss_cdf", "q_distribution",
     "retransmission_ratio", "rlnc", "run_metrics", "run_scheduler",
-    "sample_loss_counts", "sample_matrix", "sort_by_utility", "theory_ratio",
-    "time_to_decode",
+    "sample_matrix", "sort_by_utility", "theory_ratio", "time_to_decode",
 ]
 
 __version__ = "0.1.0"

@@ -188,26 +188,3 @@ def sample_matrix(params: ChannelParams, batch: int) -> TransmissionMatrix:
         rng.random(out=row)
     return TransmissionMatrix(draws < np.array(params.loss_probabilities)[:, None])
 
-
-_CHUNK = 10_000  # replications drawn per block in sample_loss_counts
-
-
-def sample_loss_counts(params: ChannelParams, batch: int, replications: int) -> np.ndarray:
-    """Per-receiver lost-packet counts L_i for many independent batches.
-
-    Batched Monte Carlo path for distributional checks: row i consumes its
-    own (seed, i) stream exactly as in sample_matrix, drawing all
-    replications at once, so replication 0 is ``sample_matrix``'s matrix.
-    Returns an array of shape (replications, M).
-    """
-    if batch < 1 or replications < 1:
-        raise ValueError("batch and replications must be >= 1")
-    bits, rng = _generator()
-    counts = np.empty((replications, params.receivers), dtype=np.int64)
-    states = _row_states(params.seed, range(1, params.receivers + 1))
-    for i0, (p, state) in enumerate(zip(params.loss_probabilities, states)):
-        bits.state = state
-        for done in range(0, replications, _CHUNK):
-            draws = rng.random((min(_CHUNK, replications - done), batch)) < p
-            counts[done:done + len(draws), i0] = draws.sum(axis=1)
-    return counts

@@ -77,8 +77,11 @@ class ExperimentConfig:
             raise ValueError("need at least one receiver count")
         if not self.loss_rates:
             raise ValueError("need at least one loss rate")
+        written: dict[str, float] = {}  # rates the CSV writes alike would repeat its rows
         for p in self.loss_rates:
             ChannelParams.homogeneous(2, p)  # raises on a rate outside [0, 1]
+            if (other := written.setdefault(_fmt(p), p)) != p:
+                raise ValueError(f"loss rates {other!r} and {p!r} are both written as {_fmt(p)}")
         if self.batch < 1:
             raise ValueError("batch size must be >= 1")
         if self.replications < 1:

@@ -30,6 +30,25 @@ def worked_example_path() -> Path:
     return DATA_DIR / "worked_example.txt"
 
 
+def numpy_row_rng(seed: int, i: int) -> np.random.Generator:
+    """Row i's stream as NumPy builds it: the reference the channel derives."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def loss_counts(seed: int, receivers: int, p: float, batch: int, reps: int) -> np.ndarray:
+    """The loss counts L_i of ``reps`` batches, shape (reps, receivers), for
+    Monte Carlo checks.  Row i draws its ``(seed, i)`` stream one batch
+    after another, in blocks of 10,000 batches, so batch 0 is the matrix
+    ``sample_matrix`` draws for ``seed``."""
+    counts = np.empty((reps, receivers), dtype=np.int64)
+    for i in range(1, receivers + 1):
+        rng = numpy_row_rng(seed, i)
+        for done in range(0, reps, 10_000):
+            draws = rng.random((min(10_000, reps - done), batch)) < p
+            counts[done:done + len(draws), i - 1] = draws.sum(axis=1)
+    return counts
+
+
 def random_matrix(rng: np.random.Generator, max_receivers: int = 8,
                   max_batch: int = 20) -> TransmissionMatrix:
     """A loss realization with random shape and per-receiver loss rates."""
@@ -95,6 +114,15 @@ def replay(mat, result, states=None):
             for kk in ks:
                 lacking[i0, kk - 1] = 0
     assert not lacking.any()
+
+
+def assert_strict_rule(mat, result, *where):
+    """Greedy's and sort-utility's rule: every repair leaves each receiver,
+    as ``replay``'s ``lacking`` finds it, missing at most one of its
+    packets.  ``where`` labels a failure."""
+    for packet, lacking, _, _ in replay(mat, result):
+        cols = [k - 1 for k in packet.constituents]
+        assert (lacking[:, cols].sum(axis=1) <= 1).all(), (*where, packet.slot)
 
 
 def records(states):

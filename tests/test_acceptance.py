@@ -20,7 +20,6 @@ from ncretx import (
     q_distribution,
     run_metrics,
     run_scheduler,
-    sample_loss_counts,
     sample_matrix,
     theory_ratio,
 )
@@ -28,7 +27,8 @@ from ncretx.cli import main as cli_main
 from ncretx.gf import MUL_TABLE
 from ncretx.harness import payload_check, replication_seed, run_replication
 
-from conftest import WORKED_EXAMPLE_ROWS, assert_peeling_sound, replay, slot_order
+from conftest import (WORKED_EXAMPLE_ROWS, assert_peeling_sound, assert_strict_rule, loss_counts,
+                      slot_order)
 
 
 def report(number: int, description: str):
@@ -97,7 +97,7 @@ def test_acceptance_3_theory_self_consistency():
            "(M=10, N=200, p=0.5, 3 standard errors)")
 def test_acceptance_4_theory_vs_monte_carlo():
     params = TheoryParams.homogeneous(10, 200, 0.5)
-    counts = sample_loss_counts(ChannelParams.homogeneous(10, 0.5, seed=2718), 200, 100_000)
+    counts = loss_counts(2718, 10, 0.5, 200, 100_000)
     maxima = counts.max(axis=1)
     se = maxima.std() / math.sqrt(len(maxima))
     assert abs(expected_min_retx(params) - maxima.mean()) < 3 * se
@@ -192,7 +192,7 @@ def test_acceptance_8_invariants():
             assert result.schedule.retransmission_count >= floor, (name, trial)
         # strict rule: every greedy / sort-utility repair decodable by all
         for name in ("greedy", "sort-utility"):
-            _assert_strict_rule(mat, results[name])
+            assert_strict_rule(mat, results[name])
         # peeling soundness vs elimination closure on small instances
         if m <= 6 and n <= 6:
             assert_peeling_sound(mat, "benefit")  # the run's own receivers
@@ -209,12 +209,6 @@ def test_acceptance_8_invariants():
     payload_check(worked_example(), "arq", payload_len=33, seed=0)
     payload_check(worked_example(), "greedy", payload_len=33, seed=0)
     payload_check(worked_example(), "sort-utility", payload_len=33, seed=0)
-
-
-def _assert_strict_rule(mat, result):
-    for packet, lacking, _, _ in replay(mat, result):
-        cols = [k - 1 for k in packet.constituents]
-        assert (lacking[:, cols].sum(axis=1) <= 1).all()
 
 
 @report(9, "byte-identical CSV from two identical simulate invocations")

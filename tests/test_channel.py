@@ -8,13 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncretx import ChannelParams, run_scheduler, sample_loss_counts, sample_matrix
+from ncretx import ChannelParams, run_scheduler, sample_matrix
 from ncretx.channel import _row_states
 
-
-def numpy_row_rng(seed: int, i: int) -> np.random.Generator:
-    """Row i's stream as NumPy builds it: the reference the channel derives."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+from conftest import numpy_row_rng
 
 
 def reference_matrix(params: ChannelParams, batch: int) -> np.ndarray:
@@ -83,16 +80,6 @@ def test_empirical_loss_rate_converges():
     assert abs(fraction / cells - 0.5) < 0.01
 
 
-def test_batched_loss_counts_match_distribution():
-    params = ChannelParams.homogeneous(4, 0.3, seed=77)
-    counts = sample_loss_counts(params, 50, 4000)
-    assert counts.shape == (4000, 4)
-    assert abs(counts.mean() - 50 * 0.3) < 0.5
-    # deterministic for a fixed seed
-    again = sample_loss_counts(params, 50, 4000)
-    assert np.array_equal(counts, again)
-
-
 @pytest.mark.parametrize("bad", [(-0.1, 0.5), (0.5, 1.5)])
 def test_invalid_probability_rejected(bad):
     with pytest.raises(ValueError):
@@ -126,17 +113,6 @@ def test_derived_row_state_matches_numpy():
 def test_sample_matrix_matches_numpy_row_streams(seed, probabilities, batch):
     params = ChannelParams(tuple(probabilities), seed=seed)
     assert np.array_equal(sample_matrix(params, batch).cells, reference_matrix(params, batch))
-
-
-@pytest.mark.parametrize("seed", ROW_STATE_SEEDS[:5])
-def test_loss_counts_replication_zero_is_sample_matrix(seed):
-    params = ChannelParams((0.1, 0.5, 0.5, 0.9), seed=seed)
-    counts = sample_loss_counts(params, 30, 7)
-    assert counts[0].tolist() == sample_matrix(params, 30).cells.sum(axis=1).tolist()
-    # and every replication is the next block of the same row stream
-    for i, p in enumerate(params.loss_probabilities, start=1):
-        draws = numpy_row_rng(seed, i).random((7, 30)) < p
-        assert counts[:, i - 1].tolist() == draws.sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", None, -1])

@@ -1,10 +1,11 @@
 """Smoke test: the demos run to completion against the current API.
 
 Demos 01 and 05 take about 0.2 s each and read the schedule and payload
-API directly.  Demo 02 (about 0.2 s) exercises the theory module and the
-loss-count sampler.  Demos 03 (about 2 s, N=200 over six receiver counts)
-and 04 (about 1 s) drive benefit and sort-utility through
-``run_replication`` and read its rows.
+API directly.  Demo 02 (about 0.3 s) exercises the theory module and
+checks its floor against one ``sample_matrix`` draw cut into 200k batches.
+Demos 03 (about 2 s, N=200 over six receiver counts) and 04 (about 1 s)
+drive benefit and sort-utility through ``run_replication`` and read its
+rows.
 """
 
 import os

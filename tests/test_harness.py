@@ -1133,6 +1133,12 @@ def test_cli_rejects_single_receiver(tmp_path, capsys, command):
      "receiver count 3 given more than once"),
     (["theory", "--receivers", "3", "--loss", "0.5,0.50"],
      "loss rate 0.5 given more than once"),
+    # distinct rates the CSV writes alike would repeat one p block
+    (["simulate", "--algorithms", "arq,theory", "--receivers", "3",
+      "--loss", "0.1,0.10000000000001"],
+     "loss rates 0.1 and 0.10000000000001 are both written as 0.1"),
+    (["theory", "--receivers", "3", "--loss", "0.3,0.30000000001"],
+     "loss rates 0.3 and 0.30000000001 are both written as 0.3"),
 ])
 def test_cli_rejects_repeated_values(tmp_path, capsys, command, message):
     # a repeated value would write its rows and aggregates twice

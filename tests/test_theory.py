@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from ncretx import (
-    ChannelParams,
     TheoryParams,
     expected_baseline_retx,
     expected_min_retx,
     loss_cdf,
     q_distribution,
-    sample_loss_counts,
     theory_ratio,
 )
 from ncretx.theory import MAX_RECEIVERS
+
+from conftest import loss_counts
 
 
 def cdf_fraction_oracle(n: int, p: Fraction, j: int) -> Fraction:
@@ -175,7 +175,7 @@ def test_expected_min_monotone_in_parameters():
 
 def test_expected_min_against_monte_carlo():
     params = TheoryParams.homogeneous(6, 50, 0.4)
-    counts = sample_loss_counts(ChannelParams.homogeneous(6, 0.4, seed=5), 50, 40_000)
+    counts = loss_counts(5, 6, 0.4, 50, 40_000)
     maxima = counts.max(axis=1)
     se = maxima.std() / math.sqrt(len(maxima))
     assert abs(expected_min_retx(params) - maxima.mean()) < 3 * se
