@@ -3,8 +3,8 @@
 A receiver decodes a repair at once when it leaves one unknown; with two
 or more the repair waits, filed under each of them.  There is one decode
 path.  The sender's ``_Run.send`` reads from its loss masks how many
-constituents each receiver misses.  A receiver missing exactly one goes
-to ``ReceiverState.recover``, which records the packet's slot and source
+constituents each receiver misses.  For a receiver missing exactly one it
+records the packet's slot and source in the receiver's ``ReceiverState``
 and, only when a repair waits on that id, runs ``decode_search``: it
 peels the repairs filed under the id recursively until nothing changes.
 A receiver missing two or more files the repair through ``receive``.  An
@@ -57,17 +57,6 @@ class ReceiverState:
         waiting = self.waiting
         for k in unknowns:
             waiting.setdefault(k, []).append(packet)
-
-    def recover(self, k: int, packet: CodedPacket):
-        """Recover packet k from ``packet``, of which it is the only unknown:
-        record its slot and source, then peel what waits on it.  Returns the
-        further ids that peeling recovered, an empty sequence when nothing
-        was filed under k, since a search would pop nothing."""
-        self.recovery_slot[k] = packet.slot
-        self.source[k] = packet
-        if k in self.waiting:
-            return self.decode_search(k, packet.slot)
-        return ()
 
     def decode_search(self, newly: int, slot: int) -> list[int]:
         """Peel the repairs waiting on ``newly`` after it became known;

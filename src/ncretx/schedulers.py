@@ -25,6 +25,7 @@ from bisect import insort
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -75,13 +76,16 @@ class _Run:
     ``losses`` is the sampled matrix's read-only cells, shared, not copied.
     ``missing[k-1]`` is an int with bit i-1 set while receiver i still lacks
     packet k: it starts as packet k's loss column and has each recovery
-    cleared as it happens.  ``slot`` is the last slot used, by an original or a repair.
+    cleared as it happens.  ``lacking``, first the union of the loss columns,
+    loses bit i-1 in ``send`` once receiver i holds the whole batch: it only
+    shrinks, and covers every ``missing`` mask.  ``slot`` is the last slot used.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
         self.matrix = matrix
         self.losses = matrix.cells
         self.missing = list(matrix.loss_masks)
+        self.lacking = reduce(int.__or__, self.missing, 0)
         self.states = [ReceiverState() for _ in range(matrix.receivers)]
         self.repairs: list[CodedPacket] = []
         self.slot = 0
@@ -107,21 +111,20 @@ class _Run:
 
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
-        gets; returns the packet of each recovery it caused, one per receiver
-        that recovered it.  The order is by constituent, then receiver: each
-        constituent once per receiver that recovers it from this repair, then
-        what peeling unlocked for each of them, receivers in index order.
+        gets; returns the packet of each recovery it caused: each constituent
+        once per receiver that recovers it from this repair, then what
+        peeling unlocked for each of them, receivers in index order.
 
-        The receivers are split by how many constituents they miss, read
-        from the ``missing`` masks with a carry-save count: ``ones`` holds
-        those missing at least one, ``twos`` those missing two or more.  One
-        in ``missing[k-1] & ones & ~twos`` misses only k, so it recovers k
-        now (``ReceiverState.recover``, which peels what waits on k).  One
-        in ``twos`` files the repair (``ReceiverState.receive``, which
-        decodes nothing).  Any other holds every constituent, so the repair
-        tells it nothing.  This is the only place an XOR repair is decoded."""
+        A carry-save count over the ``missing`` masks splits the receivers:
+        ``ones`` holds those missing at least one constituent, ``twos`` those
+        missing two or more.  One in ``missing[k-1] & ones & ~twos`` misses
+        only k, so it recovers k now: its slot and source are recorded,
+        ``decode_search`` peels the repairs filed under k, if any, and its
+        ``lacking`` bit goes once it holds the whole batch.  One in ``twos``
+        files the repair (``ReceiverState.receive``).  Any other holds every
+        constituent.  This is the only place an XOR repair is decoded."""
         packet = self.append(constituents)
-        missing, states = self.missing, self.states
+        missing, states, slot = self.missing, self.states, self.slot
         ones = twos = 0
         for k in packet.constituents:
             col = missing[k - 1]
@@ -129,21 +132,26 @@ class _Run:
             ones |= col
         once = ones & ~twos
         recovered = []
-        if once:
-            for k in packet.constituents:
-                decoders = missing[k - 1] & once
-                if not decoders:
-                    continue
-                # peeling recovers only what these receivers still lack, so
-                # never k: its bits can go first
-                missing[k - 1] ^= decoders
-                recovered += [k] * decoders.bit_count()
-                while decoders:
-                    bit = decoders & -decoders
-                    decoders ^= bit
-                    for j in states[bit.bit_length() - 1].recover(k, packet):
+        for k in packet.constituents:
+            decoders = missing[k - 1] & once
+            if not decoders:
+                continue
+            # peeling recovers only what these receivers still lack, so
+            # never k: its bits can go first
+            missing[k - 1] ^= decoders
+            recovered += [k] * decoders.bit_count()
+            while decoders:
+                bit = decoders & -decoders
+                decoders ^= bit
+                state = states[bit.bit_length() - 1]
+                state.recovery_slot[k] = slot
+                state.source[k] = packet
+                if k in state.waiting:
+                    for j in state.decode_search(k, slot):
                         missing[j - 1] &= ~bit
                         recovered.append(j)
+                if len(state.recovery_slot) == len(missing):
+                    self.lacking &= ~bit
         while twos:
             bit = twos & -twos
             twos ^= bit
@@ -194,8 +202,8 @@ def baseline_arq(matrix: TransmissionMatrix) -> RunResult:
     """Plain ARQ reference: each packet lost anywhere is multicast once more."""
     run = _Run(matrix)
     run.send_batch()
-    for k0 in np.flatnonzero(run.losses.any(axis=0)).tolist():
-        run.send((k0 + 1,))
+    for k in [k for k, col in enumerate(run.missing, 1) if col]:
+        run.send((k,))
     return run.result("arq")
 
 
@@ -319,17 +327,18 @@ class _BenefitRun(_Run):
     bucket down it is the scan's walk order, kept as ``cu`` falls.
 
     Each prospective set has one walk over that order (``_walk``), resumed
-    where it stopped after each admission, and ``_soft``, the packets it
-    rejected on the minimum-utility gate, in walk order, which are judged
-    again whenever the set grows.  ``_epoch`` counts the sets sent this
-    cycle, and packet k is not judged while ``_wait[k-1] >= _epoch``.  A
-    hard rejection and a prospective member are stamped with the current
-    epoch, so the next flush frees them.  An anchor is stamped ``n``, which
-    no epoch of its cycle reaches: each set sent has its own anchor, and an
-    anchor is never judged again in its cycle.  A new cycle clears every
-    stamp.  Cycle 1 interleaves originals with repairs; cycles 2..M only
-    rescan outstanding packets.  Gates only ever look at the ``missing``
-    masks of packets already sent.
+    where it stopped after each admission and cut short once the set
+    reaches every receiver still ``lacking`` a packet (see ``_admit_first``),
+    and ``_soft``, the packets it rejected on the minimum-utility
+    gate, in walk order, which are judged again whenever the set grows.
+    ``_epoch`` counts the sets sent this cycle, and packet k is not judged
+    while ``_wait[k-1] >= _epoch``.  A hard rejection and a prospective
+    member are stamped with the current epoch, so the next flush frees
+    them.  An anchor is stamped ``n``, which no epoch of its cycle reaches:
+    each set sent has its own anchor, and an anchor is never judged again
+    in its cycle.  A new cycle clears every stamp.  Cycle 1 interleaves
+    originals with repairs; cycles 2..M only rescan outstanding packets.
+    Gates only ever look at the ``missing`` masks of packets already sent.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
@@ -383,7 +392,15 @@ class _BenefitRun(_Run):
         rejection stays hard as the set grows, because ``ones`` only grows
         and each member's decoders only shrink.  So of the packets before
         the walk's place, only the soft rejections can have a new verdict.
+
+        Once ``ones`` covers ``lacking``, this returns False at once: every
+        ``col`` lies inside ``lacking``, so has no fresh receiver and is a
+        hard rejection, until the set is flushed or its cycle ends, since
+        ``lacking`` only shrinks and ``ones`` only grows.  The walk's place,
+        stamps and soft rejections it would have left die with the set.
         """
+        if not self.lacking & ~self._summary[0]:
+            return False
         again, self._soft = self._soft, []
         rest = iter(again)
         if self._judge(rest, self._soft):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ncretx import CodedPacket, TransmissionMatrix, run_scheduler
-from ncretx.schedulers import _Run
+from ncretx.schedulers import _BenefitRun, _Run
 
 from gf2_oracle import ListScanReceiver, buffer, constituents_to_bits, gf2_decodable
 
@@ -82,6 +82,33 @@ def slot_order(result):
             for k, slot in enumerate(result.original_slot.tolist(), 1)]
     sent += [(False, packet) for packet in result.schedule.repairs]
     return sorted(sent, key=lambda entry: entry[1].slot)
+
+
+def sent_record(result) -> str:
+    """Every transmission in slot order with its kind and sorted
+    constituents, rebuilt from ``original_slot`` and the repairs."""
+    return " ".join(("o" if original else "r") + ",".join(map(str, sorted(cp.constituents)))
+                    for original, cp in slot_order(result))
+
+
+def held_record(result) -> str:
+    """Per receiver each recovery, in recovery order, as ``k@slot``, with
+    ``<source-slot`` if a repair yielded it."""
+    return " | ".join(
+        " ".join(f"{k}@{slot}" + (f"<{state.source[k].slot}" if k in state.source else "")
+                 for k, slot in state.recovery_slot.items())
+        for state in result.receivers)
+
+
+def benefit_record(result) -> str:
+    """One canonical line for a benefit run: the transmissions, every audit
+    field but ``forced`` (always False, and asserted so elsewhere), and the
+    recoveries."""
+    audit = " ".join(
+        f"{a.slot}:{','.join(map(str, a.constituents))}:{a.cycle}:{a.desired_benefit}:"
+        f"{a.decode_benefit}:{a.minimum_benefit}:{a.combination_benefit}"
+        for a in result.audit)
+    return f"{sent_record(result)} / {audit} / {held_record(result)}"
 
 
 def replay(mat, result, states=None):
@@ -177,3 +204,17 @@ def assert_peeling_sound(mat, name):
             assert known <= gf2_decodable(vectors, n), (name, packet.slot)
             assert all(len(cp.constituents - known) >= 2 for cp in filed), (name, packet.slot)
     return result
+
+
+class UnguardedBenefit(_BenefitRun):
+    """Benefit with the walk's guard defeated: every receiver always counts
+    as still ``lacking`` a packet, so ``_admit_first`` always walks.  The
+    reference that the guard must not change."""
+
+    @property
+    def lacking(self) -> int:
+        return (1 << self.m) - 1
+
+    @lacking.setter
+    def lacking(self, value: int) -> None:
+        pass  # ``_Run`` writes it; the full mask stays

@@ -1,6 +1,6 @@
 """The large world: every XOR invariant of ``worlds.check_xor_schedulers``
 on every loss matrix with N = 4 and M <= 8, or N = 5 and M <= 5, one per
-multiset of rows: 1,171,318 matrices, about 10 CPU minutes.
+multiset of rows: 1,171,318 matrices, about 13 CPU minutes.
 
 Benefit makes more repairs than arq on exactly the multisets in
 ``BENEFIT_ABOVE_ARQ``, one more each.  The script exits 1 on any other

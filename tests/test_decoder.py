@@ -16,6 +16,17 @@ def holding(*packets: int) -> ReceiverState:
     return state
 
 
+def after_batch(n: int, *lost: int) -> _Run:
+    """A run just after its n originals, whose first receiver lost the
+    packets ``lost``; a second, lossless receiver makes it a valid matrix
+    and never decodes."""
+    cells = np.zeros((2, n), dtype=np.uint8)
+    cells[0, [k - 1 for k in lost]] = 1
+    run = _Run(TransmissionMatrix(cells))
+    run.send_batch()
+    return run
+
+
 def test_undecodable_packet_is_buffered():
     # worked example, slot 3: the receiver holding only c3, c4 cannot use c1^c2
     state = holding(3, 4)
@@ -28,10 +39,11 @@ def test_undecodable_packet_is_buffered():
 
 def test_one_unknown_decodes_immediately():
     # the receiver holding c2, c3 recovers c1 from c1^c2
-    state = holding(2, 3)
-    packet = CodedPacket(frozenset({1, 2}), 3)
-    assert list(state.recover(1, packet)) == []
-    assert state.recovery_slot[1] == 3
+    run = after_batch(3, 1)
+    state = run.states[0]
+    assert run.send([1, 2]) == [1]
+    packet = run.repairs[-1]
+    assert state.recovery_slot[1] == packet.slot == 4
     assert state.source == {1: packet}  # c2, c3 arrived as originals
     assert buffer(state) == []
 
@@ -50,13 +62,12 @@ def test_receive_rejects_a_repair_leaving_fewer_than_two_unknowns(held, unknowns
 
 def test_search_unlocks_buffered_packet_at_trigger_slot():
     # buffered c1^c2 resolves the moment c2 arrives inside c2^c3^c4
-    state = holding(3, 4)
-    first = CodedPacket(frozenset({1, 2}), 3)
-    second = CodedPacket(frozenset({2, 3, 4}), 6)
-    state.receive(first)
-    assert state.recover(2, second) == [1]
-    assert state.recovery_slot[1] == 6
-    assert state.recovery_slot[2] == 6
+    run = after_batch(4, 1, 2)
+    state = run.states[0]
+    assert run.send([1, 2]) == []
+    assert run.send([2, 3, 4]) == [2, 1]
+    first, second = run.repairs
+    assert state.recovery_slot[1] == state.recovery_slot[2] == second.slot == 6
     # c2 came straight out of the new packet, c1 out of the buffered one
     assert state.source == {2: second, 1: first}
     assert list(state.recovery_slot) == [3, 4, 2, 1]
@@ -87,20 +98,22 @@ def test_recovery_with_nothing_waiting_runs_no_search(monkeypatch):
     search = ReceiverState.decode_search
     monkeypatch.setattr(ReceiverState, "decode_search",
                         lambda self, newly, slot: calls.append(newly) or search(self, newly, slot))
-    state = holding(2, 3)
-    state.receive(CodedPacket(frozenset({4, 5}), 4))  # filed under 4 and 5
-    assert list(state.recover(1, CodedPacket(frozenset({1, 2}), 5))) == []
+    run = after_batch(5, 1, 4, 5)
+    state = run.states[0]
+    assert run.send([4, 5]) == []  # filed under 4 and 5
+    assert run.send([1, 2]) == [1]
     assert calls == []
     # a recovery with a repair filed under it still searches and peels
-    assert state.recover(4, CodedPacket(frozenset({3, 4}), 6)) == [5]
+    assert run.send([3, 4]) == [4, 5]
     assert calls == [4]
     assert state.waiting == {}
 
 
 def test_have_is_a_read_only_view_of_recovery_slots():
-    state = holding(2, 4)
+    run = after_batch(4, 1, 3)
+    state = run.states[0]
     assert state.have == {2, 4}
-    state.recover(1, CodedPacket(frozenset({1, 2}), 3))
+    run.send([1, 2])
     assert state.have == {1, 2, 4} == set(state.recovery_slot)
     with pytest.raises(AttributeError):
         state.have = set()
@@ -120,38 +133,35 @@ def test_search_requires_known_packet():
 
 def test_chained_peel():
     # buffer {a^b, b^c}; learning a peels b, then c
-    state = ReceiverState()
-    state.receive(CodedPacket(frozenset({1, 2}), 1))
-    state.receive(CodedPacket(frozenset({2, 3}), 2))
-    assert state.recover(1, CodedPacket(frozenset({1}), 5)) == [2, 3]
-    assert all(state.recovery_slot[k] == 5 for k in (1, 2, 3))
+    run = after_batch(3, 1, 2, 3)
+    state = run.states[0]
+    run.send([1, 2])
+    run.send([2, 3])
+    assert run.send([1]) == [1, 2, 3]
+    assert all(state.recovery_slot[k] == 6 for k in (1, 2, 3))
     assert buffer(state) == []
 
 
 def test_cascade_reduces_by_its_own_earlier_recoveries():
     # buffer c1^c2, c2^c3, c1^c2^c3, then c1 arrives: peeling c1 out of c1^c2
     # gives c2, and c1^c2^c3 is then judged with c2 known, so it yields c3
-    state = holding(4)
-    first = CodedPacket(frozenset({1, 2}), 6)
-    triple = CodedPacket(frozenset({1, 2, 3}), 8)
-    for packet in (first, CodedPacket(frozenset({2, 3}), 7), triple):
-        state.receive(packet)
-    trigger = CodedPacket(frozenset({1, 4}), 9)
-    assert state.recover(1, trigger) == [2, 3]
-    assert state.recovery_slot == {4: 1, 1: 9, 2: 9, 3: 9}
+    run = after_batch(4, 1, 2, 3)
+    state = run.states[0]
+    for ids in ([1, 2], [2, 3], [1, 2, 3]):
+        assert run.send(ids) == []
+    assert run.send([1, 4]) == [1, 2, 3]
+    first, _, triple, trigger = run.repairs
+    assert state.recovery_slot == {4: 4, 1: 8, 2: 8, 3: 8}
     assert state.source == {1: trigger, 2: first, 3: triple}
     assert buffer(state) == []
 
 
 def stream_run(rng, n: int, p_received: float):
-    """A run whose first receiver heard each original with probability
-    ``p_received``; a second, lossless receiver makes it a valid matrix and
-    never decodes.  Returns the run after the batch, and that receiver's
-    row of losses."""
+    """An ``after_batch`` run whose first receiver heard each original with
+    probability ``p_received``.  Returns the run, and that receiver's row
+    of losses."""
     row = (rng.random(n) >= p_received).astype(np.uint8)
-    run = _Run(TransmissionMatrix(np.stack([row, np.zeros(n, dtype=np.uint8)])))
-    run.send_batch()
-    return run, row
+    return after_batch(n, *(np.flatnonzero(row) + 1).tolist()), row
 
 
 def random_repair(rng, n: int, size: int) -> list[int]:

@@ -20,7 +20,7 @@ from ncretx import (SCHEDULER_NAMES, ChannelParams, baseline_arq, benefit, greed
 from ncretx.cli import main as cli_main
 from ncretx.harness import load_matrix, trace_run
 
-from conftest import DATA_DIR, random_matrix, slot_order
+from conftest import DATA_DIR, benefit_record, held_record, random_matrix, sent_record
 
 SIMULATE = ["simulate", "--algorithms", ",".join(SCHEDULER_NAMES) + ",theory",
             "--receivers", "3,12", "--loss", "0.3,0.6", "--batch", "20",
@@ -94,33 +94,6 @@ def test_theory_csv_locked(tmp_path, capsys):
 @pytest.mark.parametrize("which,name", sorted(TRACE_SHA))
 def test_trace_locked(which, name):
     assert trace_digest(which, name) == TRACE_SHA[(which, name)]
-
-
-def sent_record(result) -> str:
-    """Every transmission in slot order with its kind and sorted
-    constituents, rebuilt from ``original_slot`` and the repairs."""
-    return " ".join(("o" if original else "r") + ",".join(map(str, sorted(cp.constituents)))
-                    for original, cp in slot_order(result))
-
-
-def held_record(result) -> str:
-    """Per receiver each recovery, in recovery order, as ``k@slot``, with
-    ``<source-slot`` if a repair yielded it."""
-    return " | ".join(
-        " ".join(f"{k}@{slot}" + (f"<{state.source[k].slot}" if k in state.source else "")
-                 for k, slot in state.recovery_slot.items())
-        for state in result.receivers)
-
-
-def benefit_record(result) -> str:
-    """One canonical line for a benefit run: the transmissions, every audit
-    field but ``forced`` (always False, and asserted so elsewhere), and the
-    recoveries."""
-    audit = " ".join(
-        f"{a.slot}:{','.join(map(str, a.constituents))}:{a.cycle}:{a.desired_benefit}:"
-        f"{a.decode_benefit}:{a.minimum_benefit}:{a.combination_benefit}"
-        for a in result.audit)
-    return f"{sent_record(result)} / {audit} / {held_record(result)}"
 
 
 def test_benefit_record_locked():

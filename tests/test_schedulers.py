@@ -27,8 +27,8 @@ from ncretx.schedulers import BenefitAudit, _BenefitRun, _Run
 
 from gf2_oracle import ListScanReceiver
 
-from conftest import (assert_peeling_sound, loss_matrices, random_matrix, recorded_run,
-                      records, replay, slot_order)
+from conftest import (UnguardedBenefit, assert_peeling_sound, benefit_record, loss_matrices,
+                      random_matrix, recorded_run, records, replay, slot_order)
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -625,6 +625,58 @@ def test_send_returns_recoveries_by_constituent_then_receiver():
     assert run.missing == [0, 0]
     packet = run.repairs[-1]
     assert [state.source for state in run.states] == [{2: packet}, {1: packet}, {1: packet}]
+
+
+@pytest.mark.parametrize("name", ["arq", "greedy", "sort-utility", "benefit"])
+def test_lacking_covers_every_receiver_still_missing_a_packet(name):
+    # after every repair, each receiver missing a packet is in ``lacking``,
+    # and one outside it holds every packet sent so far and lost none of the
+    # originals still to come (only benefit sends repairs before them; the
+    # others send every original first, so ``lacking`` is exactly the union)
+    send = _Run.send
+    complete = 0
+
+    def checking(self, constituents):
+        nonlocal complete
+        recovered = send(self, constituents)
+        union = functools.reduce(int.__or__, self.missing, 0)
+        assert not union & ~self.lacking
+        assert name == "benefit" or self.lacking == union
+        unsent = np.flatnonzero(self.original_slot == 0)
+        sent = set(range(1, self.matrix.batch + 1)) - set((unsent + 1).tolist())
+        for i0, state in enumerate(self.states):
+            if not self.lacking >> i0 & 1:
+                assert state.have == sent
+                assert not self.losses[i0, unsent].any()
+                complete += 1
+        return recovered
+
+    rng = np.random.default_rng(29)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Run, "send", checking)
+        for _ in range(200):
+            run_scheduler(name, random_matrix(rng))
+    assert complete > 0
+
+
+def test_walk_guard_changes_no_benefit_record():
+    # the guard in ``_admit_first`` skips walks that could admit nothing:
+    # benefit with it defeated keeps the same schedule, audit and
+    # recoveries, and it must have skipped some, so judged less often
+    judge = _BenefitRun._judge
+    calls = Counter()
+
+    def counting(self, order, soft):
+        calls[type(self)] += 1
+        return judge(self, order, soft)
+
+    rng = np.random.default_rng(31)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BenefitRun, "_judge", counting)
+        for _ in range(300):
+            mat = random_matrix(rng, max_receivers=20, max_batch=40)
+            assert benefit_record(benefit(mat)) == benefit_record(UnguardedBenefit(mat).execute())
+    assert calls[_BenefitRun] < calls[UnguardedBenefit]
 
 
 @given(loss_matrices())

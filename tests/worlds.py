@@ -18,7 +18,7 @@ import numpy as np
 from ncretx import TransmissionMatrix, run_scheduler
 from ncretx.harness import _check_xor_recoveries
 
-from conftest import assert_strict_rule
+from conftest import UnguardedBenefit, assert_strict_rule, benefit_record
 
 XOR_SCHEDULERS = ("arq", "greedy", "sort-utility", "benefit")
 
@@ -46,7 +46,9 @@ def check_xor_schedulers(batch: int, rows) -> int:
     """Run the four XOR schedulers on one multiset and check each run: full
     recovery, ``max_i L_i`` <= repairs <= the number of packets anyone lost,
     the strict rule for greedy and sort-utility (``assert_strict_rule``),
-    and every recovery's bytes through ``_check_xor_recoveries``.
+    every recovery's bytes through ``_check_xor_recoveries``, and for
+    benefit the same record (``benefit_record``) with the walk's guard
+    defeated (``UnguardedBenefit``).
 
     Returns how many repairs benefit made above the number of packets anyone
     lost, which is what arq makes: the one bound a known fault breaks.  Any
@@ -62,6 +64,7 @@ def check_xor_schedulers(batch: int, rows) -> int:
         assert retx >= mat.max_receiver_losses, (name, rows)
         if name == "benefit":
             above_arq = max(retx - lost_anywhere, 0)
+            assert benefit_record(result) == benefit_record(UnguardedBenefit(mat).execute()), rows
         else:
             assert retx <= lost_anywhere, (name, rows)
         if name in ("greedy", "sort-utility"):
