@@ -27,9 +27,10 @@ from .harness import (
     run_experiment,
     trace_run,
 )
+from .metrics import retransmission_ratio
 from .model import IntegrityError
 from .schedulers import SCHEDULER_NAMES
-from .theory import TheoryParams, expected_baseline_retx, floor_mean, floor_ratio, q_distribution
+from .theory import TheoryParams, expected_baseline_retx, floor_mean, q_distribution
 
 # the most values one range may expand to; a longer one is refused before
 # any list is built
@@ -181,7 +182,7 @@ def _cmd_theory(args) -> int:
             for j, qj in enumerate(q):
                 writer.writerow([m, batch, f"{p:.10g}", j, f"{qj:.12g}"])
             floor = floor_mean(q)
-            ratio = floor_ratio(floor, expected_baseline_retx(params))
+            ratio = retransmission_ratio(floor, expected_baseline_retx(params))
             writer.writerow([m, batch, f"{p:.10g}", "expected_min_retx", f"{floor:.12g}"])
             writer.writerow([m, batch, f"{p:.10g}", "theory_ratio", f"{ratio:.12g}"])
     print(f"wrote {args.out}")

@@ -12,7 +12,10 @@ One row per (algorithm, grid point, replication), then per grid point and
 algorithm two aggregate rows (replication="mean": averages across runs,
 with ttd_std the deviation of per-run means; replication="pooled": all
 time-to-decode samples pooled, with the per-packet deviation) and, when
-requested, one "theory" row with the analytic floor.
+requested, one "theory" row with the analytic floor.  A run's row and a
+pooled row read their ttd_mean and ttd_std through ``metrics.moments``,
+from exact integer (count, sum, sum of squares): a pooled row adds its
+runs' sums, so with one replication it equals that run's row.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ import numpy as np
 
 from .channel import ChannelParams, sample_matrix
 from .gf import Gf256Basis, mat_mul, solve
-from .metrics import run_metrics, time_to_decode
+from .metrics import moments, retransmission_ratio, run_metrics, time_to_decode
 from .model import MAX_CELLS, RECEIVED, IntegrityError, TransmissionMatrix
 from .schedulers import SCHEDULER_NAMES, RunResult, run_scheduler
-from .theory import TheoryParams, expected_baseline_retx, expected_min_retx, floor_ratio
+from .theory import TheoryParams, expected_baseline_retx, expected_min_retx
 
 # The most runs one sweep may make: replications (grid points times reps),
 # or grid points in a theory-only sweep.  fig2 at 10,000 reps makes 290,000.
@@ -191,7 +194,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
 def _sweep_rows(config: ExperimentConfig, grid: list[tuple], results) -> list[dict]:
     """All rows, from the replications' rows as they arrive in task order: each
-    grid point is aggregated once its last replication is in, from exact sums."""
+    grid point is aggregated once its last replication is in, the pooled row
+    from the sum of its runs' exact sums."""
     names, rows = config.scheduler_names, []
     for m, p in grid:
         start, sums = len(rows), []
@@ -204,7 +208,7 @@ def _sweep_rows(config: ExperimentConfig, grid: list[tuple], results) -> list[di
         for idx, name in enumerate(names):
             runs = point[idx::len(names)]
             means = [r["ttd_mean"] for r in runs if not math.isnan(r["ttd_mean"])]
-            n, total, squares = map(sum, zip(*sums[idx::len(names)]))
+            ttd_mean, ttd_std = moments(tuple(map(sum, zip(*sums[idx::len(names)]))))
             base = {
                 "algorithm": name, "M": m, "N": config.batch, "p": p, "seed": "",
                 "retransmissions": np.mean([r["retransmissions"] for r in runs]),
@@ -215,11 +219,7 @@ def _sweep_rows(config: ExperimentConfig, grid: list[tuple], results) -> list[di
             rows.append(dict(base, replication="mean",
                              ttd_mean=np.mean(means) if means else math.nan,
                              ttd_std=np.std(means) if means else math.nan))
-            # each is one correctly rounded division of exact ints
-            rows.append(dict(base, replication="pooled",
-                             ttd_mean=total / n if n else math.nan,
-                             ttd_std=math.sqrt((n * squares - total * total) / (n * n))
-                             if n else math.nan))
+            rows.append(dict(base, replication="pooled", ttd_mean=ttd_mean, ttd_std=ttd_std))
         if config.wants_theory:
             rows.append(_theory_row(m, p, config.batch))
     return rows
@@ -232,7 +232,7 @@ def _theory_row(receivers: int, loss: float, batch: int) -> dict:
         "algorithm": "theory", "M": receivers, "N": batch, "p": loss,
         "replication": "", "seed": "",
         "retransmissions": floor, "baseline_retransmissions": baseline,
-        "ratio": floor_ratio(floor, baseline), "ttd_mean": "", "ttd_std": "",
+        "ratio": retransmission_ratio(floor, baseline), "ttd_mean": "", "ttd_std": "",
     }
 
 
@@ -322,7 +322,7 @@ def trace_run(matrix: TransmissionMatrix, algorithm: str, seed: int = 0,
         emit(f"slot {slot}: {head}" + (" | " + "; ".join(notes) if notes else ""))
     tail = f"retransmissions={result.schedule.retransmission_count}"
     if ttd.samples:
-        tail += f" ttd_mean={ttd.mean:.6g}"
+        tail += f" ttd_mean={moments(ttd.sums)[0]:.6g}"
     emit(tail)
     return result
 

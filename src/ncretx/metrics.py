@@ -2,8 +2,10 @@
 
 Time to decode is measured per originally-lost cell as the number of slots
 between the packet's own original transmission and the slot the receiver
-recovered it in; packets received first time contribute nothing.  The
-standard deviation is the population form (divide by n).
+recovered it in; packets received first time contribute nothing.  A run
+keeps its samples' exact count, sum and sum of squares as Python ints, and
+``moments`` reads the mean and the population deviation (divide by n) from
+them: one run's row and the harness's pooled rows take the same path.
 """
 
 from __future__ import annotations
@@ -14,15 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IntegrityError
-from .schedulers import RunResult, Schedule
+from .schedulers import RunResult
+
+
+def moments(sums: tuple[int, int, int]) -> tuple[float, float]:
+    """Mean and population deviation from the exact count, sum and sum of
+    squares of some samples; nan for none.  Each is one correctly rounded
+    division of exact ints, the deviation then one square root."""
+    n, total, squares = sums
+    if not n:
+        return math.nan, math.nan
+    return total / n, math.sqrt((n * squares - total * total) / (n * n))
 
 
 @dataclass
 class TtdStats:
     samples: list[int]  # one per originally-lost cell, (receiver, packet) order
-    mean: float
-    std: float
-    sums: tuple[int, int, int]  # count, sum and sum of squares of the samples
+    sums: tuple[int, int, int]  # count, sum and sum of squares: see ``moments``
 
 
 @dataclass
@@ -31,22 +41,26 @@ class RunMetrics:
     baseline_retransmissions: int
     ratio: float
     ttd_samples: list[int]
-    ttd_mean: float
-    ttd_std: float
     ttd_sums: tuple[int, int, int]
 
+    @property
+    def ttd_mean(self) -> float:
+        return moments(self.ttd_sums)[0]
 
-def retransmission_ratio(run: Schedule, baseline: Schedule) -> float:
-    """Repairs used by a scheduler over repairs used by plain ARQ (0/0 -> 0)."""
-    if baseline.retransmission_count == 0:
-        return 0.0
-    return run.retransmission_count / baseline.retransmission_count
+    @property
+    def ttd_std(self) -> float:
+        return moments(self.ttd_sums)[1]
+
+
+def retransmission_ratio(retransmissions: float, baseline: float) -> float:
+    """Repairs, counted or expected, over plain ARQ's (0/0 -> 0: nothing lost)."""
+    return 0.0 if baseline == 0 else retransmissions / baseline
 
 
 def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
                    receivers) -> TtdStats:
-    """Slot deltas from lost original to recovery, per cell, with mean/std
-    and the exact count, sum and sum of squares that pool runs together.
+    """Slot deltas from lost original to recovery, per cell, with their
+    exact count, sum and sum of squares.
 
     Raises IntegrityError if any originally-lost cell was never recovered
     (full recovery is guaranteed by every scheduler, so this only fires on
@@ -61,30 +75,14 @@ def time_to_decode(losses: np.ndarray, original_slot: np.ndarray,
         if slot is None:
             raise IntegrityError(f"receiver {i0 + 1} never recovered packet {k0 + 1}")
         samples.append(slot - sent[k0])
-    n = len(samples)
-    values = np.array(samples, dtype=np.int64)  # one conversion for every statistic
-    sums = (n, int(values.sum()), int(values @ values))
-    if not n:
-        return TtdStats(samples, math.nan, math.nan, sums)
-    if int(values.max()) ** 2 * n >= 2**63:  # int64 could wrap; every sample is >= 1
-        sums = (n, sum(samples), sum(s * s for s in samples))
-    # np.mean's and np.std's values, without their dispatch: S1 / n is the
-    # mean while S1 is exact in a float64, and the deviation sums the same
-    # squares with the same pairwise reduction
-    mean = sums[1] / n if sums[1] < 2**53 else float(values.mean())
-    deviations = values - mean
-    return TtdStats(samples, mean, math.sqrt(np.add.reduce(deviations * deviations) / n), sums)
+    return TtdStats(samples, (len(samples), sum(samples), sum(s * s for s in samples)))
 
 
 def run_metrics(result: RunResult, baseline: RunResult) -> RunMetrics:
     """Bundle the two evaluation quantities for one completed run."""
     ttd = time_to_decode(result.losses, result.original_slot, result.receivers)
-    return RunMetrics(
-        retransmissions=result.schedule.retransmission_count,
-        baseline_retransmissions=baseline.schedule.retransmission_count,
-        ratio=retransmission_ratio(result.schedule, baseline.schedule),
-        ttd_samples=ttd.samples,
-        ttd_mean=ttd.mean,
-        ttd_std=ttd.std,
-        ttd_sums=ttd.sums,
-    )
+    retx = result.schedule.retransmission_count
+    base = baseline.schedule.retransmission_count
+    return RunMetrics(retransmissions=retx, baseline_retransmissions=base,
+                      ratio=retransmission_ratio(retx, base),
+                      ttd_samples=ttd.samples, ttd_sums=ttd.sums)

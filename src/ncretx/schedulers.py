@@ -77,8 +77,9 @@ class _Run:
     ``missing[k-1]`` is an int with bit i-1 set while receiver i still lacks
     packet k: it starts as packet k's loss column and has each recovery
     cleared as it happens.  ``lacking``, first the union of the loss columns,
-    loses bit i-1 in ``send`` once receiver i holds the whole batch: it only
-    shrinks, and covers every ``missing`` mask.  ``slot`` is the last slot used.
+    loses bit i-1 once receiver i holds the whole batch, from a repair or an
+    original: it only shrinks, and covers every ``missing`` mask.  ``slot`` is
+    the last slot used.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
@@ -107,7 +108,10 @@ class _Run:
         while got:
             bit = got & -got
             got ^= bit
-            self.states[bit.bit_length() - 1].receive_original(k, self.slot)
+            state = self.states[bit.bit_length() - 1]
+            state.receive_original(k, self.slot)
+            if len(state.recovery_slot) == len(self.missing):
+                self.lacking &= ~bit
 
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver

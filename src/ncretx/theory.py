@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import retransmission_ratio
+
 # The largest batch the floor is computed for: loss_cdf holds a few arrays
 # of batch + 1 floats, about 80 MB each at this size.
 MAX_BATCH = 10**7
@@ -115,10 +117,4 @@ def expected_baseline_retx(params: TheoryParams) -> float:
 
 def theory_ratio(params: TheoryParams) -> float:
     """Lower-bound retransmission ratio: E[max_i L_i] / E[ARQ repairs]."""
-    return floor_ratio(expected_min_retx(params), expected_baseline_retx(params))
-
-
-def floor_ratio(min_retx: float, baseline: float) -> float:
-    """The floor over the ARQ mean, or zero when no receiver ever loses
-    anything (no repairs to compare)."""
-    return 0.0 if baseline == 0.0 else min_retx / baseline
+    return retransmission_ratio(expected_min_retx(params), expected_baseline_retx(params))

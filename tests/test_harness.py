@@ -5,6 +5,7 @@ import contextlib
 import csv
 import filecmp
 import io
+import math
 import multiprocessing
 import os
 import random
@@ -220,6 +221,23 @@ def test_aggregate_rows_cover_both_deviation_views(tmp_path):
         pooled, = [r for r in rows if (r["algorithm"], r["replication"]) == (name, "pooled")]
         assert pooled["ttd_mean"] == np.mean(samples)
         assert pooled["ttd_std"] == pytest.approx(np.std(samples), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), receivers=st.integers(2, 20),
+       loss=st.sampled_from([0.1, 0.25, 0.5, 0.8]), batch=st.integers(1, 40))
+def test_one_replication_pools_to_its_own_run(seed, receivers, loss, batch):
+    # a pooled row adds its runs' exact sums and a run's row reads its own,
+    # both through one moments function: one run pools to the same floats
+    config = ExperimentConfig(algorithms=list(SCHEDULER_NAMES), receiver_counts=[receivers],
+                              loss_rates=[loss], batch=batch, replications=1,
+                              base_seed=seed, workers=1)
+    rows = {(r["algorithm"], r["replication"]): r for r in run_experiment(config)}
+    for name in SCHEDULER_NAMES:
+        for column in ("ttd_mean", "ttd_std"):
+            run, pooled = rows[name, 0][column], rows[name, "pooled"][column]
+            assert type(run) is type(pooled) is float
+            assert run == pooled or math.isnan(run) and math.isnan(pooled), (name, column)
 
 
 def test_theory_row_matches_module(tmp_path):

@@ -629,34 +629,40 @@ def test_send_returns_recoveries_by_constituent_then_receiver():
 
 @pytest.mark.parametrize("name", ["arq", "greedy", "sort-utility", "benefit"])
 def test_lacking_covers_every_receiver_still_missing_a_packet(name):
-    # after every repair, each receiver missing a packet is in ``lacking``,
-    # and one outside it holds every packet sent so far and lost none of the
-    # originals still to come (only benefit sends repairs before them; the
-    # others send every original first, so ``lacking`` is exactly the union)
-    send = _Run.send
-    complete = 0
+    # after every slot, ``lacking`` is exactly the receivers that lose a
+    # packet and do not hold the whole batch yet, so it covers every
+    # ``missing`` mask, and one outside it holds every packet sent so far.
+    # arq, greedy and sort-utility send every original first, so for them
+    # it is exactly the union of the masks
+    methods = {attr: getattr(_Run, attr) for attr in ("send_batch", "send_original", "send")}
+    checked = Counter()
 
-    def checking(self, constituents):
-        nonlocal complete
-        recovered = send(self, constituents)
-        union = functools.reduce(int.__or__, self.missing, 0)
-        assert not union & ~self.lacking
-        assert name == "benefit" or self.lacking == union
-        unsent = np.flatnonzero(self.original_slot == 0)
-        sent = set(range(1, self.matrix.batch + 1)) - set((unsent + 1).tolist())
-        for i0, state in enumerate(self.states):
-            if not self.lacking >> i0 & 1:
-                assert state.have == sent
-                assert not self.losses[i0, unsent].any()
-                complete += 1
-        return recovered
+    def checking(attr):
+        def checked_send(self, *args):
+            out = methods[attr](self, *args)
+            union = functools.reduce(int.__or__, self.missing, 0)
+            unfinished = sum(1 << i0 for i0, state in enumerate(self.states)
+                             if self.losses[i0].any()
+                             and len(state.recovery_slot) < self.matrix.batch)
+            assert self.lacking == unfinished
+            assert not union & ~self.lacking
+            assert name == "benefit" or self.lacking == union
+            sent = set((np.flatnonzero(self.original_slot) + 1).tolist())
+            for i0, state in enumerate(self.states):
+                if not self.lacking >> i0 & 1:
+                    assert state.have == sent
+            checked[attr] += 1
+            return out
+        return checked_send
 
     rng = np.random.default_rng(29)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Run, "send", checking)
+        for attr in methods:
+            mp.setattr(_Run, attr, checking(attr))
         for _ in range(200):
             run_scheduler(name, random_matrix(rng))
-    assert complete > 0
+    assert checked["send"] > 0
+    assert checked["send_original" if name == "benefit" else "send_batch"] > 0
 
 
 def test_walk_guard_changes_no_benefit_record():
