@@ -77,9 +77,9 @@ class _Run:
     ``missing[k-1]`` is an int with bit i-1 set while receiver i still lacks
     packet k: it starts as packet k's loss column and has each recovery
     cleared as it happens.  ``lacking``, first the union of the loss columns,
-    loses bit i-1 once receiver i holds the whole batch, from a repair or an
-    original: it only shrinks, and covers every ``missing`` mask.  ``slot`` is
-    the last slot used.
+    loses bit i-1 once receiver i holds the whole batch, from a repair or the
+    last original: it only shrinks, and covers every ``missing`` mask.
+    ``slot`` is the last slot used.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
@@ -100,7 +100,9 @@ class _Run:
 
     def send_original(self, k: int) -> None:
         """Send packet k's original in the next slot to every receiver that
-        did not lose it."""
+        did not lose it.  Originals go out in id order, and no repair holds an
+        unsent packet, so no receiver holds the whole batch before the last
+        one: only then does ``lacking`` become the ``missing`` masks' union."""
         self.slot += 1
         self.original_slot[k - 1] = self.slot
         # no repair holds k before its original, so missing[k-1] is its loss column
@@ -108,10 +110,9 @@ class _Run:
         while got:
             bit = got & -got
             got ^= bit
-            state = self.states[bit.bit_length() - 1]
-            state.receive_original(k, self.slot)
-            if len(state.recovery_slot) == len(self.missing):
-                self.lacking &= ~bit
+            self.states[bit.bit_length() - 1].receive_original(k, self.slot)
+        if k == len(self.missing):
+            self.lacking = reduce(int.__or__, self.missing, 0)
 
     def send(self, constituents) -> list[int]:
         """Send the XOR of ``constituents`` as a repair, which every receiver
@@ -129,6 +130,7 @@ class _Run:
         constituent.  This is the only place an XOR repair is decoded."""
         packet = self.append(constituents)
         missing, states, slot = self.missing, self.states, self.slot
+        n = len(missing)
         ones = twos = 0
         for k in packet.constituents:
             col = missing[k - 1]
@@ -148,13 +150,14 @@ class _Run:
                 bit = decoders & -decoders
                 decoders ^= bit
                 state = states[bit.bit_length() - 1]
-                state.recovery_slot[k] = slot
+                held, waiting = state.recovery_slot, state.waiting
+                held[k] = slot
                 state.source[k] = packet
-                if k in state.waiting:
+                if waiting and k in waiting:
                     for j in state.decode_search(k, slot):
                         missing[j - 1] &= ~bit
                         recovered.append(j)
-                if len(state.recovery_slot) == len(missing):
+                if len(held) == n:
                     self.lacking &= ~bit
         while twos:
             bit = twos & -twos
@@ -312,7 +315,8 @@ def benefit(matrix: TransmissionMatrix) -> RunResult:
     list, which is sent once it reaches the desired benefit: its first two
     gates cannot move while it waits.  Each scan cycle after the batch
     relaxes the desired benefit by one, down to 1; a cycle at 1 leaves
-    nothing missing.
+    nothing missing.  A cycle that cannot send is skipped (see ``execute``);
+    an audit's cycle still reads M + 1 - desired benefit.
     """
     return _BenefitRun(matrix).execute()
 
@@ -341,8 +345,9 @@ class _BenefitRun(_Run):
     them.  An anchor is stamped ``n``, which no epoch of its cycle reaches:
     each set sent has its own anchor, and an anchor is never judged again
     in its cycle.  A new cycle clears every stamp.  Cycle 1 interleaves
-    originals with repairs; cycles 2..M only rescan outstanding packets.
-    Gates only ever look at the ``missing`` masks of packets already sent.
+    originals with repairs; cycles 2..M only rescan outstanding packets, and
+    ``execute`` skips those that cannot send.  Gates only ever look at the
+    ``missing`` masks of packets already sent.
     """
 
     def __init__(self, matrix: TransmissionMatrix):
@@ -358,9 +363,18 @@ class _BenefitRun(_Run):
     def execute(self) -> RunResult:
         self._scan()
         while any(self.missing) and self.desired_benefit > 1:
-            self.desired_benefit -= 1
+            # Skip the cycles that cannot send: each that runs sends what it
+            # would stepping by one.  A cycle >= 2 sends only sets reaching the
+            # desired benefit, and a set's ``ones`` lies in ``lacking``.  One
+            # that sent nothing built one set, from fresh stamps, moved no mask
+            # and never read the desired benefit, so each cycle after it builds
+            # that set again until the desired benefit falls to its ``ones``.
+            self.desired_benefit = min(self.desired_benefit - 1, self.lacking.bit_count())
+            slot = self.slot
             self._new_cycle()
             self._scan()
+            if self.slot == slot:
+                self.desired_benefit = self._summary[0].bit_count() + 1
         # No straggler sweep: a cycle at desired benefit 1 drains every
         # outstanding packet.  A lone free packet passes all three gates and a
         # prospective set always flushes, so the cycle leaves every non-anchor

@@ -206,10 +206,25 @@ def assert_peeling_sound(mat, name):
     return result
 
 
-class UnguardedBenefit(_BenefitRun):
-    """Benefit with the walk's guard defeated: every receiver always counts
-    as still ``lacking`` a packet, so ``_admit_first`` always walks.  The
-    reference that the guard must not change."""
+class EveryCycleBenefit(_BenefitRun):
+    """Benefit that scans every cycle, lowering the desired benefit by one
+    each time, where the scheduler skips the cycles that cannot send.  The
+    reference that the skip must not change."""
+
+    def execute(self):
+        self._scan()
+        while any(self.missing) and self.desired_benefit > 1:
+            self.desired_benefit -= 1
+            self._new_cycle()
+            self._scan()
+        return self.result("benefit", audit=self.audit)
+
+
+class UnguardedBenefit(EveryCycleBenefit):
+    """Benefit with the walk's guard defeated, scanning every cycle: every
+    receiver always counts as still ``lacking`` a packet, so
+    ``_admit_first`` always walks.  The reference that neither the guard
+    nor the skip may change."""
 
     @property
     def lacking(self) -> int:

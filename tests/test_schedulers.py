@@ -27,8 +27,8 @@ from ncretx.schedulers import BenefitAudit, _BenefitRun, _Run
 
 from gf2_oracle import ListScanReceiver
 
-from conftest import (UnguardedBenefit, assert_peeling_sound, benefit_record, loss_matrices,
-                      random_matrix, recorded_run, records, replay, slot_order)
+from conftest import (EveryCycleBenefit, UnguardedBenefit, assert_peeling_sound, benefit_record,
+                      loss_matrices, random_matrix, recorded_run, records, replay, slot_order)
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -668,7 +668,8 @@ def test_lacking_covers_every_receiver_still_missing_a_packet(name):
 def test_walk_guard_changes_no_benefit_record():
     # the guard in ``_admit_first`` skips walks that could admit nothing:
     # benefit with it defeated keeps the same schedule, audit and
-    # recoveries, and it must have skipped some, so judged less often
+    # recoveries, and it must have skipped some, so judged less often.
+    # Both runs scan every cycle, so they differ only by the guard
     judge = _BenefitRun._judge
     calls = Counter()
 
@@ -681,8 +682,35 @@ def test_walk_guard_changes_no_benefit_record():
         mp.setattr(_BenefitRun, "_judge", counting)
         for _ in range(300):
             mat = random_matrix(rng, max_receivers=20, max_batch=40)
-            assert benefit_record(benefit(mat)) == benefit_record(UnguardedBenefit(mat).execute())
-    assert calls[_BenefitRun] < calls[UnguardedBenefit]
+            assert benefit_record(EveryCycleBenefit(mat).execute()) == \
+                benefit_record(UnguardedBenefit(mat).execute())
+    assert calls[EveryCycleBenefit] < calls[UnguardedBenefit]
+
+
+def test_benefit_skips_the_cycles_that_cannot_send():
+    # stepping by one, cycle 2 (desired benefit 5) builds the set c1 alone,
+    # which reaches 3 receivers (c2 or c3 would leave it 2 decoders, under
+    # the minimum utility 3), and sends nothing, nor does cycle 3 (4), which
+    # builds it again.  Cycle 4 (3) sends c1, then c2^c3, which R4 files, so
+    # cycle 5 (2) sends nothing and cycle 6 (1) sends c2, and R4 peels c3.
+    # The scheduler goes from cycle 2 to cycle 4, on the set that cycle 2
+    # built, and from cycle 4 to cycle 6, as R4 alone still lacks a packet
+    mat = TransmissionMatrix.from_rows([[0, 1, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 1],
+                                        [0, 0, 0]])
+    scan = _BenefitRun._scan
+    desired = {}
+
+    def recording(self):
+        desired.setdefault(type(self), []).append(self.desired_benefit)
+        scan(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BenefitRun, "_scan", recording)
+        result = benefit(mat)
+        reference = EveryCycleBenefit(mat).execute()
+    assert benefit_record(result) == benefit_record(reference)
+    assert [a.cycle for a in result.audit] == [4, 4, 6]
+    assert desired == {_BenefitRun: [6, 5, 3, 1], EveryCycleBenefit: [6, 5, 4, 3, 2, 1]}
 
 
 @given(loss_matrices())

@@ -48,7 +48,7 @@ def check_xor_schedulers(batch: int, rows) -> int:
     the strict rule for greedy and sort-utility (``assert_strict_rule``),
     every recovery's bytes through ``_check_xor_recoveries``, and for
     benefit the same record (``benefit_record``) with the walk's guard
-    defeated (``UnguardedBenefit``).
+    defeated and every scan cycle run (``UnguardedBenefit``).
 
     Returns how many repairs benefit made above the number of packets anyone
     lost, which is what arq makes: the one bound a known fault breaks.  Any
