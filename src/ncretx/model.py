@@ -41,14 +41,21 @@ class CodedPacket:
         return "^".join(f"c{k}" for k in sorted(self.constituents))
 
 
+def _row_ints(bits: np.ndarray) -> tuple[int, ...]:
+    """Each row of a 0/1 array as an int, column j in bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width, raw, from_bytes = packed.shape[1], packed.tobytes(), int.from_bytes
+    return tuple([from_bytes(raw[at:at + width], "little") for at in range(0, len(raw), width)])
+
+
 @dataclass(eq=False)  # compared by identity: a generated __eq__ compares arrays
 class TransmissionMatrix:
     """M x N grid of loss outcomes, read-only.
 
     ``cells[i-1, k-1]`` is 1 if receiver i lost packet k's original
     transmission, else 0.  What runs start from and are checked against is
-    built once, on first use: ``loss_masks``, ``received_slots`` and
-    ``max_receiver_losses``.
+    built once, on first use: ``loss_masks``, ``loss_rows``,
+    ``received_slots`` and ``max_receiver_losses``.
     """
 
     cells: np.ndarray
@@ -71,10 +78,13 @@ class TransmissionMatrix:
     def loss_masks(self) -> tuple[int, ...]:
         """Packet k's loss column as an int: bit i-1 is set if receiver i
         lost it."""
-        packed = np.packbits(self.cells.T, axis=1, bitorder="little")
-        width, raw = packed.shape[1], packed.tobytes()
-        return tuple(int.from_bytes(raw[at:at + width], "little")
-                     for at in range(0, len(raw), width))
+        return _row_ints(self.cells.T)
+
+    @cached_property
+    def loss_rows(self) -> tuple[int, ...]:
+        """Receiver i's loss row as an int: bit k-1 is set if it lost packet
+        k.  The bit transpose of ``loss_masks``."""
+        return _row_ints(self.cells)
 
     @cached_property
     def received_slots(self) -> tuple[MappingProxyType[int, int], ...]:
@@ -122,7 +132,7 @@ class TransmissionMatrix:
         cells[self._row(i), self._col(k)] = RECEIVED
         cells.flags.writeable = False
         self.cells = cells
-        for name in ("loss_masks", "received_slots", "max_receiver_losses"):
+        for name in ("loss_masks", "loss_rows", "received_slots", "max_receiver_losses"):
             vars(self).pop(name, None)
 
     # -- text format: first line "M N", then M rows of N space-separated 0/1 --

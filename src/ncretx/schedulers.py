@@ -22,7 +22,6 @@ the sampled matrix.  Identical inputs always produce identical schedules.
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
@@ -179,27 +178,41 @@ class _Run:
                          self.original_slot, self.losses, **extra)
 
 
-def _strict_repairs(run: _Run, order: list[int]) -> None:
-    """Repair every packet in ``order`` under the strict rule, in one pass.
+def _strict_repairs(run: _Run, buckets: list[int]) -> None:
+    """Repair every lost packet under the strict rule, in one pass.
 
-    Each packet still missing at its turn heads an XOR set grown along the
-    rest of ``order`` while every receiver missing a constituent misses just
-    one, so all decode it at once.  A packet rejected against the set would
-    be rejected against any larger one, so one walk suffices.  One repair
-    per packet at most bounds the pass; ``result()`` catches a failed one.
+    ``buckets`` holds the lost packets as id masks (bit k-1 for packet k) in
+    priority order: bucket by bucket, lower id first inside one.  The first
+    ``pending`` packet heads an XOR set, grown along the rest of the order
+    while every receiver missing a constituent misses just one, so all
+    decode it at once.  Rejection is in bulk: ``blocked``, the OR of the loss
+    rows of the receivers the set covers, only grows, and the next member is
+    the first pending packet outside it.  No receiver files a strict repair,
+    so a packet's ``missing`` column is its loss column until the one repair
+    that holds it, and 0 after.  ``result()`` catches a failed pass.
     """
-    missing = run.missing
-    for at, head in enumerate(order):
-        covered = missing[head - 1]  # receivers missing one of the chosen packets
-        if not covered:
-            continue
-        chosen = [head]
-        for k in order[at + 1:]:
-            col = missing[k - 1]
-            if col and not col & covered:
-                chosen.append(k)
-                covered |= col
-        run.send(chosen)
+    missing, rows = run.missing, run.matrix.loss_rows
+    pending = reduce(int.__or__, buckets, 0)
+    for at, bucket in enumerate(buckets):
+        while bucket & pending:
+            free, blocked, chosen = pending, 0, []
+            for tier in buckets[at:]:
+                tier &= free
+                while tier:
+                    bit = tier & -tier
+                    k = bit.bit_length()
+                    chosen.append(k)
+                    pending, free = pending ^ bit, free ^ bit
+                    covered = missing[k - 1]
+                    while covered:
+                        low = covered & -covered
+                        covered ^= low
+                        blocked |= rows[low.bit_length() - 1]
+                    free &= ~blocked
+                    tier &= free
+                if not free:
+                    break
+            run.send(chosen)
 
 
 # ---------------------------------------------------------------- schedulers
@@ -215,26 +228,26 @@ def baseline_arq(matrix: TransmissionMatrix) -> RunResult:
 
 
 def greedy_nc(matrix: TransmissionMatrix) -> RunResult:
-    """Grow XOR sets over lost packets in arrival order, strict rule enforced."""
+    """Grow XOR sets over lost packets in arrival order (one priority bucket), strict rule."""
     run = _Run(matrix)
     run.send_batch()
-    _strict_repairs(run, [k for k, col in enumerate(run.missing, 1) if col])
+    _strict_repairs(run, [reduce(int.__or__, matrix.loss_rows, 0)])
     return run.result("greedy")
 
 
 def sort_by_utility(matrix: TransmissionMatrix) -> RunResult:
     """Greedy coding seeded by descending packet utility (ties: lower id first).
 
-    The order is fixed once, from post-original utilities; packets whose
-    utility hits zero through earlier coded repairs are skipped when their
-    turn comes.
+    The order is fixed once, from post-original utilities, as one priority
+    bucket per utility, highest first; packets whose utility hits zero
+    through earlier coded repairs are skipped when their turn comes.
     """
     run = _Run(matrix)
     run.send_batch()
-    missing = run.missing
-    lost = [k for k, col in enumerate(missing, 1) if col]
-    # stable: equal utilities keep the lower id first
-    _strict_repairs(run, sorted(lost, key=lambda k: missing[k - 1].bit_count(), reverse=True))
+    by_cu = [0] * (matrix.receivers + 1)
+    for k0, col in enumerate(run.missing):
+        by_cu[col.bit_count()] |= 1 << k0
+    _strict_repairs(run, [bucket for bucket in by_cu[:0:-1] if bucket])
     return run.result("sort-utility")
 
 
@@ -519,8 +532,10 @@ class _BenefitRun(_Run):
     def _transmit_repair(self, ids: list[int], gates: tuple[int, int, int]) -> None:
         """Send the XOR of ``ids``; move each packet it recovered (peeling may
         add some outside ``ids``) once, down one bucket per receiver that did."""
-        missing, by_cu = self.missing, self._by_cu
-        for k, times in Counter(self.send(ids)).items():
+        missing, by_cu, counts = self.missing, self._by_cu, {}
+        for k in self.send(ids):
+            counts[k] = counts.get(k, 0) + 1
+        for k, times in counts.items():
             c = missing[k - 1].bit_count()
             by_cu[c + times].remove(k - 1)
             if c:

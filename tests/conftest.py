@@ -206,6 +206,31 @@ def assert_peeling_sound(mat, name):
     return result
 
 
+def list_scan_strict(name, matrix):
+    """Greedy or sort-utility by the list-scan pass: each packet of the
+    order still missing at its turn heads a set, grown along the rest of
+    the order one packet at a time while no receiver misses two of it.  The
+    reference that bulk rejection over the loss rows must not change."""
+    run = _Run(matrix)
+    run.send_batch()
+    missing = run.missing
+    order = [k for k, col in enumerate(missing, 1) if col]
+    if name == "sort-utility":  # stable: equal utilities keep the lower id first
+        order.sort(key=lambda k: missing[k - 1].bit_count(), reverse=True)
+    for at, head in enumerate(order):
+        covered = missing[head - 1]  # receivers missing one of the chosen packets
+        if not covered:
+            continue
+        chosen = [head]
+        for k in order[at + 1:]:
+            col = missing[k - 1]
+            if col and not col & covered:
+                chosen.append(k)
+                covered |= col
+        run.send(chosen)
+    return run.result(name)
+
+
 class EveryCycleBenefit(_BenefitRun):
     """Benefit that scans every cycle, lowering the desired benefit by one
     each time, where the scheduler skips the cycles that cannot send.  The

@@ -78,6 +78,8 @@ def test_cells_are_read_only(worked_example):
 def test_run_records_follow_the_cells(worked_example):
     # packet 1 is lost by receivers 1 and 4; receiver 2 holds packets 1, 3 and 5
     assert worked_example.loss_masks == (0b1001, 0b0111, 0b0100, 0b1010, 0b1001)
+    # receiver 1 lost packets 1, 2 and 5
+    assert worked_example.loss_rows == (0b10011, 0b01010, 0b00110, 0b11001)
     assert worked_example.received_slots[1] == {1: 1, 3: 3, 5: 5}
     assert worked_example.max_receiver_losses == 3  # receivers 1 and 4
     with pytest.raises(TypeError):
@@ -87,10 +89,22 @@ def test_run_records_follow_the_cells(worked_example):
     assert before[0, 0] == 1  # an earlier read keeps the grid it read
     assert not worked_example.cells.flags.writeable
     assert worked_example.loss_masks[0] == 0b1000
+    assert worked_example.loss_rows[0] == 0b10010
     assert worked_example.received_slots[0] == {1: 1, 3: 3, 4: 4}
     assert worked_example.max_receiver_losses == 3
     worked_example.mark_received(4, 1)
     assert worked_example.max_receiver_losses == 2
+
+
+def test_loss_rows_are_the_bit_transpose_of_the_loss_masks():
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(1, 80))
+        mat = TransmissionMatrix((rng.random((m, n)) < rng.uniform()).astype(np.uint8))
+        masks, rows = mat.loss_masks, mat.loss_rows
+        assert len(rows) == m and len(masks) == n
+        assert all((rows[i] >> k & 1) == (masks[k] >> i & 1) == mat.cells[i, k]
+                   for i in range(m) for k in range(n))
 
 
 def test_matrices_compare_as_objects():

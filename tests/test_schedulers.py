@@ -28,7 +28,8 @@ from ncretx.schedulers import BenefitAudit, _BenefitRun, _Run
 from gf2_oracle import ListScanReceiver
 
 from conftest import (EveryCycleBenefit, UnguardedBenefit, assert_peeling_sound, benefit_record,
-                      loss_matrices, random_matrix, recorded_run, records, replay, slot_order)
+                      held_record, list_scan_strict, loss_matrices, random_matrix, recorded_run,
+                      records, replay, sent_record, slot_order)
 
 ALL = ("arq", "greedy", "sort-utility", "benefit", "rlnc")
 
@@ -112,9 +113,12 @@ def grown_set(cells, order):
 def test_strict_rule_holds_for_every_repair(worked_example):
     # each repair obeys the rule and is the full growth along the scheduler's
     # order: lost packets ascending for greedy, and for sort-utility the
-    # original utility order, whose already recovered packets are passed over
+    # original utility order, whose already recovered packets are passed over.
+    # The paper's shapes at p = 0.5 add many sets and utility ties
     rng = np.random.default_rng(3)
     matrices = [worked_example] + [random_matrix(rng) for _ in range(120)]
+    matrices += [sample_matrix(ChannelParams.homogeneous(m, 0.5, seed=m), 200)
+                 for m in (2, 10, 20, 30)]
     for mat in matrices:
         orders = {greedy_nc: range(mat.batch),
                   sort_by_utility: np.argsort(-mat.cells.sum(axis=0), kind="stable").tolist()}
@@ -123,6 +127,19 @@ def test_strict_rule_holds_for_every_repair(worked_example):
                 cols = [k - 1 for k in packet.constituents]
                 assert (lacking[:, cols].sum(axis=1) <= 1).all()
                 assert set(packet.constituents) == grown_set(lacking, order)
+
+
+@given(loss_matrices(max_receivers=30, max_batch=200))
+@example(TransmissionMatrix(np.ones((30, 200), dtype=np.uint8)))
+@example(TransmissionMatrix(np.zeros((30, 200), dtype=np.uint8)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_bulk_rejection_matches_the_list_scan_pass(mat):
+    # growing each set by the loss rows of the receivers it covers sends and
+    # decodes what testing each later packet of the order in turn does
+    for name in ("greedy", "sort-utility"):
+        result, reference = run_scheduler(name, mat), list_scan_strict(name, mat)
+        assert sent_record(result) == sent_record(reference), name
+        assert held_record(result) == held_record(reference), name
 
 
 # ---------------------------------------------------------------- rlnc
